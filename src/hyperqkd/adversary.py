@@ -200,6 +200,32 @@ def _bit_positions(provenance: Sequence[tuple[int, str]]):
         yield rid, tag, pos
 
 
+def knows_outcome(eve_outcome: BellLabel, basis: BasisType) -> bool:
+    """Whether the state Eve resent as ``eve_outcome`` has one possible
+    outcome when the receiver measures it in ``basis``."""
+    return len(_SUPPORT[(eve_outcome, basis)]) == 1
+
+
+def guess_score(
+    eve_outcome: Optional[BellLabel], basis: BasisType, tag: str, pos: int
+) -> float:
+    """Probability that Eve's best guess of one key bit is right.
+
+    ``eve_outcome`` is the photon-2 outcome she resent (None when she did
+    not touch the round), ``basis`` the receiver's basis, ``tag`` the key
+    group and ``pos`` the bit's position within its round.
+    """
+    labels = basis_labels(basis)
+    probs = _UNIFORM4 if eve_outcome is None else _OVERLAP[(eve_outcome, basis)]
+    if tag == SAME:
+        q_one = sum(
+            p for p, lab in zip(probs, labels) if encode_same_basis(lab)[pos] == 1
+        )
+    else:
+        q_one = sum(p for p, lab in zip(probs, labels) if encode_diff_basis(lab) == 1)
+    return max(q_one, 1.0 - q_one)
+
+
 def eve_information(
     traces: Iterable[EveRecord],
     records: Iterable[RoundRecord],
@@ -231,7 +257,7 @@ def eve_information(
         if trace is None:
             continue
         # outcomes[-1] is Eve's photon-2 outcome for either attack kind.
-        if len(_SUPPORT[(trace.outcomes[-1], rec.bob_basis)]) == 1:
+        if knows_outcome(trace.outcomes[-1], rec.bob_basis):
             known += 1
     return known / len(key.bits)
 
@@ -260,18 +286,6 @@ def eve_guess_accuracy(
         if rec is None:
             raise ValueError(f"key bit references round {rid} with no record")
         trace = traces_by_id.get(rid)
-        labels = basis_labels(rec.bob_basis)
-        if trace is None:
-            probs = _UNIFORM4
-        else:
-            probs = _OVERLAP[(trace.outcomes[-1], rec.bob_basis)]
-        if tag == SAME:
-            q_one = sum(
-                p for p, lab in zip(probs, labels) if encode_same_basis(lab)[pos] == 1
-            )
-        else:
-            q_one = sum(
-                p for p, lab in zip(probs, labels) if encode_diff_basis(lab) == 1
-            )
-        total += max(q_one, 1.0 - q_one)
+        eve_outcome = None if trace is None else trace.outcomes[-1]
+        total += guess_score(eve_outcome, rec.bob_basis, tag, pos)
     return total / len(key.bits)

@@ -5,8 +5,9 @@ Report schema (version "1"): a JSON object with ``schema_version``,
 of the parsed flags), ``stats`` (every BatchStats field, standard errors
 included), ``keys`` (lengths and SHA-256 digests of both key strings) and,
 when --check is given, ``checks`` (one verdict per expected value for the
-configured scenario). The CSV format is a flat single-row projection of
-the same fields in a fixed column order; empty cells stand for null.
+configured scenario: within CHECK_Z standard errors, or exact). The CSV
+format is a flat single-row projection of the same fields in a fixed
+column order; empty cells stand for null.
 
 Exit status: 0 success, 1 at least one --check verdict failed, 2 usage
 error, 3 output could not be written.
@@ -19,13 +20,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .adversary import AttackConfig, AttackKind, EveBasisStrategy
-from .montecarlo import BatchResult, SimConfig, run_batch
+from .montecarlo import EKERT_BITS_PER_PAIR, BatchResult, SimConfig, run_batch
 
 SCHEMA_VERSION = "1"
 
@@ -39,34 +41,68 @@ _EVE_STRATEGIES = {
     "different": EveBasisStrategy.FIXED_DIFFERENT,
 }
 
-# Expected estimator values per scenario, with absolute tolerances sized for
-# the default 1e5 rounds (>= 3 binomial standard errors). A zero tolerance
-# means the estimator must match exactly.
-_CHECKS_COMMON = [("bits_per_coincidence", 1.5, 0.01)]
+#: Width of every statistical --check band, in standard errors. A correct
+#: program falls outside 5 SE with probability about 6e-7 per check, while
+#: the band still narrows as 1/sqrt(rounds) to catch a real bias.
+CHECK_Z = 5.0
+
+
+def _null_se(p0: float, n: Optional[int]) -> Optional[float]:
+    """Binomial SE of a proportion over ``n`` trials, taken at its expected
+    value ``p0`` so that an estimate of exactly 0 or 1 cannot shrink it."""
+    return math.sqrt(p0 * (1.0 - p0) / n) if n else None
+
+
+def _bits_per_coincidence_se(stats: dict) -> Optional[float]:
+    # bits/coincidence = 1 + (same-basis fraction), which is 1/2.
+    return _null_se(0.5, stats["coincidences"])
+
+
+def _ekert_ratio_se(stats: dict) -> Optional[float]:
+    se = _bits_per_coincidence_se(stats)
+    return None if se is None else se / EKERT_BITS_PER_PAIR
+
+
+def _eve_information_se(stats: dict) -> Optional[float]:
+    # Eve knows both bits of a same-basis round or neither: each key round r
+    # of b_r bits is known with probability 1/2, so the SE is
+    # sqrt(1/4 * sum_r b_r**2) / key_length.
+    same_rounds = stats["same_basis_count"] - stats["verification"]["compared_rounds"]
+    squares = 4 * same_rounds + stats["diff_basis_count"]
+    return math.sqrt(0.25 * squares) / stats["key_length"] if stats["key_length"] else None
+
+
+def _rate_se(p0: float, count_path: str):
+    return lambda stats: _null_se(p0, _lookup_metric(stats, count_path))
+
+
+# Expected value per scenario and estimator, with the function giving the
+# estimator's SE under that expectation; the band is CHECK_Z of those. None
+# marks an exact check: the estimator must equal the value.
+_BITS_PER_COINCIDENCE = ("bits_per_coincidence", 1.5, _bits_per_coincidence_se)
+_SINGLE = [
+    _BITS_PER_COINCIDENCE,
+    ("same_basis_mismatch_rate", 0.25, _rate_se(0.25, "same_basis_count")),
+    ("eve_information", 0.5, _eve_information_se),
+]
+_DOUBLE_EQUAL = (
+    "detection.same_bases_rate", 0.25, _rate_se(0.25, "detection.same_bases_compared")
+)
+_DOUBLE_DIFFERENT = (
+    "detection.diff_bases_rate", 0.5, _rate_se(0.5, "detection.diff_bases_compared")
+)
 _CHECKS_BY_SCENARIO = {
-    ("none", None): _CHECKS_COMMON + [
-        ("same_basis_mismatch_rate", 0.0, 0.0),
-        ("key_bit_error_rate", 0.0, 0.0),
-        ("ekert_ratio", 6.75, 0.05),
+    ("none", None): [
+        _BITS_PER_COINCIDENCE,
+        ("same_basis_mismatch_rate", 0.0, None),
+        ("key_bit_error_rate", 0.0, None),
+        ("ekert_ratio", 6.75, _ekert_ratio_se),
     ],
-    ("single", "random"): _CHECKS_COMMON + [
-        ("same_basis_mismatch_rate", 0.25, 0.01),
-        ("eve_information", 0.5, 0.02),
-    ],
-    ("single", "same"): _CHECKS_COMMON + [
-        ("same_basis_mismatch_rate", 0.25, 0.01),
-        ("eve_information", 0.5, 0.02),
-    ],
-    ("double", "random"): _CHECKS_COMMON + [
-        ("detection.same_bases_rate", 0.25, 0.01),
-        ("detection.diff_bases_rate", 0.5, 0.01),
-    ],
-    ("double", "same"): _CHECKS_COMMON + [
-        ("detection.same_bases_rate", 0.25, 0.01),
-    ],
-    ("double", "different"): _CHECKS_COMMON + [
-        ("detection.diff_bases_rate", 0.5, 0.01),
-    ],
+    ("single", "random"): _SINGLE,
+    ("single", "same"): _SINGLE,
+    ("double", "random"): [_BITS_PER_COINCIDENCE, _DOUBLE_EQUAL, _DOUBLE_DIFFERENT],
+    ("double", "same"): [_BITS_PER_COINCIDENCE, _DOUBLE_EQUAL],
+    ("double", "different"): [_BITS_PER_COINCIDENCE, _DOUBLE_DIFFERENT],
 }
 
 # Flat column order of the CSV projection.
@@ -176,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fraction of same-basis rounds compared in public "
                              "and removed from the key (default: 0.1)")
     parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="parallel workers; does not change results (default: 1)")
+                        help="accepted and echoed in the report; the batch runs in "
+                             "this process and results never depend on it (default: 1)")
     parser.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report format (default: json)")
     parser.add_argument("--check", action="store_true",
@@ -260,12 +297,15 @@ def evaluate_checks(result: BatchResult, config: SimConfig) -> list[dict]:
         scenario = (config.attack.kind.value, config.attack.strategy.value)
     stats_dict = result.stats.to_dict()
     checks = []
-    for metric, expected, tolerance in _CHECKS_BY_SCENARIO[scenario]:
+    for metric, expected, null_se in _CHECKS_BY_SCENARIO[scenario]:
         actual = _lookup_metric(stats_dict, metric)
-        if actual is None:
+        if null_se is None:
+            tolerance = 0.0
+        else:
+            se = null_se(stats_dict)
+            tolerance = None if se is None else CHECK_Z * se
+        if actual is None or tolerance is None:
             passed = False
-        elif tolerance == 0.0:
-            passed = actual == expected
         else:
             passed = abs(actual - expected) <= tolerance
         checks.append(

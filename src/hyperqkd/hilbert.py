@@ -20,11 +20,15 @@ supported. In the component order above all eight Bell vectors are real:
 Measurement sampling walks the cumulative distribution over the four
 labels of a basis in their fixed declaration order and consumes exactly
 one uniform draw, which makes every run bit-reproducible per seed.
+:class:`MeasurementTables` samples the same measurements for whole arrays
+of rounds at once, from tables built on first use and giving the same
+outcome as :func:`measure_party` for every draw.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -212,8 +216,9 @@ def _sample_index(probs: list[float], u: float) -> int:
 # uniform draw, and protocol runs revisit a small closed set of immutable
 # states (the shared state and Bell-product collapses), so the deterministic
 # part -- Born probabilities and the collapsed state per label -- is cached by
-# state content. Cached inputs skip re-validation; the cap only bounds memory
-# for callers measuring many distinct ad-hoc states.
+# state content for the one-round functions below; MeasurementTables holds
+# the same data as arrays for batches. Cached inputs skip re-validation; the
+# cap only bounds memory for callers measuring many distinct ad-hoc states.
 _MEASURE_CACHE: dict = {}
 _MEASURE_CACHE_MAX = 4096
 
@@ -264,6 +269,109 @@ def _single_table(state: np.ndarray, basis: BasisType) -> tuple[list[float], tup
     if len(_MEASURE_CACHE) < _MEASURE_CACHE_MAX:
         _MEASURE_CACHE[key] = entry
     return entry
+
+
+class MeasurementTables:
+    """Sampling tables for joint-state Bell measurements of many rounds at once.
+
+    States get small integer ids, keyed by the exact bytes of the state
+    vector, so every float variant that :func:`_joint_table` produces is its
+    own state. Row ``4 * id + 2 * (photon - 1) + basis`` holds, for the
+    labels of positive probability in fixed order, the running sums that
+    :func:`_sample_index` compares its draw against (accumulated in the same
+    order), the labels' indices within the basis and the ids of their
+    post-measurement states. Rows are built the first time a batch needs
+    them; the protocol reaches a few hundred states at most.
+
+    ``basis`` is encoded as 0 for type-I and 1 for type-II, labels as their
+    index in :func:`basis_labels`. Safe to share between threads.
+    """
+
+    _BASES = tuple(BasisType)
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._ids: dict[bytes, int] = {}
+        self._states: list[np.ndarray] = []
+        self._cum = np.empty((0, 4))
+        self._top = np.empty(0, dtype=np.int8)
+        self._label = np.empty((0, 4), dtype=np.int8)
+        self._post = np.empty((0, 4), dtype=np.int32)
+        self._built = np.empty(0, dtype=bool)
+        self._state_id(_SHARED)
+
+    def _grow(self) -> None:
+        extra = max(256, len(self._built))
+
+        def pad(arr, fill):
+            tail = np.full((extra,) + arr.shape[1:], fill, dtype=arr.dtype)
+            return np.concatenate([arr, tail])
+
+        # Readers take the arrays without the lock, so the built flags are
+        # replaced last.
+        self._cum, self._top = pad(self._cum, np.inf), pad(self._top, 0)
+        self._label, self._post = pad(self._label, 0), pad(self._post, 0)
+        self._built = pad(self._built, False)
+
+    def _state_id(self, state: np.ndarray) -> int:
+        """Integer id of a joint state, registering it on first sight."""
+        key = state.tobytes()
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = len(self._states)
+            if 4 * (sid + 1) > len(self._built):
+                self._grow()
+            self._states.append(state)
+            self._ids[key] = sid
+        return sid
+
+    def _build_row(self, row: int) -> None:
+        sid, rest = divmod(row, 4)
+        photon = Photon.ONE if rest < 2 else Photon.TWO
+        probs, posts = _joint_table(self._states[sid], photon, self._BASES[rest % 2])
+        acc = 0.0
+        k = 0
+        for i in range(4):
+            if probs[i] <= 0.0:
+                continue
+            acc += probs[i]
+            post_id = self._state_id(posts[i])
+            self._cum[row, k] = acc
+            self._label[row, k:] = i
+            self._post[row, k:] = post_id
+            k += 1
+        self._top[row] = k - 1
+        # Published last: readers check the flag without the lock.
+        self._built[row] = True
+
+    def measure(
+        self, state_ids: np.ndarray, photon: Photon, bases, uniforms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Measure ``photon`` of each round's state in its basis with its draw.
+
+        ``bases`` is one basis code for all rounds or an array of them.
+        Returns the outcome label indices (int8) and post-state ids, each
+        equal to what :func:`measure_party` gives for the same draw.
+        """
+        rows = state_ids * 4 + (2 * (photon.value - 1)) + bases
+        if not self._built.take(rows).all():
+            with self._lock:
+                wanted = np.zeros(len(self._built), dtype=bool)
+                wanted[rows] = True
+                for row in np.flatnonzero(wanted & ~self._built).tolist():
+                    self._build_row(row)
+        cum, top, label, post = self._cum, self._top, self._label, self._post
+        # The picked label is the first whose running sum exceeds the draw,
+        # else the last: the number of sums at or below the draw, capped at
+        # the last label's slot (at most 3, so the fourth sum never counts).
+        sums = cum.take(rows, axis=0)
+        below = sum((sums[:, i] <= uniforms).view(np.int8) for i in range(3))
+        flat = rows * 4 + np.minimum(below, top.take(rows))
+        return label.ravel().take(flat), post.ravel().take(flat)
+
+
+#: Tables shared by every batch in the process.
+MEASUREMENT_TABLES = MeasurementTables()
 
 
 def expand_in_basis(

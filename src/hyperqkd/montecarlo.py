@@ -1,9 +1,19 @@
 """Batch simulation driver and the estimators for the protocol's headline numbers.
 
 A batch runs independent rounds whose randomness is derived per round from
-the master seed, so results are bit-identical for a given configuration
-regardless of how many workers execute it. Estimators report binomial
-standard errors.
+the master seed, so results are bit-identical for a given configuration.
+Rounds are simulated in fixed blocks as numpy columns (bases, outcome
+labels, detections and Eve's record), drawing each round's uniforms in the
+documented order and sampling each measurement from
+:class:`hyperqkd.hilbert.MeasurementTables`; every record equals what the
+scalar reference :func:`hyperqkd.protocol.run_round` gives for the same
+round. Sifting, verification, key extraction and the estimators are array
+operations on those columns, computed exactly as the reference functions
+``sift``, ``verify_sample``, ``build_keys``, ``eve_information``,
+``eve_guess_accuracy`` and :func:`detection_probability` compute them.
+``SimConfig.workers`` is accepted and echoed but changes nothing.
+Estimators report binomial standard errors, except Eve's information,
+whose standard error is clustered by round.
 
 The key-rate baseline for the efficiency comparison is the entangled-qubit
 protocol in which only 2/9 of detected pairs yield a key bit; at the ideal
@@ -13,30 +23,41 @@ protocol in which only 2/9 of detected pairs yield a key bit; at the ideal
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .adversary import (
+import numpy as np
+
+# The scalar reference pipeline (run_round, sift, verify_sample, build_keys
+# and the two Eve estimators) stays importable from this module by name:
+# perfbench/spans.py traces the stages under these names.
+from .adversary import (  # noqa: F401
     AttackConfig,
     AttackKind,
+    EveBasisStrategy,
     EveRecord,
     eve_guess_accuracy,
     eve_information,
+    guess_score,
+    knows_outcome,
 )
 from .errors import ConfigurationError
-from .protocol import (
+from .hilbert import MEASUREMENT_TABLES, BasisType, Photon, basis_labels
+from .protocol import (  # noqa: F401
+    DIFF,
+    SAME,
     KeyBits,
     RoundRecord,
-    SiftGroups,
     VerificationReport,
     build_keys,
+    encode_diff_basis,
+    encode_same_basis,
     run_round,
     sift,
     verify_sample,
 )
-from .rng import RandomSource
+from .rng import round_uniforms, stream_uniforms
 
 #: Key bits per detected pair in the three-bases entangled-qubit baseline.
 EKERT_BITS_PER_PAIR = 2.0 / 9.0
@@ -47,7 +68,11 @@ _VERIFY_STREAM = 0x7665726966790001
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one batch run."""
+    """Configuration of one batch run.
+
+    ``workers`` is validated and echoed in reports; the batch always runs in
+    one process, so it changes no result.
+    """
 
     rounds: int
     seed: int = 42
@@ -164,14 +189,94 @@ class BatchStats:
         }
 
 
+# Rounds per block of the columnar engine: large enough that numpy's per-call
+# overhead is small, small enough that a block's draws stay a few megabytes.
+_BLOCK_ROUNDS = 65_536
+
+# Basis codes index _BASES; label codes are 4 * basis code + index in basis.
+_BASES = tuple(BasisType)
+_LABELS = tuple(lab for basis in _BASES for lab in basis_labels(basis))
+_TWO_BITS = np.array([encode_same_basis(lab) for lab in _LABELS], dtype=np.uint8)
+_ONE_BIT = np.array([encode_diff_basis(lab) for lab in _LABELS], dtype=np.uint8)
+# Per (Eve's photon-2 label code, receiver's basis code): whether she knows
+# the receiver's outcome, and her guess score for a same-basis round's first
+# and second bit and for a different-basis round's bit.
+_EVE_KNOWS = np.array([[knows_outcome(lab, b) for b in _BASES] for lab in _LABELS])
+_EVE_GUESS = np.array(
+    [
+        [[guess_score(lab, b, tag, pos) for tag, pos in ((SAME, 0), (SAME, 1), (DIFF, 0))]
+         for b in _BASES]
+        for lab in _LABELS
+    ]
+)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rounds:
+    """A batch's rounds as columns indexed by round id.
+
+    Bases are basis codes and labels indices within the basis (int8); the
+    Eve columns have one row per photon she measured, in measurement order,
+    and are None without an attack.
+    """
+
+    alice_basis: np.ndarray
+    bob_basis: np.ndarray
+    alice_label: np.ndarray
+    bob_label: np.ndarray
+    alice_detected: np.ndarray
+    bob_detected: np.ndarray
+    eve_basis: Optional[np.ndarray]
+    eve_label: Optional[np.ndarray]
+
+    def records(self) -> tuple[RoundRecord, ...]:
+        """The rounds as the RoundRecords that ``run_round`` returns."""
+        cols = [
+            c.tolist()
+            for c in (self.alice_basis, self.bob_basis, self.alice_label,
+                      self.bob_label, self.alice_detected, self.bob_detected)
+        ]
+        if self.eve_basis is None:
+            traces = [None] * len(cols[0])
+        else:
+            traces = [
+                EveRecord(
+                    rid,
+                    tuple(_BASES[b] for b in bases),
+                    tuple(_LABELS[4 * b + lab] for b, lab in zip(bases, labels)),
+                )
+                for rid, (bases, labels) in enumerate(
+                    zip(self.eve_basis.T.tolist(), self.eve_label.T.tolist())
+                )
+            ]
+        return tuple(
+            RoundRecord(
+                round_id=rid,
+                alice_basis=_BASES[ab],
+                bob_basis=_BASES[bb],
+                alice_outcome=_LABELS[4 * ab + al] if ad else None,
+                bob_outcome=_LABELS[4 * bb + bl] if bd else None,
+                alice_detected=ad,
+                bob_detected=bd,
+                eve_trace=trace,
+            )
+            for rid, (ab, bb, al, bl, ad, bd, trace) in enumerate(zip(*cols, traces))
+        )
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """Everything a batch produced: estimators, raw rounds, and both keys."""
 
     stats: BatchStats
-    records: tuple[RoundRecord, ...]
     alice_key: KeyBits
     bob_key: KeyBits
+    _rounds: _Rounds = field(repr=False, compare=False)
+
+    @cached_property
+    def records(self) -> tuple[RoundRecord, ...]:
+        """Every round's RoundRecord in round order, built on first access."""
+        return self._rounds.records()
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -187,31 +292,23 @@ def ekert_ratio(bits_per_coincidence: float) -> float:
     return bits_per_coincidence / EKERT_BITS_PER_PAIR
 
 
-def _simulate_chunk(args: tuple) -> list[RoundRecord]:
-    seed, attack, efficiency, start, stop = args
-    return [
-        run_round(i, attack, efficiency, RandomSource.for_round(seed, i))
-        for i in range(start, stop)
+def _detection_stats(compared: list[int], mismatched: list[int]) -> DetectionStats:
+    rates = [
+        (mismatched[s] / compared[s]) if compared[s] else None for s in (0, 1)
     ]
-
-
-def _simulate(config: SimConfig) -> list[RoundRecord]:
-    if config.workers == 1 or config.rounds < 2 * config.workers:
-        return _simulate_chunk(
-            (config.seed, config.attack, config.efficiency, 0, config.rounds)
-        )
-    bounds = [
-        config.rounds * k // config.workers for k in range(config.workers + 1)
+    ses = [
+        _binomial_se(rates[s], compared[s]) if compared[s] else None for s in (0, 1)
     ]
-    tasks = [
-        (config.seed, config.attack, config.efficiency, lo, hi)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with ProcessPoolExecutor(max_workers=config.workers, mp_context=ctx) as pool:
-        parts = list(pool.map(_simulate_chunk, tasks))
-    return [rec for part in parts for rec in part]
+    return DetectionStats(
+        same_bases_compared=compared[0],
+        same_bases_mismatches=mismatched[0],
+        same_bases_rate=rates[0],
+        same_bases_se=ses[0],
+        diff_bases_compared=compared[1],
+        diff_bases_mismatches=mismatched[1],
+        diff_bases_rate=rates[1],
+        diff_bases_se=ses[1],
+    )
 
 
 def detection_probability(
@@ -246,36 +343,193 @@ def detection_probability(
         compared[stratum] += 1
         if rec.alice_outcome is not rec.bob_outcome:
             mismatched[stratum] += 1
-    rates = [
-        (mismatched[s] / compared[s]) if compared[s] else None for s in (0, 1)
-    ]
-    ses = [
-        _binomial_se(rates[s], compared[s]) if compared[s] else None for s in (0, 1)
-    ]
-    return DetectionStats(
-        same_bases_compared=compared[0],
-        same_bases_mismatches=mismatched[0],
-        same_bases_rate=rates[0],
-        same_bases_se=ses[0],
-        diff_bases_compared=compared[1],
-        diff_bases_mismatches=mismatched[1],
-        diff_bases_rate=rates[1],
-        diff_bases_se=ses[1],
+    return _detection_stats(compared, mismatched)
+
+
+def _simulate(config: SimConfig) -> _Rounds:
+    """Every round of the batch, block by block, in run_round's draw order."""
+    n = config.rounds
+    attack = config.attack
+    eve_photons = 0
+    if attack is not None:
+        eve_photons = 1 if attack.kind is AttackKind.SINGLE_INTERCEPT else 2
+    eve_random = attack is not None and attack.strategy is EveBasisStrategy.RANDOM_PER_ROUND
+    draws = (eve_photons if eve_random else 0) + eve_photons + 6
+    cols = _Rounds(
+        *(np.empty(n, dtype=np.int8) for _ in range(4)),
+        *(np.empty(n, dtype=bool) for _ in range(2)),
+        *(np.empty((eve_photons, n), dtype=np.int8) if eve_photons else None
+          for _ in range(2)),
     )
+    tables = MEASUREMENT_TABLES
+    for lo in range(0, n, _BLOCK_ROUNDS):
+        hi = min(lo + _BLOCK_ROUNDS, n)
+        u = iter(round_uniforms(config.seed, np.arange(lo, hi, dtype=np.uint64), draws))
+        state = np.zeros(hi - lo, dtype=np.int32)
+        # A basis draw below 1/2 picks type-I (code 0), as in choose_basis.
+        if eve_photons:
+            if eve_random:
+                for k in range(eve_photons):
+                    cols.eve_basis[k, lo:hi] = next(u) >= 0.5
+            else:
+                # Fixed strategies take no draw, so there is no stream to pass.
+                fixed = [_BASES.index(b) for b in attack.bases_for_round(None)]
+                cols.eve_basis[:, lo:hi] = np.array(fixed)[:, None]
+            photons = (Photon.TWO,) if eve_photons == 1 else (Photon.ONE, Photon.TWO)
+            for k, photon in enumerate(photons):
+                cols.eve_label[k, lo:hi], state = tables.measure(
+                    state, photon, cols.eve_basis[k, lo:hi], next(u)
+                )
+        a_basis = cols.alice_basis[lo:hi]
+        b_basis = cols.bob_basis[lo:hi]
+        a_basis[:] = next(u) >= 0.5
+        b_basis[:] = next(u) >= 0.5
+        cols.alice_label[lo:hi], state = tables.measure(state, Photon.ONE, a_basis, next(u))
+        cols.bob_label[lo:hi], _ = tables.measure(state, Photon.TWO, b_basis, next(u))
+        cols.alice_detected[lo:hi] = next(u) < config.efficiency
+        cols.bob_detected[lo:hi] = next(u) < config.efficiency
+    return cols
+
+
+def _verify(
+    config: SimConfig, rounds: _Rounds, same_ids: np.ndarray
+) -> tuple[VerificationReport, np.ndarray]:
+    """``verify_sample`` on the same-basis rounds: the report and the
+    round ids it consumed."""
+    n = len(same_ids)
+    if config.verify_fraction == 0.0 or n == 0:
+        return VerificationReport(0, 0, None), same_ids[:0]
+    k = math.ceil(config.verify_fraction * n)
+    u = stream_uniforms(config.seed, _VERIFY_STREAM, k)
+    i = np.arange(k)
+    swap = i + np.minimum((u * (n - i)).astype(np.int64), n - i - 1)
+    # The partial Fisher-Yates shuffle of verify_sample, holding only the
+    # slots it has moved.
+    slots: dict[int, int] = {}
+    for a, b in enumerate(swap.tolist()):
+        slots[a], slots[b] = slots.get(b, b), slots.get(a, a)
+    chosen = same_ids[[slots[a] for a in range(k)]]
+    mismatches = int(np.count_nonzero(rounds.alice_label[chosen] != rounds.bob_label[chosen]))
+    return VerificationReport(k, mismatches, mismatches / k), chosen
+
+
+def _key_bits(
+    basis: np.ndarray, label: np.ndarray, key_ids: np.ndarray,
+    key_same: np.ndarray, bit_mask: np.ndarray,
+) -> np.ndarray:
+    """One party's key bits, as ``build_keys`` encodes them."""
+    codes = 4 * basis[key_ids].astype(np.intp) + label[key_ids]
+    per_round = np.where(key_same[:, None], _TWO_BITS[codes], _ONE_BIT[codes][:, None])
+    return per_round[bit_mask]
+
+
+def eve_information_se(
+    information: float, known: np.ndarray, widths: np.ndarray, key_len: int
+) -> float:
+    """Standard error of Eve's information, clustered by round.
+
+    Eve knows both bits of a same-basis round or neither, so the key bits
+    are not independent. With ``known`` her per-round knowledge, ``widths``
+    each round's key bits b_r and k_r = b_r if known else 0, this is the
+    ratio estimator's sqrt(sum_r (k_r - information * b_r)**2) / key_len.
+    """
+    resid = widths * (known - information)
+    return math.sqrt(float(np.dot(resid, resid))) / key_len
+
+
+def run_batch(config: SimConfig) -> BatchResult:
+    """Run a configured batch and compute its estimators.
+
+    Identical configurations produce bit-identical results; ``workers``
+    changes nothing. The headline bits-per-coincidence counts every
+    coincident round as key material; the bits consumed by verification
+    show up separately in ``key_length``.
+    """
+    config.validate()
+    rounds = _simulate(config)
+    coincident = rounds.alice_detected & rounds.bob_detected
+    same = coincident & (rounds.alice_basis == rounds.bob_basis)
+    same_ids = np.flatnonzero(same)
+    verification, consumed = _verify(config, rounds, same_ids)
+
+    in_key = coincident.copy()
+    in_key[consumed] = False
+    key_ids = np.flatnonzero(in_key)
+    key_same = same[key_ids]
+    # Row r of an (rounds in key, 2) array holds round r's bits: both for a
+    # same-basis round, the first only otherwise; the mask flattens in order.
+    bit_mask = np.ones((len(key_ids), 2), dtype=bool)
+    bit_mask[:, 1] = key_same
+    alice_bits = _key_bits(rounds.alice_basis, rounds.alice_label, key_ids, key_same, bit_mask)
+    bob_bits = _key_bits(rounds.bob_basis, rounds.bob_label, key_ids, key_same, bit_mask)
+    bit_rounds = np.broadcast_to(key_ids[:, None], bit_mask.shape)[bit_mask]
+    bit_same = np.broadcast_to(key_same[:, None], bit_mask.shape)[bit_mask]
+
+    coincidences = int(np.count_nonzero(coincident))
+    same_n = len(same_ids)
+    same_mismatch = rounds.alice_label[same_ids] != rounds.bob_label[same_ids]
+    key_len = len(alice_bits)
+    key_errors = int(np.count_nonzero(alice_bits != bob_bits))
+
+    info = info_se = accuracy = detection = None
+    if config.attack is not None:
+        info = accuracy = 0.0
+        # Eve's photon-2 outcome decides what she knows of Bob's key.
+        eve_codes = 4 * rounds.eve_basis[-1].astype(np.int16) + rounds.eve_label[-1]
+        if key_len:
+            known = _EVE_KNOWS[eve_codes[key_ids], rounds.bob_basis[key_ids]]
+            widths = 1 + key_same.astype(np.int64)
+            info = int(np.dot(widths, known)) / key_len
+            info_se = eve_information_se(info, known, widths, key_len)
+            # Flat index into _EVE_GUESS of each key bit's score.
+            base = 3 * (2 * eve_codes[key_ids] + rounds.bob_basis[key_ids])
+            kind = np.where(key_same[:, None], np.int16([0, 1]), np.int16(2))
+            scores = _EVE_GUESS.ravel()[(base[:, None] + kind)[bit_mask]]
+            # Summed left to right, as eve_guess_accuracy does: the scores
+            # are not all exact, so the order decides the last bit.
+            accuracy = float(np.add.accumulate(scores, out=scores)[-1]) / key_len
+        if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
+            equal = rounds.eve_basis[0, same_ids] == rounds.eve_basis[1, same_ids]
+            detection = _detection_stats(
+                [int(np.count_nonzero(equal)), int(np.count_nonzero(~equal))],
+                [int(np.count_nonzero(same_mismatch & equal)),
+                 int(np.count_nonzero(same_mismatch & ~equal))],
+            )
+
+    stats = _batch_stats(
+        config,
+        coincidences=coincidences,
+        same_n=same_n,
+        mismatches=int(np.count_nonzero(same_mismatch)),
+        verification=verification,
+        key_len=key_len,
+        key_errors=key_errors,
+        eve_information=info,
+        eve_information_se=info_se,
+        eve_guess_accuracy=accuracy,
+        detection=detection,
+    )
+    alice_key = KeyBits.from_arrays(alice_bits, bit_rounds, bit_same)
+    bob_key = KeyBits.from_arrays(bob_bits, bit_rounds, bit_same)
+    return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)
 
 
 def _batch_stats(
     config: SimConfig,
-    records: list[RoundRecord],
-    groups: SiftGroups,
+    *,
+    coincidences: int,
+    same_n: int,
+    mismatches: int,
     verification: VerificationReport,
-    alice_key: KeyBits,
-    bob_key: KeyBits,
+    key_len: int,
+    key_errors: int,
+    eve_information: Optional[float],
+    eve_information_se: Optional[float],
+    eve_guess_accuracy: Optional[float],
+    detection: Optional[DetectionStats],
 ) -> BatchStats:
-    same_n = len(groups.same_basis)
-    diff_n = len(groups.diff_basis)
-    coincidences = same_n + diff_n
-
+    """Assemble the estimators from a batch's counts and Eve's estimates."""
+    diff_n = coincidences - same_n
     coincidence_rate = coincidences / config.rounds
     coincidence_se = _binomial_se(coincidence_rate, config.rounds)
 
@@ -289,32 +543,17 @@ def _batch_stats(
     else:
         bpc = bpc_se = ratio = ratio_se = None
 
-    mism = sum(
-        1 for rec in groups.same_basis if rec.alice_outcome is not rec.bob_outcome
-    )
     if same_n:
-        mism_rate = mism / same_n
+        mism_rate = mismatches / same_n
         mism_se = _binomial_se(mism_rate, same_n)
     else:
         mism_rate = mism_se = None
 
-    key_len = len(alice_key.bits)
     if key_len:
-        errors = sum(a != b for a, b in zip(alice_key.bits, bob_key.bits))
-        key_err = errors / key_len
+        key_err = key_errors / key_len
         key_err_se = _binomial_se(key_err, key_len)
     else:
         key_err = key_err_se = None
-
-    info = info_se = accuracy = None
-    detection = None
-    if config.attack is not None:
-        traces = [rec.eve_trace for rec in records if rec.eve_trace is not None]
-        info = eve_information(traces, records, bob_key)
-        info_se = _binomial_se(info, key_len) if key_len else None
-        accuracy = eve_guess_accuracy(traces, records, bob_key)
-        if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
-            detection = detection_probability(records)
 
     return BatchStats(
         rounds=config.rounds,
@@ -323,47 +562,21 @@ def _batch_stats(
         coincidence_rate_se=coincidence_se,
         same_basis_count=same_n,
         diff_basis_count=diff_n,
-        discarded_count=len(groups.discarded),
+        discarded_count=config.rounds - coincidences,
         bits_per_coincidence=bpc,
         bits_per_coincidence_se=bpc_se,
         ekert_ratio=ratio,
         ekert_ratio_se=ratio_se,
         same_basis_compared=same_n,
-        same_basis_mismatches=mism,
+        same_basis_mismatches=mismatches,
         same_basis_mismatch_rate=mism_rate,
         same_basis_mismatch_se=mism_se,
         key_length=key_len,
         key_bit_error_rate=key_err,
         key_bit_error_se=key_err_se,
         verification=verification,
-        eve_information=info,
-        eve_information_se=info_se,
-        eve_guess_accuracy=accuracy,
+        eve_information=eve_information,
+        eve_information_se=eve_information_se,
+        eve_guess_accuracy=eve_guess_accuracy,
         detection=detection,
-    )
-
-
-def run_batch(config: SimConfig) -> BatchResult:
-    """Run a configured batch and compute its estimators.
-
-    Identical configurations produce bit-identical results; changing only
-    ``workers`` changes nothing but wall time. The headline bits-per-
-    coincidence counts every coincident round as key material; the bits
-    consumed by verification show up separately in ``key_length``.
-    """
-    config.validate()
-    records = _simulate(config)
-    groups = sift(records)
-    if config.verify_fraction > 0.0 and groups.same_basis:
-        verification, consumed = verify_sample(
-            groups,
-            config.verify_fraction,
-            RandomSource.for_stream(config.seed, _VERIFY_STREAM),
-        )
-    else:
-        verification, consumed = VerificationReport(0, 0, None), frozenset()
-    alice_key, bob_key = build_keys(groups, consumed)
-    stats = _batch_stats(config, records, groups, verification, alice_key, bob_key)
-    return BatchResult(
-        stats=stats, records=tuple(records), alice_key=alice_key, bob_key=bob_key
     )

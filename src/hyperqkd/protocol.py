@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .hilbert import BasisType, BellLabel, Photon, build_shared_state, measure_party
 from .rng import RandomSource
@@ -105,18 +107,79 @@ class SiftGroups:
     discarded: tuple[RoundRecord, ...]
 
 
-@dataclass(frozen=True)
 class KeyBits:
-    """A party's key material with per-bit provenance ``(round_id, group tag)``."""
+    """A party's key material with per-bit provenance ``(round_id, group tag)``.
 
-    bits: tuple[int, ...]
-    provenance: tuple[tuple[int, str], ...]
+    Immutable. Held as arrays (the bits, each bit's round id and whether its
+    round was a same-basis one); ``bits`` and ``provenance`` are tuples
+    built on first access.
+    """
+
+    __slots__ = ("_bits", "_round_ids", "_same", "_bits_tuple", "_provenance")
+
+    def __init__(
+        self, bits: Sequence[int], provenance: Sequence[tuple[int, str]]
+    ) -> None:
+        if len(bits) != len(provenance):
+            raise ValueError("bits and provenance must have equal lengths")
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("key bits must be 0 or 1")
+        if any(tag not in (SAME, DIFF) for _, tag in provenance):
+            raise ValueError(f"provenance tags must be {SAME!r} or {DIFF!r}")
+        self._init(
+            np.array(bits, dtype=np.uint8),
+            np.array([rid for rid, _ in provenance], dtype=np.int64),
+            np.array([tag == SAME for _, tag in provenance], dtype=bool),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, bits: np.ndarray, round_ids: np.ndarray, same: np.ndarray
+    ) -> "KeyBits":
+        """Key from uint8 bits, their round ids and same-basis flags (not copied)."""
+        key = cls.__new__(cls)
+        key._init(bits, round_ids, same)
+        return key
+
+    def _init(self, bits, round_ids, same) -> None:
+        for arr in (bits, round_ids, same):
+            arr.flags.writeable = False
+        self._bits, self._round_ids, self._same = bits, round_ids, same
+        self._bits_tuple = self._provenance = None
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        if self._bits_tuple is None:
+            self._bits_tuple = tuple(self._bits.tolist())
+        return self._bits_tuple
+
+    @property
+    def provenance(self) -> tuple[tuple[int, str], ...]:
+        if self._provenance is None:
+            tags = [SAME if s else DIFF for s in self._same.tolist()]
+            self._provenance = tuple(zip(self._round_ids.tolist(), tags))
+        return self._provenance
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self._bits)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KeyBits):
+            return NotImplemented
+        return (
+            np.array_equal(self._bits, other._bits)
+            and np.array_equal(self._round_ids, other._round_ids)
+            and np.array_equal(self._same, other._same)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._bits.tobytes(), self._round_ids.tobytes(), self._same.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"KeyBits({self.as_string()!r})"
 
     def as_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return (self._bits + 48).tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)

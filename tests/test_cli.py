@@ -1,13 +1,17 @@
 """Tests for argument parsing, report emission, self-check mode, and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
 
 import pytest
 
-from hyperqkd import AttackKind, EveBasisStrategy, SimConfig, run_batch
+from hyperqkd import AttackKind, EKERT_BITS_PER_PAIR, EveBasisStrategy, SimConfig, run_batch
+from hyperqkd import cli
 from hyperqkd.cli import (
+    CHECK_Z,
     CSV_FIELDS,
     build_report,
     evaluate_checks,
@@ -17,6 +21,14 @@ from hyperqkd.cli import (
     render_json,
     ReportOptions,
 )
+
+
+def _with_bias(result, factor):
+    """``result`` with its bits per coincidence multiplied by ``factor``."""
+    stats = dataclasses.replace(
+        result.stats, bits_per_coincidence=result.stats.bits_per_coincidence * factor
+    )
+    return dataclasses.replace(result, stats=stats)
 
 
 class TestParseConfig:
@@ -215,12 +227,36 @@ class TestCheckMode:
         assert "detection.diff_bases_rate" in metrics
         assert "detection.same_bases_rate" not in metrics
 
-    def test_failed_check_exits_one(self, capsys):
-        # far too few rounds for the tolerances: estimates sit well off target
-        code = main(["--rounds", "40", "--seed", "1", "--check"])
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        # a result whose bits per coincidence is planted 10% high
+        argv = ["--rounds", "2000", "--seed", "1", "--check"]
+        result = _with_bias(run_batch(parse_config(argv)[0]), 1.1)
+        monkeypatch.setattr(cli, "run_batch", lambda config: result)
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
-        assert "check failed" in captured.err
+        assert "check failed: bits_per_coincidence" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rounds", "500", "--attack", "single", "--check"],
+            ["--rounds", "2000", "--seed", "1", "--attack", "double", "--check"],
+        ],
+    )
+    def test_small_batches_pass(self, argv, capsys):
+        # these once failed against tolerances sized for 1e5 rounds
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["checks_passed"] is True
+
+    def test_one_percent_bias_caught_at_1e6_rounds(self, capsys, monkeypatch):
+        argv = ["--rounds", "1000000", "--seed", "5", "--check"]
+        result = run_batch(parse_config(argv)[0])
+        monkeypatch.setattr(cli, "run_batch", lambda config: result)
+        assert main(argv) == 0
+        monkeypatch.setattr(cli, "run_batch", lambda config: _with_bias(result, 1.01))
+        assert main(argv) == 1
+        assert "check failed: bits_per_coincidence" in capsys.readouterr().err
 
     def test_check_verdicts_use_scenario_table(self):
         config = SimConfig(rounds=30_000, seed=45)
@@ -231,6 +267,10 @@ class TestCheckMode:
         assert by_metric["same_basis_mismatch_rate"]["passed"]
         assert by_metric["bits_per_coincidence"]["expected"] == 1.5
         assert by_metric["ekert_ratio"]["expected"] == 6.75
+        # the band is CHECK_Z standard errors taken at the expected value
+        se = math.sqrt(0.25 / result.stats.coincidences)
+        assert by_metric["bits_per_coincidence"]["tolerance"] == CHECK_Z * se
+        assert by_metric["ekert_ratio"]["tolerance"] == CHECK_Z * se / EKERT_BITS_PER_PAIR
 
 
 class TestExitCodes:

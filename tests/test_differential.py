@@ -1,0 +1,187 @@
+"""The columnar batch engine against the scalar reference pipeline.
+
+``run_batch`` simulates whole blocks of rounds as numpy columns. These
+tests replay the same configurations one round at a time through
+``run_round`` and the scalar ``sift`` -> ``verify_sample`` -> ``build_keys``
+-> estimator functions, and require identical records, keys and stats.
+"""
+
+import dataclasses
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from hyperqkd import (
+    AttackConfig,
+    AttackKind,
+    BasisType,
+    EveBasisStrategy,
+    RandomSource,
+    SimConfig,
+    VerificationReport,
+    build_keys,
+    detection_probability,
+    eve_guess_accuracy,
+    eve_information,
+    run_batch,
+    run_round,
+    sift,
+    verify_sample,
+)
+from hyperqkd import montecarlo
+from hyperqkd.adversary import knows_outcome
+
+ATTACKS = [
+    None,
+    AttackConfig(AttackKind.SINGLE_INTERCEPT),
+    AttackConfig(AttackKind.SINGLE_INTERCEPT, EveBasisStrategy.FIXED_SAME),
+    AttackConfig(AttackKind.SINGLE_INTERCEPT, EveBasisStrategy.FIXED_SAME,
+                 BasisType.TYPE_II),
+    AttackConfig(AttackKind.DOUBLE_INTERCEPT),
+    AttackConfig(AttackKind.DOUBLE_INTERCEPT, EveBasisStrategy.FIXED_SAME),
+    AttackConfig(AttackKind.DOUBLE_INTERCEPT, EveBasisStrategy.FIXED_DIFFERENT,
+                 BasisType.TYPE_II),
+]
+
+
+def reference(config):
+    """Records, keys and stats of ``config`` from the scalar functions."""
+    records = [
+        run_round(i, config.attack, config.efficiency,
+                  RandomSource.for_round(config.seed, i))
+        for i in range(config.rounds)
+    ]
+    groups = sift(records)
+    if config.verify_fraction > 0.0 and groups.same_basis:
+        verification, consumed = verify_sample(
+            groups, config.verify_fraction,
+            RandomSource.for_stream(config.seed, montecarlo._VERIFY_STREAM),
+        )
+    else:
+        verification, consumed = VerificationReport(0, 0, None), frozenset()
+    alice, bob = build_keys(groups, consumed)
+    eve = dict(eve_information=None, eve_information_se=None, eve_guess_accuracy=None)
+    detection = None
+    if config.attack is not None:
+        traces = [rec.eve_trace for rec in records]
+        eve["eve_information"] = eve_information(traces, records, bob)
+        eve["eve_guess_accuracy"] = eve_guess_accuracy(traces, records, bob)
+        if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
+            detection = detection_probability(records)
+    stats = montecarlo._batch_stats(
+        config,
+        coincidences=len(groups.same_basis) + len(groups.diff_basis),
+        same_n=len(groups.same_basis),
+        mismatches=sum(
+            r.alice_outcome is not r.bob_outcome for r in groups.same_basis
+        ),
+        verification=verification,
+        key_len=len(alice),
+        key_errors=sum(a != b for a, b in zip(alice.bits, bob.bits)),
+        detection=detection,
+        **eve,
+    )
+    return tuple(records), alice, bob, stats
+
+
+def clustered_se(records, key, information):
+    """Eve-information SE by its definition, one round at a time."""
+    by_id = {rec.round_id: rec for rec in records}
+    widths = {}
+    for rid, _ in key.provenance:
+        widths[rid] = widths.get(rid, 0) + 1
+    total = 0.0
+    for rid, width in widths.items():
+        rec = by_id[rid]
+        known = knows_outcome(rec.eve_trace.outcomes[-1], rec.bob_basis)
+        total += (width * known - information * width) ** 2
+    return math.sqrt(total) / len(key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    rounds=st.integers(1, 250),
+    efficiency=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.05, 1.0)),
+    attack=st.sampled_from(ATTACKS),
+    verify_fraction=st.sampled_from([0.0, 0.1, 0.6]),
+    block=st.sampled_from([3, 64, montecarlo._BLOCK_ROUNDS]),
+)
+@example(seed=7, rounds=50, efficiency=0.9, attack=ATTACKS[4], verify_fraction=0.1,
+         block=8)
+def test_batch_equals_scalar_reference(seed, rounds, efficiency, attack,
+                                       verify_fraction, block):
+    config = SimConfig(rounds=rounds, seed=seed, efficiency=efficiency,
+                       attack=attack, verify_fraction=verify_fraction)
+    # A small block makes the batch cross block boundaries.
+    with mock.patch.object(montecarlo, "_BLOCK_ROUNDS", block):
+        result = run_batch(config)
+    records, alice, bob, stats = reference(config)
+    assert result.records == records
+    assert result.alice_key == alice
+    assert result.bob_key == bob
+    assert result.alice_key.as_string() == alice.as_string()
+    assert result.alice_key.provenance == alice.provenance
+    got_se = result.stats.eve_information_se
+    assert dataclasses.replace(result.stats, eve_information_se=None) == stats
+    if attack is None or not len(bob):
+        assert got_se is None
+    else:
+        assert got_se == pytest.approx(
+            clustered_se(records, bob, stats.eve_information), rel=1e-12, abs=1e-15
+        )
+
+
+def test_eve_information_se_hand_built_key():
+    # Rounds: same-basis known, same-basis unknown, different-basis known,
+    # different-basis unknown -> 3 of 6 key bits known.
+    known = np.array([True, False, True, False])
+    widths = np.array([2, 2, 1, 1])
+    info = 3 / 6
+    # residuals k_r - info * b_r: 1, -1, 0.5, -0.5
+    expected = math.sqrt(1 + 1 + 0.25 + 0.25) / 6
+    assert montecarlo.eve_information_se(info, known, widths, 6) == pytest.approx(
+        expected, rel=1e-15
+    )
+    # A binomial SE over the six bits would read sqrt(0.25 / 6), too small.
+    assert expected > math.sqrt(0.25 / 6)
+
+
+def test_threads_sharing_fresh_tables_match_serial(monkeypatch):
+    # Concurrent batches build the shared measurement tables' rows while
+    # others read them; every batch must still equal its serial result.
+    import sys
+    import threading
+
+    from hyperqkd.hilbert import MeasurementTables
+
+    configs = [
+        SimConfig(rounds=3000, seed=seed, efficiency=0.9, attack=attack)
+        for seed, attack in zip(range(6), ATTACKS[1:])
+    ]
+    monkeypatch.setattr(montecarlo, "MEASUREMENT_TABLES", MeasurementTables())
+    serial = [run_batch(config) for config in configs]
+    monkeypatch.setattr(montecarlo, "MEASUREMENT_TABLES", MeasurementTables())
+    results = [None] * len(configs)
+
+    def work(slot):
+        results[slot] = run_batch(configs[slot])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(len(configs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert got.stats == want.stats
+        assert got.bob_key == want.bob_key
+        assert got.records == want.records
