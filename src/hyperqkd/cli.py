@@ -21,6 +21,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -335,7 +337,7 @@ def build_report(
     doc["config"] = _config_echo(config)
     doc["stats"] = result.stats.to_dict()
     doc["keys"] = {
-        "length": len(result.alice_key.bits),
+        "length": len(result.alice_key),
         "alice_sha256": hashlib.sha256(alice.encode()).hexdigest(),
         "bob_sha256": hashlib.sha256(bob.encode()).hexdigest(),
         "equal": alice == bob,
@@ -414,9 +416,40 @@ def emit_report(
     if options.out is None:
         sys.stdout.write(text)
     else:
-        with open(options.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(options.out, text)
     return text
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temporary file beside the target, which then
+    replaces it, so a failed write leaves an earlier report as it was and
+    removes the temporary file. A path that exists and is not a regular
+    file (``/dev/stdout``, a FIFO) is written in place: a device node must
+    never be replaced.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    # Through a symlink, replace the file it names, not the link.
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

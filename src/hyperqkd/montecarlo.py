@@ -7,10 +7,15 @@ labels, detections and Eve's record), drawing each round's uniforms in the
 documented order and sampling each measurement from
 :class:`hyperqkd.hilbert.MeasurementTables`; every record equals what the
 scalar reference :func:`hyperqkd.protocol.run_round` gives for the same
-round. Sifting, verification, key extraction and the estimators are array
-operations on those columns, computed exactly as the reference functions
-``sift``, ``verify_sample``, ``build_keys``, ``eve_information``,
-``eve_guess_accuracy`` and :func:`detection_probability` compute them.
+round. Sifting, verification and the detection strata are array operations
+on those columns. Key extraction and Eve's two estimators are gathers on
+small fixed tables: each key round picks, for each party, a row holding its
+two bits or its one bit and a filler, and for Eve a row of her knowledge
+and guess scores; dropping the fillers leaves the key bits in key order.
+Each key stores its rounds' ids and same-basis flags and builds per-bit
+provenance only when asked. All of it is computed exactly as the reference
+functions ``sift``, ``verify_sample``, ``build_keys``, ``eve_information``,
+``eve_guess_accuracy`` and :func:`detection_probability` compute it.
 ``SimConfig.workers`` is accepted and echoed but changes nothing.
 Estimators report binomial standard errors, except Eve's information,
 whose standard error is clustered by round.
@@ -66,6 +71,11 @@ EKERT_BITS_PER_PAIR = 2.0 / 9.0
 _VERIFY_STREAM = 0x7665726966790001
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count of rounds.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Configuration of one batch run.
@@ -84,9 +94,9 @@ class SimConfig:
     def validate(self) -> None:
         """Raise ConfigurationError listing every violated field."""
         problems = []
-        if not isinstance(self.rounds, int) or self.rounds < 1:
+        if not _is_int(self.rounds) or self.rounds < 1:
             problems.append(f"rounds must be an integer >= 1, got {self.rounds!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             problems.append(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0.0 < self.efficiency <= 1.0:
             problems.append(f"efficiency must be in (0, 1], got {self.efficiency!r}")
@@ -94,7 +104,7 @@ class SimConfig:
             problems.append(
                 f"verify_fraction must be in [0, 1), got {self.verify_fraction!r}"
             )
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not _is_int(self.workers) or self.workers < 1:
             problems.append(f"workers must be an integer >= 1, got {self.workers!r}")
         if self.attack is not None and not isinstance(self.attack, AttackConfig):
             problems.append(f"attack must be an AttackConfig or None, got {self.attack!r}")
@@ -196,18 +206,25 @@ _BLOCK_ROUNDS = 65_536
 # Basis codes index _BASES; label codes are 4 * basis code + index in basis.
 _BASES = tuple(BasisType)
 _LABELS = tuple(lab for basis in _BASES for lab in basis_labels(basis))
-_TWO_BITS = np.array([encode_same_basis(lab) for lab in _LABELS], dtype=np.uint8)
-_ONE_BIT = np.array([encode_diff_basis(lab) for lab in _LABELS], dtype=np.uint8)
-# Per (Eve's photon-2 label code, receiver's basis code): whether she knows
-# the receiver's outcome, and her guess score for a same-basis round's first
-# and second bit and for a different-basis round's bit.
+# A key-bit row holds a round's bits padded to two with _FILLER, which is no
+# bit value and fits in two bits. Row 2 * label code + (0 for a same-basis
+# round, 1 otherwise) of _BIT_ROWS is the label's two-bit code, or its one
+# bit and the filler.
+_FILLER = 2
+_BIT_ROWS = np.array(
+    [row for lab in _LABELS
+     for row in (encode_same_basis(lab), (encode_diff_basis(lab), _FILLER))],
+    dtype=np.uint8,
+)
+# Cell 2 * (Eve's photon-2 label code) + receiver's basis code: whether she
+# knows the receiver's outcome. Row 2 * cell + (0 for a same-basis round, 1
+# otherwise) of _GUESS_ROWS: her guess scores for the round's key bits,
+# padded to two with 0.0.
 _EVE_KNOWS = np.array([[knows_outcome(lab, b) for b in _BASES] for lab in _LABELS])
-_EVE_GUESS = np.array(
-    [
-        [[guess_score(lab, b, tag, pos) for tag, pos in ((SAME, 0), (SAME, 1), (DIFF, 0))]
-         for b in _BASES]
-        for lab in _LABELS
-    ]
+_GUESS_ROWS = np.array(
+    [row for lab in _LABELS for b in _BASES
+     for row in ((guess_score(lab, b, SAME, 0), guess_score(lab, b, SAME, 1)),
+                 (guess_score(lab, b, DIFF, 0), 0.0))]
 )
 
 
@@ -413,14 +430,12 @@ def _verify(
     return VerificationReport(k, mismatches, mismatches / k), chosen
 
 
-def _key_bits(
-    basis: np.ndarray, label: np.ndarray, key_ids: np.ndarray,
-    key_same: np.ndarray, bit_mask: np.ndarray,
+def _rows(
+    basis: np.ndarray, label: np.ndarray, ids: np.ndarray, offset: np.ndarray
 ) -> np.ndarray:
-    """One party's key bits, as ``build_keys`` encodes them."""
-    codes = 4 * basis[key_ids].astype(np.intp) + label[key_ids]
-    per_round = np.where(key_same[:, None], _TWO_BITS[codes], _ONE_BIT[codes][:, None])
-    return per_round[bit_mask]
+    """2 * label code + ``offset`` for each round in ``ids``: a row of a
+    table with two rows per label code."""
+    return 8 * basis.take(ids).astype(np.intp) + 2 * label.take(ids) + offset
 
 
 def eve_information_se(
@@ -455,38 +470,39 @@ def run_batch(config: SimConfig) -> BatchResult:
     in_key = coincident.copy()
     in_key[consumed] = False
     key_ids = np.flatnonzero(in_key)
-    key_same = same[key_ids]
-    # Row r of an (rounds in key, 2) array holds round r's bits: both for a
-    # same-basis round, the first only otherwise; the mask flattens in order.
-    bit_mask = np.ones((len(key_ids), 2), dtype=bool)
-    bit_mask[:, 1] = key_same
-    alice_bits = _key_bits(rounds.alice_basis, rounds.alice_label, key_ids, key_same, bit_mask)
-    bob_bits = _key_bits(rounds.bob_basis, rounds.bob_label, key_ids, key_same, bit_mask)
-    bit_rounds = np.broadcast_to(key_ids[:, None], bit_mask.shape)[bit_mask]
-    bit_same = np.broadcast_to(key_same[:, None], bit_mask.shape)[bit_mask]
+    key_same = same.take(key_ids)
+    key_diff = ~key_same
+    # Alice's rows go in bits 0-1 and Bob's in bits 2-3 of one byte; both
+    # parties' fillers fall on the same slots, so one mask drops them and
+    # leaves the key bits in key order.
+    alice_rows = _rows(rounds.alice_basis, rounds.alice_label, key_ids, key_diff)
+    bob_rows = _rows(rounds.bob_basis, rounds.bob_label, key_ids, key_diff)
+    packed = (_BIT_ROWS.take(alice_rows, axis=0) | _BIT_ROWS.take(bob_rows, axis=0) << 2).ravel()
+    packed = packed[packed != (_FILLER | _FILLER << 2)]
+    alice_bits = packed & 3
+    bob_bits = packed >> 2
 
     coincidences = int(np.count_nonzero(coincident))
     same_n = len(same_ids)
     same_mismatch = rounds.alice_label[same_ids] != rounds.bob_label[same_ids]
-    key_len = len(alice_bits)
+    key_len = len(packed)
     key_errors = int(np.count_nonzero(alice_bits != bob_bits))
 
     info = info_se = accuracy = detection = None
     if config.attack is not None:
         info = accuracy = 0.0
-        # Eve's photon-2 outcome decides what she knows of Bob's key.
-        eve_codes = 4 * rounds.eve_basis[-1].astype(np.int16) + rounds.eve_label[-1]
         if key_len:
-            known = _EVE_KNOWS[eve_codes[key_ids], rounds.bob_basis[key_ids]]
-            widths = 1 + key_same.astype(np.int64)
-            info = int(np.dot(widths, known)) / key_len
-            info_se = eve_information_se(info, known, widths, key_len)
-            # Flat index into _EVE_GUESS of each key bit's score.
-            base = 3 * (2 * eve_codes[key_ids] + rounds.bob_basis[key_ids])
-            kind = np.where(key_same[:, None], np.int16([0, 1]), np.int16(2))
-            scores = _EVE_GUESS.ravel()[(base[:, None] + kind)[bit_mask]]
+            # Eve's photon-2 outcome decides what she knows of Bob's key.
+            cell = _rows(rounds.eve_basis[-1], rounds.eve_label[-1], key_ids,
+                         rounds.bob_basis.take(key_ids))
+            known = _EVE_KNOWS.ravel().take(cell)
+            info = int(np.count_nonzero(known) + np.count_nonzero(known & key_same)) / key_len
+            info_se = eve_information_se(info, known, key_same + 1, key_len)
+            scores = _GUESS_ROWS.take(2 * cell + key_diff, axis=0).ravel()
             # Summed left to right, as eve_guess_accuracy does: the scores
-            # are not all exact, so the order decides the last bit.
+            # are not all exact, so the order decides the last bit. Adding a
+            # filler 0.0 to the running sum of non-negative scores leaves it
+            # unchanged bit for bit.
             accuracy = float(np.add.accumulate(scores, out=scores)[-1]) / key_len
         if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
             equal = rounds.eve_basis[0, same_ids] == rounds.eve_basis[1, same_ids]
@@ -509,8 +525,8 @@ def run_batch(config: SimConfig) -> BatchResult:
         eve_guess_accuracy=accuracy,
         detection=detection,
     )
-    alice_key = KeyBits.from_arrays(alice_bits, bit_rounds, bit_same)
-    bob_key = KeyBits.from_arrays(bob_bits, bit_rounds, bit_same)
+    alice_key = KeyBits.from_rounds(alice_bits, key_ids, key_same)
+    bob_key = KeyBits.from_rounds(bob_bits, key_ids, key_same)
     return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)
 
 

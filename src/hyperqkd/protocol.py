@@ -110,12 +110,14 @@ class SiftGroups:
 class KeyBits:
     """A party's key material with per-bit provenance ``(round_id, group tag)``.
 
-    Immutable. Held as arrays (the bits, each bit's round id and whether its
-    round was a same-basis one); ``bits`` and ``provenance`` are tuples
+    Immutable. Held as arrays: the bits, and each bit's round id and
+    whether its round was a same-basis one. A key made by
+    :meth:`from_rounds` holds those two per round instead and builds the
+    per-bit arrays on first use; ``bits`` and ``provenance`` are tuples
     built on first access.
     """
 
-    __slots__ = ("_bits", "_round_ids", "_same", "_bits_tuple", "_provenance")
+    __slots__ = ("_bits", "_rounds", "_per_bit", "_bits_tuple", "_provenance")
 
     def __init__(
         self, bits: Sequence[int], provenance: Sequence[tuple[int, str]]
@@ -128,24 +130,36 @@ class KeyBits:
             raise ValueError(f"provenance tags must be {SAME!r} or {DIFF!r}")
         self._init(
             np.array(bits, dtype=np.uint8),
-            np.array([rid for rid, _ in provenance], dtype=np.int64),
-            np.array([tag == SAME for _, tag in provenance], dtype=bool),
+            rounds=None,
+            per_bit=_read_only(
+                np.array([rid for rid, _ in provenance], dtype=np.int64),
+                np.array([tag == SAME for _, tag in provenance], dtype=bool),
+            ),
         )
 
     @classmethod
-    def from_arrays(
+    def from_rounds(
         cls, bits: np.ndarray, round_ids: np.ndarray, same: np.ndarray
     ) -> "KeyBits":
-        """Key from uint8 bits, their round ids and same-basis flags (not copied)."""
+        """Key from uint8 bits and the rounds that gave them, in key order:
+        each round's id and whether it was a same-basis round (two bits) or
+        not (one). The arrays are not copied."""
         key = cls.__new__(cls)
-        key._init(bits, round_ids, same)
+        key._init(bits, rounds=_read_only(round_ids, same), per_bit=None)
         return key
 
-    def _init(self, bits, round_ids, same) -> None:
-        for arr in (bits, round_ids, same):
-            arr.flags.writeable = False
-        self._bits, self._round_ids, self._same = bits, round_ids, same
+    def _init(self, bits: np.ndarray, rounds, per_bit) -> None:
+        (self._bits,) = _read_only(bits)
+        self._rounds, self._per_bit = rounds, per_bit
         self._bits_tuple = self._provenance = None
+
+    def _bit_rounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each bit's round id and same-basis flag."""
+        if self._per_bit is None:
+            round_ids, same = self._rounds
+            widths = same + 1
+            self._per_bit = _read_only(np.repeat(round_ids, widths), np.repeat(same, widths))
+        return self._per_bit
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -156,8 +170,9 @@ class KeyBits:
     @property
     def provenance(self) -> tuple[tuple[int, str], ...]:
         if self._provenance is None:
-            tags = [SAME if s else DIFF for s in self._same.tolist()]
-            self._provenance = tuple(zip(self._round_ids.tolist(), tags))
+            round_ids, same = self._bit_rounds()
+            tags = [SAME if s else DIFF for s in same.tolist()]
+            self._provenance = tuple(zip(round_ids.tolist(), tags))
         return self._provenance
 
     def __len__(self) -> int:
@@ -166,20 +181,24 @@ class KeyBits:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KeyBits):
             return NotImplemented
-        return (
-            np.array_equal(self._bits, other._bits)
-            and np.array_equal(self._round_ids, other._round_ids)
-            and np.array_equal(self._same, other._same)
+        return np.array_equal(self._bits, other._bits) and all(
+            map(np.array_equal, self._bit_rounds(), other._bit_rounds())
         )
 
     def __hash__(self) -> int:
-        return hash((self._bits.tobytes(), self._round_ids.tobytes(), self._same.tobytes()))
+        return hash((self._bits.tobytes(), *(a.tobytes() for a in self._bit_rounds())))
 
     def __repr__(self) -> str:
         return f"KeyBits({self.as_string()!r})"
 
     def as_string(self) -> str:
         return (self._bits + 48).tobytes().decode("ascii")
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)

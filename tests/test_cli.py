@@ -284,6 +284,55 @@ class TestExitCodes:
         assert code == 3
         assert "cannot write" in capsys.readouterr().err
 
+    def test_failed_write_keeps_earlier_report(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+
+        class FullDisk(io.StringIO):
+            # Takes part of the text, then fails as a full disk would.
+            def __init__(self, path):
+                super().__init__()
+                self.handle = open(path, "w", encoding="utf-8")
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(28, "No space left on device")
+
+            def close(self):
+                self.handle.close()
+                super().close()
+
+        monkeypatch.setattr(cli, "open", lambda path, *a, **k: FullDisk(path),
+                            raising=False)
+        code = main(["--rounds", "100", "--out", str(out)])
+        assert code == 3
+        assert "cannot write" in capsys.readouterr().err
+        assert out.read_text() == "earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_fifo_written_in_place(self, tmp_path):
+        import os
+        import stat
+        import threading
+
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, encoding="utf-8") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code = main(["--rounds", "100", "--out", str(fifo), "--deterministic-output"])
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(received[0])["stats"]["rounds"] == 100
+
 
 def test_module_entry_point(tmp_path):
     import subprocess

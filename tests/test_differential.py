@@ -116,6 +116,12 @@ def test_batch_equals_scalar_reference(seed, rounds, efficiency, attack,
                                        verify_fraction, block):
     config = SimConfig(rounds=rounds, seed=seed, efficiency=efficiency,
                        attack=attack, verify_fraction=verify_fraction)
+    assert_matches_reference(config, block)
+
+
+def assert_matches_reference(config, block=montecarlo._BLOCK_ROUNDS):
+    """``run_batch(config)`` in blocks of ``block`` rounds equals the scalar
+    pipeline; returns the batch result."""
     # A small block makes the batch cross block boundaries.
     with mock.patch.object(montecarlo, "_BLOCK_ROUNDS", block):
         result = run_batch(config)
@@ -125,14 +131,54 @@ def test_batch_equals_scalar_reference(seed, rounds, efficiency, attack,
     assert result.bob_key == bob
     assert result.alice_key.as_string() == alice.as_string()
     assert result.alice_key.provenance == alice.provenance
+    # No key bit is the filler that pads a different-basis round's row.
+    for key in (result.alice_key, result.bob_key):
+        assert set(key.bits) <= {0, 1}
     got_se = result.stats.eve_information_se
     assert dataclasses.replace(result.stats, eve_information_se=None) == stats
-    if attack is None or not len(bob):
+    if config.attack is None or not len(bob):
         assert got_se is None
     else:
         assert got_se == pytest.approx(
             clustered_se(records, bob, stats.eve_information), rel=1e-12, abs=1e-15
         )
+    return result
+
+
+def test_empty_key_under_attack():
+    result = assert_matches_reference(
+        SimConfig(rounds=1, seed=1, efficiency=0.05, attack=ATTACKS[1])
+    )
+    assert result.stats.key_length == 0
+    assert result.stats.eve_information == 0.0
+    assert result.stats.eve_guess_accuracy == 0.0
+    assert result.stats.eve_information_se is None
+
+
+@pytest.mark.parametrize("attack", ATTACKS, ids=str)
+def test_no_verification(attack):
+    result = assert_matches_reference(
+        SimConfig(rounds=400, seed=11, efficiency=0.8, attack=attack, verify_fraction=0.0)
+    )
+    assert result.stats.verification.compared_rounds == 0
+
+
+def test_key_of_different_basis_rounds_only():
+    # Verification consumes both same-basis rounds, so every key row is one
+    # bit and a filler.
+    result = assert_matches_reference(
+        SimConfig(rounds=8, seed=3, efficiency=1.0, attack=ATTACKS[1], verify_fraction=0.6)
+    )
+    assert result.stats.same_basis_count == 2
+    assert len(result.bob_key) == 6
+    assert {tag for _, tag in result.bob_key.provenance} == {"diff"}
+
+
+@pytest.mark.parametrize("attack", ATTACKS[4:], ids=str)
+def test_double_intercept_across_blocks(attack):
+    assert_matches_reference(
+        SimConfig(rounds=300, seed=5, efficiency=0.9, attack=attack), block=128
+    )
 
 
 def test_eve_information_se_hand_built_key():

@@ -37,6 +37,14 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             run_batch(SimConfig(rounds=-5))
 
+    def test_bools_rejected(self):
+        # bool is an int subclass; run_batch would otherwise fail inside numpy.
+        config = SimConfig(rounds=True, seed=False, workers=True)
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_batch(config)
+        for field in ("rounds", "seed", "workers"):
+            assert field in str(excinfo.value)
+
     def test_seed_range(self):
         with pytest.raises(ConfigurationError):
             SimConfig(rounds=1, seed=2**64).validate()

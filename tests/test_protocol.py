@@ -407,6 +407,23 @@ class TestKeyBits:
         assert key.as_string() == "1011"
         assert len(key) == 4
 
+    def test_from_rounds_equals_init(self):
+        import numpy as np
+
+        prov = ((0, "same"), (0, "same"), (3, "diff"), (5, "same"), (5, "same"), (8, "diff"))
+        bits = (1, 0, 1, 1, 1, 0)
+        built = KeyBits(bits, prov)
+        rounds = KeyBits.from_rounds(
+            np.array(bits, dtype=np.uint8), np.array([0, 3, 5, 8]),
+            np.array([True, False, True, False]),
+        )
+        # hash first: it must build the per-bit arrays on its own
+        assert hash(rounds) == hash(built)
+        assert rounds == built and built == rounds
+        assert rounds.provenance == built.provenance == prov
+        assert rounds.bits == bits
+        assert rounds != KeyBits(bits, prov[:-1] + ((9, "diff"),))
+
 
 def test_threaded_rounds_match_serial():
     # immutable state tables: concurrent rounds with per-thread RandomSources
