@@ -33,6 +33,7 @@ from .protocol import (
     SAME,
     KeyBits,
     RoundRecord,
+    choose_basis,
     encode_diff_basis,
     encode_same_basis,
 )
@@ -119,10 +120,10 @@ class AttackConfig:
         """Eve's basis (single) or per-photon bases (double) for one round."""
         if self.kind is AttackKind.SINGLE_INTERCEPT:
             if self.strategy is EveBasisStrategy.RANDOM_PER_ROUND:
-                return (_random_basis(rand),)
+                return (choose_basis(rand),)
             return (self.fixed_basis,)
         if self.strategy is EveBasisStrategy.RANDOM_PER_ROUND:
-            return (_random_basis(rand), _random_basis(rand))
+            return (choose_basis(rand), choose_basis(rand))
         if self.strategy is EveBasisStrategy.FIXED_SAME:
             return (self.fixed_basis, self.fixed_basis)
         return (self.fixed_basis, self.fixed_basis.other)
@@ -133,10 +134,6 @@ class AttackConfig:
         if self.kind is AttackKind.SINGLE_INTERCEPT:
             return eve_single_intercept(state, bases[0], rand, round_id=round_id)
         return eve_double_intercept(state, bases[0], bases[1], rand, round_id=round_id)
-
-
-def _random_basis(rand: RandomSource) -> BasisType:
-    return BasisType.TYPE_I if rand.uniform() < 0.5 else BasisType.TYPE_II
 
 
 def eve_single_intercept(

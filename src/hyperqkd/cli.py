@@ -6,8 +6,13 @@ of the parsed flags), ``stats`` (every BatchStats field, standard errors
 included), ``keys`` (lengths and SHA-256 digests of both key strings) and,
 when --check is given, ``checks`` (one verdict per expected value for the
 configured scenario: within CHECK_Z standard errors, or exact). The CSV
-format is a flat single-row projection of the same fields in a fixed
-column order; empty cells stand for null.
+format is a flat single-row projection in the fixed column order of
+CSV_FIELDS, derived from the dataclass fields: the config echo, the stats
+fields (``verification`` and ``detection`` flattened under the ``verify_``
+and ``detection_`` prefixes), the key digests and ``checks_passed``; the
+two detection mismatch counts appear in JSON only. Empty cells stand for
+null. Every config rule lives in ``SimConfig.validate``; a violated rule
+is a usage error naming the flag.
 
 Exit status: 0 success, 1 at least one --check verdict failed, 2 usage
 error, 3 output could not be written.
@@ -25,23 +30,22 @@ import os
 import stat
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .adversary import AttackConfig, AttackKind, EveBasisStrategy
-from .montecarlo import EKERT_BITS_PER_PAIR, BatchResult, SimConfig, run_batch
+from .errors import ConfigurationError
+from .montecarlo import (
+    EKERT_BITS_PER_PAIR,
+    BatchResult,
+    BatchStats,
+    DetectionStats,
+    SimConfig,
+    run_batch,
+)
+from .protocol import VerificationReport
 
 SCHEMA_VERSION = "1"
-
-_ATTACK_KINDS = {
-    "single": AttackKind.SINGLE_INTERCEPT,
-    "double": AttackKind.DOUBLE_INTERCEPT,
-}
-_EVE_STRATEGIES = {
-    "random": EveBasisStrategy.RANDOM_PER_ROUND,
-    "same": EveBasisStrategy.FIXED_SAME,
-    "different": EveBasisStrategy.FIXED_DIFFERENT,
-}
 
 #: Width of every statistical --check band, in standard errors. A correct
 #: program falls outside 5 SE with probability about 6e-7 per check, while
@@ -107,52 +111,6 @@ _CHECKS_BY_SCENARIO = {
     ("double", "different"): [_BITS_PER_COINCIDENCE, _DOUBLE_DIFFERENT],
 }
 
-# Flat column order of the CSV projection.
-CSV_FIELDS = [
-    "schema_version",
-    "rounds",
-    "seed",
-    "efficiency",
-    "attack",
-    "eve_bases",
-    "verify_fraction",
-    "workers",
-    "coincidences",
-    "coincidence_rate",
-    "coincidence_rate_se",
-    "same_basis_count",
-    "diff_basis_count",
-    "discarded_count",
-    "bits_per_coincidence",
-    "bits_per_coincidence_se",
-    "ekert_ratio",
-    "ekert_ratio_se",
-    "same_basis_compared",
-    "same_basis_mismatches",
-    "same_basis_mismatch_rate",
-    "same_basis_mismatch_se",
-    "key_length",
-    "key_bit_error_rate",
-    "key_bit_error_se",
-    "verify_compared_rounds",
-    "verify_mismatches",
-    "verify_mismatch_rate",
-    "eve_information",
-    "eve_information_se",
-    "eve_guess_accuracy",
-    "detection_same_bases_compared",
-    "detection_same_bases_rate",
-    "detection_same_bases_se",
-    "detection_diff_bases_compared",
-    "detection_diff_bases_rate",
-    "detection_diff_bases_se",
-    "alice_key_sha256",
-    "bob_key_sha256",
-    "keys_equal",
-    "checks_passed",
-]
-
-
 @dataclass(frozen=True)
 class ReportOptions:
     """Output-side options parsed from the command line."""
@@ -163,34 +121,6 @@ class ReportOptions:
     deterministic_output: bool = False
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be an integer >= 1")
-    return value
-
-
-def _seed64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("must be a 64-bit unsigned integer")
-    return value
-
-
-def _efficiency(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("must be in (0, 1]")
-    return value
-
-
-def _verify_fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("must be in [0, 1)")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperqkd",
@@ -199,21 +129,22 @@ def build_parser() -> argparse.ArgumentParser:
             "protocol and report its Monte Carlo estimators."
         ),
     )
-    parser.add_argument("--rounds", type=_positive_int, default=100_000,
+    parser.add_argument("--rounds", type=int, default=100_000,
                         help="number of protocol rounds (default: 100000)")
-    parser.add_argument("--seed", type=_seed64, default=42,
+    parser.add_argument("--seed", type=int, default=42,
                         help="master seed; all randomness derives from it (default: 42)")
-    parser.add_argument("--efficiency", type=_efficiency, default=1.0,
+    parser.add_argument("--efficiency", type=float, default=1.0,
                         help="per-photon detection probability in (0, 1] (default: 1.0)")
-    parser.add_argument("--attack", choices=["none", "single", "double"], default="none",
+    parser.add_argument("--attack", choices=["none", *(kind.value for kind in AttackKind)],
+                        default="none",
                         help="eavesdropping model (default: none)")
-    parser.add_argument("--eve-bases", choices=["random", "same", "different"],
+    parser.add_argument("--eve-bases", choices=[s.value for s in EveBasisStrategy],
                         default=None,
                         help="Eve's basis strategy; requires --attack (default: random)")
-    parser.add_argument("--verify-fraction", type=_verify_fraction, default=0.1,
+    parser.add_argument("--verify-fraction", type=float, default=0.1,
                         help="fraction of same-basis rounds compared in public "
                              "and removed from the key (default: 0.1)")
-    parser.add_argument("--workers", type=_positive_int, default=1,
+    parser.add_argument("--workers", type=int, default=1,
                         help="accepted and echoed in the report; the batch runs in "
                              "this process and results never depend on it (default: 1)")
     parser.add_argument("--format", choices=["json", "csv"], default="json",
@@ -236,17 +167,18 @@ def parse_config(argv: Sequence[str]) -> tuple[SimConfig, ReportOptions]:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    attack = None
     if args.attack == "none":
         if args.eve_bases is not None:
             parser.error("--eve-bases requires --attack single or double")
-        attack = None
     else:
-        eve_bases = args.eve_bases or "random"
-        if args.attack == "single" and eve_bases == "different":
-            parser.error("--eve-bases different is not valid with --attack single")
-        attack = AttackConfig(
-            kind=_ATTACK_KINDS[args.attack], strategy=_EVE_STRATEGIES[eve_bases]
-        )
+        try:
+            attack = AttackConfig(
+                kind=AttackKind(args.attack),
+                strategy=EveBasisStrategy(args.eve_bases or "random"),
+            )
+        except ConfigurationError as exc:
+            parser.error(f"argument --eve-bases: {exc}")
 
     config = SimConfig(
         rounds=args.rounds,
@@ -256,6 +188,11 @@ def parse_config(argv: Sequence[str]) -> tuple[SimConfig, ReportOptions]:
         verify_fraction=args.verify_fraction,
         workers=args.workers,
     )
+    try:
+        config.validate()
+    except ConfigurationError as exc:
+        flags = ", ".join("--" + name.replace("_", "-") for name in exc.fields)
+        parser.error(f"argument {flags}: {exc}")
     options = ReportOptions(
         format=args.format,
         out=args.out,
@@ -282,8 +219,45 @@ def _config_echo(config: SimConfig) -> dict:
     }
 
 
-def _lookup_metric(stats_dict: dict, path: str):
-    value = stats_dict
+# Stats columns left out of the CSV: ``rounds`` is already in the config
+# echo, and the detection mismatch counts are in JSON only.
+_CSV_OMITTED = {"rounds", "detection_same_bases_mismatches", "detection_diff_bases_mismatches"}
+# Nested stats reports, flattened into the CSV under a column prefix.
+_CSV_NESTED = {"verification": ("verify_", VerificationReport),
+               "detection": ("detection_", DetectionStats)}
+
+
+def _stats_columns():
+    """(CSV column, path in the stats dict) for every stats field, in
+    declaration order."""
+    for outer in fields(BatchStats):
+        if outer.name in _CSV_NESTED:
+            prefix, report = _CSV_NESTED[outer.name]
+            for inner in fields(report):
+                yield prefix + inner.name, f"{outer.name}.{inner.name}"
+        else:
+            yield outer.name, outer.name
+
+
+# CSV column -> path of its value in the report document, in column order.
+_CSV_PATHS = {
+    "schema_version": "schema_version",
+    **{key: f"config.{key}" for key in _config_echo(SimConfig(rounds=1))},
+    **{column: f"stats.{path}" for column, path in _stats_columns()
+       if column not in _CSV_OMITTED},
+    "alice_key_sha256": "keys.alice_sha256",
+    "bob_key_sha256": "keys.bob_sha256",
+    "keys_equal": "keys.equal",
+    "checks_passed": "checks_passed",
+}
+#: Flat column order of the CSV projection.
+CSV_FIELDS = list(_CSV_PATHS)
+
+
+def _lookup_metric(doc: dict, path: str):
+    """The value at a dotted ``path`` of ``doc``; None where it is absent
+    or passes through a null."""
+    value = doc
     for part in path.split("."):
         if value is None:
             return None
@@ -362,45 +336,10 @@ def _csv_cell(value) -> str:
 
 def render_csv(doc: dict) -> str:
     """Flat single-row projection of the report in CSV_FIELDS order."""
-    stats = doc["stats"]
-    config = doc["config"]
-    verification = stats["verification"]
-    detection = stats["detection"] or {}
-    row = {
-        "schema_version": doc["schema_version"],
-        **{k: config[k] for k in ("rounds", "seed", "efficiency", "attack",
-                                  "eve_bases", "verify_fraction", "workers")},
-        **{
-            k: stats[k]
-            for k in (
-                "coincidences", "coincidence_rate", "coincidence_rate_se",
-                "same_basis_count", "diff_basis_count", "discarded_count",
-                "bits_per_coincidence", "bits_per_coincidence_se",
-                "ekert_ratio", "ekert_ratio_se",
-                "same_basis_compared", "same_basis_mismatches",
-                "same_basis_mismatch_rate", "same_basis_mismatch_se",
-                "key_length", "key_bit_error_rate", "key_bit_error_se",
-                "eve_information", "eve_information_se", "eve_guess_accuracy",
-            )
-        },
-        "verify_compared_rounds": verification["compared_rounds"],
-        "verify_mismatches": verification["mismatches"],
-        "verify_mismatch_rate": verification["mismatch_rate"],
-        "detection_same_bases_compared": detection.get("same_bases_compared"),
-        "detection_same_bases_rate": detection.get("same_bases_rate"),
-        "detection_same_bases_se": detection.get("same_bases_se"),
-        "detection_diff_bases_compared": detection.get("diff_bases_compared"),
-        "detection_diff_bases_rate": detection.get("diff_bases_rate"),
-        "detection_diff_bases_se": detection.get("diff_bases_se"),
-        "alice_key_sha256": doc["keys"]["alice_sha256"],
-        "bob_key_sha256": doc["keys"]["bob_sha256"],
-        "keys_equal": doc["keys"]["equal"],
-        "checks_passed": doc.get("checks_passed"),
-    }
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    writer.writerow([_csv_cell(row[field]) for field in CSV_FIELDS])
+    writer.writerow([_csv_cell(_lookup_metric(doc, path)) for path in _CSV_PATHS.values()])
     return buffer.getvalue()
 
 

@@ -6,4 +6,11 @@ class NotNormalizedError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """Raised when a simulation parameter or parameter combination is invalid."""
+    """Raised when a simulation parameter or parameter combination is invalid.
+
+    ``fields`` names the offending configuration fields, where known.
+    """
+
+    def __init__(self, message: str, fields: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.fields = fields

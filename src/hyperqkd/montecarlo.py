@@ -28,7 +28,7 @@ protocol in which only 2/9 of detected pairs yield a key bit; at the ideal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -76,6 +76,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Configuration of one batch run.
@@ -92,24 +96,40 @@ class SimConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        """Raise ConfigurationError listing every violated field."""
-        problems = []
+        """Raise ConfigurationError listing every violated field.
+
+        This is the one place where the config's rules live; the command
+        line parses plain numbers and maps the error's ``fields`` to flags.
+        The range tests are written so that NaN fails them.
+        """
+        problems = {}
         if not _is_int(self.rounds) or self.rounds < 1:
-            problems.append(f"rounds must be an integer >= 1, got {self.rounds!r}")
+            problems["rounds"] = f"must be an integer >= 1, got {self.rounds!r}"
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            problems.append(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not 0.0 < self.efficiency <= 1.0:
-            problems.append(f"efficiency must be in (0, 1], got {self.efficiency!r}")
-        if not 0.0 <= self.verify_fraction < 1.0:
-            problems.append(
-                f"verify_fraction must be in [0, 1), got {self.verify_fraction!r}"
-            )
+            problems["seed"] = f"must be a 64-bit unsigned integer, got {self.seed!r}"
+        if not _is_real(self.efficiency) or not 0.0 < self.efficiency <= 1.0:
+            problems["efficiency"] = f"must be in (0, 1], got {self.efficiency!r}"
+        if not _is_real(self.verify_fraction) or not 0.0 <= self.verify_fraction < 1.0:
+            problems["verify_fraction"] = f"must be in [0, 1), got {self.verify_fraction!r}"
         if not _is_int(self.workers) or self.workers < 1:
-            problems.append(f"workers must be an integer >= 1, got {self.workers!r}")
+            problems["workers"] = f"must be an integer >= 1, got {self.workers!r}"
         if self.attack is not None and not isinstance(self.attack, AttackConfig):
-            problems.append(f"attack must be an AttackConfig or None, got {self.attack!r}")
+            problems["attack"] = f"must be an AttackConfig or None, got {self.attack!r}"
         if problems:
-            raise ConfigurationError("; ".join(problems))
+            raise ConfigurationError(
+                "; ".join(f"{name} {text}" for name, text in problems.items()),
+                fields=tuple(problems),
+            )
+
+
+def _as_dict(report) -> dict:
+    """A report's fields in declaration order, with nested reports as dicts
+    and None kept; unlike ``dataclasses.asdict`` it copies no value."""
+    out = {}
+    for name in _FIELD_NAMES[type(report)]:
+        value = getattr(report, name)
+        out[name] = _as_dict(value) if type(value) in _FIELD_NAMES else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,17 +145,7 @@ class DetectionStats:
     diff_bases_rate: Optional[float]
     diff_bases_se: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "same_bases_compared": self.same_bases_compared,
-            "same_bases_mismatches": self.same_bases_mismatches,
-            "same_bases_rate": self.same_bases_rate,
-            "same_bases_se": self.same_bases_se,
-            "diff_bases_compared": self.diff_bases_compared,
-            "diff_bases_mismatches": self.diff_bases_mismatches,
-            "diff_bases_rate": self.diff_bases_rate,
-            "diff_bases_se": self.diff_bases_se,
-        }
+    to_dict = _as_dict
 
 
 @dataclass(frozen=True)
@@ -166,37 +176,14 @@ class BatchStats:
     eve_guess_accuracy: Optional[float]
     detection: Optional[DetectionStats]
 
-    def to_dict(self) -> dict:
-        """Flat-ish dict with a fixed field order, for serialization."""
-        return {
-            "rounds": self.rounds,
-            "coincidences": self.coincidences,
-            "coincidence_rate": self.coincidence_rate,
-            "coincidence_rate_se": self.coincidence_rate_se,
-            "same_basis_count": self.same_basis_count,
-            "diff_basis_count": self.diff_basis_count,
-            "discarded_count": self.discarded_count,
-            "bits_per_coincidence": self.bits_per_coincidence,
-            "bits_per_coincidence_se": self.bits_per_coincidence_se,
-            "ekert_ratio": self.ekert_ratio,
-            "ekert_ratio_se": self.ekert_ratio_se,
-            "same_basis_compared": self.same_basis_compared,
-            "same_basis_mismatches": self.same_basis_mismatches,
-            "same_basis_mismatch_rate": self.same_basis_mismatch_rate,
-            "same_basis_mismatch_se": self.same_basis_mismatch_se,
-            "key_length": self.key_length,
-            "key_bit_error_rate": self.key_bit_error_rate,
-            "key_bit_error_se": self.key_bit_error_se,
-            "verification": {
-                "compared_rounds": self.verification.compared_rounds,
-                "mismatches": self.verification.mismatches,
-                "mismatch_rate": self.verification.mismatch_rate,
-            },
-            "eve_information": self.eve_information,
-            "eve_information_se": self.eve_information_se,
-            "eve_guess_accuracy": self.eve_guess_accuracy,
-            "detection": self.detection.to_dict() if self.detection else None,
-        }
+    to_dict = _as_dict
+
+
+# Field names of the reports that ``to_dict`` walks, in declaration order.
+_FIELD_NAMES = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (VerificationReport, DetectionStats, BatchStats)
+}
 
 
 # Rounds per block of the columnar engine: large enough that numpy's per-call
@@ -309,22 +296,26 @@ def ekert_ratio(bits_per_coincidence: float) -> float:
     return bits_per_coincidence / EKERT_BITS_PER_PAIR
 
 
+def _rate(count: int, n: int) -> tuple[Optional[float], Optional[float]]:
+    """``count / n`` and its binomial SE, or two Nones when ``n`` is 0."""
+    if not n:
+        return None, None
+    rate = count / n
+    return rate, _binomial_se(rate, n)
+
+
 def _detection_stats(compared: list[int], mismatched: list[int]) -> DetectionStats:
-    rates = [
-        (mismatched[s] / compared[s]) if compared[s] else None for s in (0, 1)
-    ]
-    ses = [
-        _binomial_se(rates[s], compared[s]) if compared[s] else None for s in (0, 1)
-    ]
+    same_rate, same_se = _rate(mismatched[0], compared[0])
+    diff_rate, diff_se = _rate(mismatched[1], compared[1])
     return DetectionStats(
         same_bases_compared=compared[0],
         same_bases_mismatches=mismatched[0],
-        same_bases_rate=rates[0],
-        same_bases_se=ses[0],
+        same_bases_rate=same_rate,
+        same_bases_se=same_se,
         diff_bases_compared=compared[1],
         diff_bases_mismatches=mismatched[1],
-        diff_bases_rate=rates[1],
-        diff_bases_se=ses[1],
+        diff_bases_rate=diff_rate,
+        diff_bases_se=diff_se,
     )
 
 
@@ -484,7 +475,9 @@ def run_batch(config: SimConfig) -> BatchResult:
 
     coincidences = int(np.count_nonzero(coincident))
     same_n = len(same_ids)
+    diff_n = coincidences - same_n
     same_mismatch = rounds.alice_label[same_ids] != rounds.bob_label[same_ids]
+    mismatches = int(np.count_nonzero(same_mismatch))
     key_len = len(packed)
     key_errors = int(np.count_nonzero(alice_bits != bob_bits))
 
@@ -512,43 +505,7 @@ def run_batch(config: SimConfig) -> BatchResult:
                  int(np.count_nonzero(same_mismatch & ~equal))],
             )
 
-    stats = _batch_stats(
-        config,
-        coincidences=coincidences,
-        same_n=same_n,
-        mismatches=int(np.count_nonzero(same_mismatch)),
-        verification=verification,
-        key_len=key_len,
-        key_errors=key_errors,
-        eve_information=info,
-        eve_information_se=info_se,
-        eve_guess_accuracy=accuracy,
-        detection=detection,
-    )
-    alice_key = KeyBits.from_rounds(alice_bits, key_ids, key_same)
-    bob_key = KeyBits.from_rounds(bob_bits, key_ids, key_same)
-    return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)
-
-
-def _batch_stats(
-    config: SimConfig,
-    *,
-    coincidences: int,
-    same_n: int,
-    mismatches: int,
-    verification: VerificationReport,
-    key_len: int,
-    key_errors: int,
-    eve_information: Optional[float],
-    eve_information_se: Optional[float],
-    eve_guess_accuracy: Optional[float],
-    detection: Optional[DetectionStats],
-) -> BatchStats:
-    """Assemble the estimators from a batch's counts and Eve's estimates."""
-    diff_n = coincidences - same_n
-    coincidence_rate = coincidences / config.rounds
-    coincidence_se = _binomial_se(coincidence_rate, config.rounds)
-
+    bpc = bpc_se = ratio = ratio_se = None
     if coincidences:
         bpc = (2 * same_n + diff_n) / coincidences
         # bits/coincidence = 1 + (same-basis fraction), so its SE is that
@@ -556,22 +513,10 @@ def _batch_stats(
         bpc_se = _binomial_se(same_n / coincidences, coincidences)
         ratio = ekert_ratio(bpc)
         ratio_se = bpc_se / EKERT_BITS_PER_PAIR
-    else:
-        bpc = bpc_se = ratio = ratio_se = None
-
-    if same_n:
-        mism_rate = mismatches / same_n
-        mism_se = _binomial_se(mism_rate, same_n)
-    else:
-        mism_rate = mism_se = None
-
-    if key_len:
-        key_err = key_errors / key_len
-        key_err_se = _binomial_se(key_err, key_len)
-    else:
-        key_err = key_err_se = None
-
-    return BatchStats(
+    coincidence_rate, coincidence_se = _rate(coincidences, config.rounds)
+    mism_rate, mism_se = _rate(mismatches, same_n)
+    key_err, key_err_se = _rate(key_errors, key_len)
+    stats = BatchStats(
         rounds=config.rounds,
         coincidences=coincidences,
         coincidence_rate=coincidence_rate,
@@ -591,8 +536,11 @@ def _batch_stats(
         key_bit_error_rate=key_err,
         key_bit_error_se=key_err_se,
         verification=verification,
-        eve_information=eve_information,
-        eve_information_se=eve_information_se,
-        eve_guess_accuracy=eve_guess_accuracy,
+        eve_information=info,
+        eve_information_se=info_se,
+        eve_guess_accuracy=accuracy,
         detection=detection,
     )
+    alice_key = KeyBits.from_rounds(alice_bits, key_ids, key_same)
+    bob_key = KeyBits.from_rounds(bob_bits, key_ids, key_same)
+    return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)

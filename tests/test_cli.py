@@ -79,6 +79,13 @@ class TestParseConfig:
             (["--workers", "0"], "--workers"),
             (["--seed", "-3"], "--seed"),
             (["--attack", "sneaky"], "--attack"),
+            # NaN fails every comparison, so a range test written as
+            # `x < 0 or x > 1` would let it through.
+            (["--efficiency", "nan"], "--efficiency"),
+            (["--verify-fraction", "nan"], "--verify-fraction"),
+            (["--verify-fraction", "-0.1"], "--verify-fraction"),
+            (["--seed", "18446744073709551616"], "--seed"),
+            (["--rounds", "-1"], "--rounds"),
         ],
     )
     def test_out_of_range_names_flag(self, argv, flag, capsys):
@@ -97,6 +104,7 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as excinfo:
             parse_config(["--attack", "single", "--eve-bases", "different"])
         assert excinfo.value.code == 2
+        assert "--eve-bases" in capsys.readouterr().err
 
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -132,7 +140,24 @@ class TestReportDocuments:
         text = render_csv(doc)
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) == 2
-        assert rows[0] == CSV_FIELDS
+        # Written out: CSV_FIELDS is derived from the dataclass fields, so
+        # comparing the header with it could never fail.
+        assert rows[0] == CSV_FIELDS == [
+            "schema_version", "rounds", "seed", "efficiency", "attack", "eve_bases",
+            "verify_fraction", "workers", "coincidences", "coincidence_rate",
+            "coincidence_rate_se", "same_basis_count", "diff_basis_count",
+            "discarded_count", "bits_per_coincidence", "bits_per_coincidence_se",
+            "ekert_ratio", "ekert_ratio_se", "same_basis_compared",
+            "same_basis_mismatches", "same_basis_mismatch_rate",
+            "same_basis_mismatch_se", "key_length", "key_bit_error_rate",
+            "key_bit_error_se", "verify_compared_rounds", "verify_mismatches",
+            "verify_mismatch_rate", "eve_information", "eve_information_se",
+            "eve_guess_accuracy", "detection_same_bases_compared",
+            "detection_same_bases_rate", "detection_same_bases_se",
+            "detection_diff_bases_compared", "detection_diff_bases_rate",
+            "detection_diff_bases_se", "alice_key_sha256", "bob_key_sha256",
+            "keys_equal", "checks_passed",
+        ]
         row = dict(zip(rows[0], rows[1]))
         stats = result.stats
         assert int(row["rounds"]) == 3000

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperqkd import (
+    EKERT_BITS_PER_PAIR,
     AttackConfig,
     AttackKind,
     BasisType,
+    BatchStats,
     EveBasisStrategy,
     RandomSource,
     SimConfig,
@@ -71,7 +73,7 @@ def reference(config):
         eve["eve_guess_accuracy"] = eve_guess_accuracy(traces, records, bob)
         if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
             detection = detection_probability(records)
-    stats = montecarlo._batch_stats(
+    stats = reference_stats(
         config,
         coincidences=len(groups.same_basis) + len(groups.diff_basis),
         same_n=len(groups.same_basis),
@@ -85,6 +87,54 @@ def reference(config):
         **eve,
     )
     return tuple(records), alice, bob, stats
+
+
+def reference_stats(config, *, coincidences, same_n, mismatches, verification,
+                    key_len, key_errors, eve_information, eve_information_se,
+                    eve_guess_accuracy, detection):
+    """BatchStats from the scalar pipeline's counts, by the estimators'
+    definitions."""
+    def rate(count, n):
+        if not n:
+            return None, None
+        p = count / n
+        return p, math.sqrt(p * (1.0 - p) / n)
+
+    diff_n = coincidences - same_n
+    bpc = bpc_se = ratio = ratio_se = None
+    if coincidences:
+        bpc = (2 * same_n + diff_n) / coincidences
+        bpc_se = rate(same_n, coincidences)[1]
+        ratio = bpc / EKERT_BITS_PER_PAIR
+        ratio_se = bpc_se / EKERT_BITS_PER_PAIR
+    coincidence_rate, coincidence_se = rate(coincidences, config.rounds)
+    mism_rate, mism_se = rate(mismatches, same_n)
+    key_err, key_err_se = rate(key_errors, key_len)
+    return BatchStats(
+        rounds=config.rounds,
+        coincidences=coincidences,
+        coincidence_rate=coincidence_rate,
+        coincidence_rate_se=coincidence_se,
+        same_basis_count=same_n,
+        diff_basis_count=diff_n,
+        discarded_count=config.rounds - coincidences,
+        bits_per_coincidence=bpc,
+        bits_per_coincidence_se=bpc_se,
+        ekert_ratio=ratio,
+        ekert_ratio_se=ratio_se,
+        same_basis_compared=same_n,
+        same_basis_mismatches=mismatches,
+        same_basis_mismatch_rate=mism_rate,
+        same_basis_mismatch_se=mism_se,
+        key_length=key_len,
+        key_bit_error_rate=key_err,
+        key_bit_error_se=key_err_se,
+        verification=verification,
+        eve_information=eve_information,
+        eve_information_se=eve_information_se,
+        eve_guess_accuracy=eve_guess_accuracy,
+        detection=detection,
+    )
 
 
 def clustered_se(records, key, information):

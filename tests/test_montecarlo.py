@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hyperqkd import (
@@ -44,6 +45,20 @@ class TestSimConfig:
             run_batch(config)
         for field in ("rounds", "seed", "workers"):
             assert field in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["efficiency", "verify_fraction"])
+    @pytest.mark.parametrize("value", ["0.5", None, True, float("nan")])
+    def test_fractions_must_be_real_numbers(self, field, value):
+        config = SimConfig(rounds=1, **{field: value})
+        with pytest.raises(ConfigurationError) as excinfo:
+            config.validate()
+        assert excinfo.value.fields == (field,)
+        assert field in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5)])
+    def test_real_fractions_pass(self, value):
+        SimConfig(rounds=1, efficiency=value, verify_fraction=value).validate()
+        SimConfig(rounds=1, efficiency=1, verify_fraction=0).validate()
 
     def test_seed_range(self):
         with pytest.raises(ConfigurationError):
