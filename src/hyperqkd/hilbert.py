@@ -19,16 +19,22 @@ supported. In the component order above all eight Bell vectors are real:
 
 Measurement sampling walks the cumulative distribution over the four
 labels of a basis in their fixed declaration order and consumes exactly
-one uniform draw, which makes every run bit-reproducible per seed.
-:class:`MeasurementTables` samples the same measurements for whole arrays
-of rounds at once, from tables built on first use and giving the same
-outcome as :func:`measure_party` for every draw.
+one draw, which makes every run bit-reproducible per seed.
+
+A protocol round only reaches a closed set of 65 states: the shared state
+and, up to a global phase, the 64 products of two Bell vectors. On them
+every Born probability is 0, 1/4, 1/2 or 1, so the fixed tables
+:data:`OUTCOME_LABEL` and :data:`OUTCOME_POST`, built once at import from
+the Bell-overlap matrix, give each measurement's outcome from the top two
+bits of its raw 64-bit draw alone (exact sampling from dyadic laws, Knuth
+and Yao 1976). :func:`measure_party` samples these states from the same
+tables as the batch engine; any other state is measured from its computed
+probabilities.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -212,13 +218,11 @@ def _sample_index(probs: list[float], u: float) -> int:
     return last
 
 
-# Measurement is a pure function of (state, target, basis) apart from the one
-# uniform draw, and protocol runs revisit a small closed set of immutable
-# states (the shared state and Bell-product collapses), so the deterministic
-# part -- Born probabilities and the collapsed state per label -- is cached by
-# state content for the one-round functions below; MeasurementTables holds
-# the same data as arrays for batches. Cached inputs skip re-validation; the
-# cap only bounds memory for callers measuring many distinct ad-hoc states.
+# Measurement of a state outside the closed set is a pure function of
+# (state, target, basis) apart from the one draw, so the deterministic part
+# -- Born probabilities and the collapsed state per label -- is cached by
+# state content. Cached inputs skip re-validation; the cap only bounds
+# memory for callers measuring many distinct ad-hoc states.
 _MEASURE_CACHE: dict = {}
 _MEASURE_CACHE_MAX = 4096
 
@@ -271,107 +275,76 @@ def _single_table(state: np.ndarray, basis: BasisType) -> tuple[list[float], tup
     return entry
 
 
-class MeasurementTables:
-    """Sampling tables for joint-state Bell measurements of many rounds at once.
+# The closed set's measurement tables. A label code is 4 * basis code +
+# index in basis (basis code 0 for type-I, 1 for type-II). State id
+# 8 * c1 + c2 is the product of the Bell vectors with codes c1 (photon 1)
+# and c2 (photon 2), and SHARED_ID the shared state. Measuring a product
+# leaves the other photon's factor as it is; measuring the shared state
+# leaves the partner in the measured label's Bell vector (its conditional
+# state is +-1/2 times it). Up to a global phase, which changes no
+# probability, these 65 are all the states a round reaches.
+_BASES = tuple(BasisType)
+_CODES = tuple(lab for basis in _BASES for lab in _BASIS_LABELS[basis])
+_BELL = np.stack([_BELL_VECTORS[lab] for lab in _CODES])
+# 4 |<a|b>|^2 for label codes a, b: 0 or 4 within a basis, 0 or 2 across.
+_OVERLAP_QUARTERS = np.rint(4 * abs(_BELL.conj() @ _BELL.T) ** 2).astype(np.int8)
 
-    States get small integer ids, keyed by the exact bytes of the state
-    vector, so every float variant that :func:`_joint_table` produces is its
-    own state. Row ``4 * id + 2 * (photon - 1) + basis`` holds, for the
-    labels of positive probability in fixed order, the running sums that
-    :func:`_sample_index` compares its draw against (accumulated in the same
-    order), the labels' indices within the basis and the ids of their
-    post-measurement states. Rows are built the first time a batch needs
-    them; the protocol reaches a few hundred states at most.
+#: Id of the shared state in the closed set.
+SHARED_ID = 64
 
-    ``basis`` is encoded as 0 for type-I and 1 for type-II, labels as their
-    index in :func:`basis_labels`. Safe to share between threads.
+
+def _closed_tables():
+    """The closed set's tables, indexed by row 4 * id + 2 * (photon - 1) +
+    basis code: each label's probability in quarters at ``4 * row +
+    label``, and each draw's label and post-state id at ``4 * row + q``
+    (see :func:`outcome_slots`); and the states by id."""
+    codes = np.arange(8).reshape(2, 4)  # [basis code, index in basis]
+    c1, c2 = (c[:, None, None] for c in np.divmod(np.arange(SHARED_ID), 8))
+    quarters = np.ones((SHARED_ID + 1, 2, 2, 4), dtype=np.int8)
+    quarters[:SHARED_ID, 0] = _OVERLAP_QUARTERS[codes, c1]
+    quarters[:SHARED_ID, 1] = _OVERLAP_QUARTERS[codes, c2]
+    posts = np.empty((SHARED_ID + 1, 2, 2, 4), dtype=np.intp)
+    posts[:SHARED_ID, 0] = 8 * codes + c2
+    posts[:SHARED_ID, 1] = 8 * c1 + codes
+    posts[SHARED_ID] = 9 * codes
+    # Inverse-CDF sampling with the draw's top two bits q: the label is the
+    # first whose running quarter count exceeds q, i.e. the number of counts
+    # at or below q. A label of probability 0 repeats the previous count, so
+    # no q picks it.
+    running = quarters.cumsum(axis=-1)
+    labels = (running[..., None, :] <= np.arange(4)[:, None]).sum(axis=-1)
+    products = np.einsum("ai,bj->abij", _BELL, _BELL).reshape(SHARED_ID, 16)
+    tables = (
+        quarters.ravel(),
+        labels.astype(np.int8).ravel(),
+        np.take_along_axis(posts, labels, axis=-1).ravel(),
+        products,
+    )
+    for arr in tables:
+        arr.flags.writeable = False
+    return (*tables[:3], (*products, _SHARED))
+
+
+#: Per slot (see :func:`outcome_slots`): the outcome's label index in its
+#: basis, and the post-measurement state id.
+_QUARTERS, OUTCOME_LABEL, OUTCOME_POST, _STATES = _closed_tables()
+_STATE_IDS = {state.tobytes(): sid for sid, state in enumerate(_STATES)}
+
+
+def outcome_slots(state_ids, photon: Photon, bases, draws: np.ndarray) -> np.ndarray:
+    """Slots of :data:`OUTCOME_LABEL` and :data:`OUTCOME_POST` for measuring
+    ``photon`` of closed-set states in their bases with their raw draws.
+
+    ``state_ids`` and ``bases`` (basis codes) are arrays or single values;
+    ``draws`` is the uint64 draw of each measurement. Slot
+    ``4 * row + (draw >> 62)`` holds the label index in the basis and the
+    post-measurement state id, the same outcome :func:`measure_party` gives
+    for the same draw.
     """
-
-    _BASES = tuple(BasisType)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._ids: dict[bytes, int] = {}
-        self._states: list[np.ndarray] = []
-        self._cum = np.empty((0, 4))
-        self._top = np.empty(0, dtype=np.int8)
-        self._label = np.empty((0, 4), dtype=np.int8)
-        self._post = np.empty((0, 4), dtype=np.int32)
-        self._built = np.empty(0, dtype=bool)
-        self._state_id(_SHARED)
-
-    def _grow(self) -> None:
-        extra = max(256, len(self._built))
-
-        def pad(arr, fill):
-            tail = np.full((extra,) + arr.shape[1:], fill, dtype=arr.dtype)
-            return np.concatenate([arr, tail])
-
-        # Readers take the arrays without the lock, so the built flags are
-        # replaced last.
-        self._cum, self._top = pad(self._cum, np.inf), pad(self._top, 0)
-        self._label, self._post = pad(self._label, 0), pad(self._post, 0)
-        self._built = pad(self._built, False)
-
-    def _state_id(self, state: np.ndarray) -> int:
-        """Integer id of a joint state, registering it on first sight."""
-        key = state.tobytes()
-        sid = self._ids.get(key)
-        if sid is None:
-            sid = len(self._states)
-            if 4 * (sid + 1) > len(self._built):
-                self._grow()
-            self._states.append(state)
-            self._ids[key] = sid
-        return sid
-
-    def _build_row(self, row: int) -> None:
-        sid, rest = divmod(row, 4)
-        photon = Photon.ONE if rest < 2 else Photon.TWO
-        probs, posts = _joint_table(self._states[sid], photon, self._BASES[rest % 2])
-        acc = 0.0
-        k = 0
-        for i in range(4):
-            if probs[i] <= 0.0:
-                continue
-            acc += probs[i]
-            post_id = self._state_id(posts[i])
-            self._cum[row, k] = acc
-            self._label[row, k:] = i
-            self._post[row, k:] = post_id
-            k += 1
-        self._top[row] = k - 1
-        # Published last: readers check the flag without the lock.
-        self._built[row] = True
-
-    def measure(
-        self, state_ids: np.ndarray, photon: Photon, bases, uniforms: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure ``photon`` of each round's state in its basis with its draw.
-
-        ``bases`` is one basis code for all rounds or an array of them.
-        Returns the outcome label indices (int8) and post-state ids, each
-        equal to what :func:`measure_party` gives for the same draw.
-        """
-        rows = state_ids * 4 + (2 * (photon.value - 1)) + bases
-        if not self._built.take(rows).all():
-            with self._lock:
-                wanted = np.zeros(len(self._built), dtype=bool)
-                wanted[rows] = True
-                for row in np.flatnonzero(wanted & ~self._built).tolist():
-                    self._build_row(row)
-        cum, top, label, post = self._cum, self._top, self._label, self._post
-        # The picked label is the first whose running sum exceeds the draw,
-        # else the last: the number of sums at or below the draw, capped at
-        # the last label's slot (at most 3, so the fourth sum never counts).
-        sums = cum.take(rows, axis=0)
-        below = sum((sums[:, i] <= uniforms).view(np.int8) for i in range(3))
-        flat = rows * 4 + np.minimum(below, top.take(rows))
-        return label.ravel().take(flat), post.ravel().take(flat)
-
-
-#: Tables shared by every batch in the process.
-MEASUREMENT_TABLES = MeasurementTables()
+    slots = (draws >> 62).view(np.int64)
+    slots += 16 * state_ids + 8 * (photon.value - 1)
+    slots += 4 * bases
+    return slots
 
 
 def expand_in_basis(
@@ -397,13 +370,27 @@ def measure_party(
     The outcome is sampled with Born probabilities; the post state is the
     normalized projection of ``state`` onto the outcome's Bell vector on
     the measured photon (the partner photon keeps its conditional state).
-    Consumes exactly one uniform draw. Post states may be shared, read-only
-    arrays.
+    Consumes exactly one draw. A state of the closed set, given exactly as
+    this module returns it, is sampled from the fixed tables with exact
+    probabilities and collapses to a closed-set state; any other state is
+    sampled from its computed probabilities. Post states may be shared,
+    read-only arrays.
     """
-    probs, posts = _joint_table(np.asarray(state, dtype=np.complex128), photon, basis)
-    idx = _sample_index(probs, rand.uniform())
+    state = np.asarray(state, dtype=np.complex128)
+    sid = _STATE_IDS.get(state.tobytes()) if state.shape == (16,) else None
+    if sid is None:
+        probs, posts = _joint_table(state, photon, basis)
+        idx = _sample_index(probs, rand.uniform())
+        return MeasurementResult(
+            label=_BASIS_LABELS[basis][idx], probability=probs[idx], post_state=posts[idx]
+        )
+    row = 4 * sid + 2 * (photon.value - 1) + _BASES.index(basis)
+    slot = 4 * row + (rand.next_u64() >> 62)
+    idx = OUTCOME_LABEL.item(slot)
     return MeasurementResult(
-        label=_BASIS_LABELS[basis][idx], probability=probs[idx], post_state=posts[idx]
+        label=_BASIS_LABELS[basis][idx],
+        probability=_QUARTERS.item(4 * row + idx) / 4,
+        post_state=_STATES[OUTCOME_POST.item(slot)],
     )
 
 

@@ -3,12 +3,15 @@
 A batch runs independent rounds whose randomness is derived per round from
 the master seed, so results are bit-identical for a given configuration.
 Rounds are simulated in fixed blocks as numpy columns (bases, outcome
-labels, detections and Eve's record), drawing each round's uniforms in the
-documented order and sampling each measurement from
-:class:`hyperqkd.hilbert.MeasurementTables`; every record equals what the
-scalar reference :func:`hyperqkd.protocol.run_round` gives for the same
-round. Sifting, verification and the detection strata are array operations
-on those columns. Key extraction and Eve's two estimators are gathers on
+labels, detections and Eve's record), computing each round's raw 64-bit
+draws in the documented order and reading every decision off them as an
+integer: a basis is the draw's top bit, a measurement outcome a gather on
+the closed state set's fixed tables in :mod:`hyperqkd.hilbert` at the
+draw's top two bits, and a detection a comparison with the efficiency's
+threshold. Every record equals what the scalar reference
+:func:`hyperqkd.protocol.run_round` gives for the same round. Sifting,
+verification and the detection strata are array operations on those
+columns. Key extraction and Eve's two estimators are gathers on
 small fixed tables: each key round picks, for each party, a row holding its
 two bits or its one bit and a filler, and for Eve a row of her knowledge
 and guess scores; dropping the fillers leaves the key bits in key order.
@@ -48,7 +51,8 @@ from .adversary import (  # noqa: F401
     knows_outcome,
 )
 from .errors import ConfigurationError
-from .hilbert import MEASUREMENT_TABLES, BasisType, Photon, basis_labels
+from .hilbert import (OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, BasisType, Photon,
+                      basis_labels, outcome_slots)
 from .protocol import (  # noqa: F401
     DIFF,
     SAME,
@@ -62,7 +66,7 @@ from .protocol import (  # noqa: F401
     sift,
     verify_sample,
 )
-from .rng import round_uniforms, stream_uniforms
+from .rng import below_threshold, round_draws, stream_uniforms
 
 #: Key bits per detected pair in the three-bases entangled-qubit baseline.
 EKERT_BITS_PER_PAIR = 2.0 / 9.0
@@ -355,47 +359,57 @@ def detection_probability(
 
 
 def _simulate(config: SimConfig) -> _Rounds:
-    """Every round of the batch, block by block, in run_round's draw order."""
+    """Every round of the batch, block by block, in run_round's draw order.
+
+    At efficiency 1 every detection succeeds, so those draws are not
+    computed.
+    """
     n = config.rounds
     attack = config.attack
     eve_photons = 0
     if attack is not None:
         eve_photons = 1 if attack.kind is AttackKind.SINGLE_INTERCEPT else 2
     eve_random = attack is not None and attack.strategy is EveBasisStrategy.RANDOM_PER_ROUND
-    draws = (eve_photons if eve_random else 0) + eve_photons + 6
+    detect = config.efficiency < 1.0
+    draws = (eve_photons if eve_random else 0) + eve_photons + 4 + 2 * detect
     cols = _Rounds(
         *(np.empty(n, dtype=np.int8) for _ in range(4)),
-        *(np.empty(n, dtype=bool) for _ in range(2)),
+        *(np.empty(n, dtype=bool) if detect else np.ones(n, dtype=bool) for _ in range(2)),
         *(np.empty((eve_photons, n), dtype=np.int8) if eve_photons else None
           for _ in range(2)),
     )
-    tables = MEASUREMENT_TABLES
+    threshold = np.uint64(below_threshold(config.efficiency)) if detect else None
     for lo in range(0, n, _BLOCK_ROUNDS):
         hi = min(lo + _BLOCK_ROUNDS, n)
-        u = iter(round_uniforms(config.seed, np.arange(lo, hi, dtype=np.uint64), draws))
-        state = np.zeros(hi - lo, dtype=np.int32)
-        # A basis draw below 1/2 picks type-I (code 0), as in choose_basis.
+        x = round_draws(config.seed, np.arange(lo, hi, dtype=np.uint64), draws)
+        state = SHARED_ID
+        # A basis is a draw's top bit: below 2**63 (a uniform below 1/2) is
+        # type-I (code 0), as in choose_basis.
         if eve_photons:
             if eve_random:
                 for k in range(eve_photons):
-                    cols.eve_basis[k, lo:hi] = next(u) >= 0.5
+                    cols.eve_basis[k, lo:hi] = next(x) >> 63
             else:
                 # Fixed strategies take no draw, so there is no stream to pass.
                 fixed = [_BASES.index(b) for b in attack.bases_for_round(None)]
                 cols.eve_basis[:, lo:hi] = np.array(fixed)[:, None]
             photons = (Photon.TWO,) if eve_photons == 1 else (Photon.ONE, Photon.TWO)
             for k, photon in enumerate(photons):
-                cols.eve_label[k, lo:hi], state = tables.measure(
-                    state, photon, cols.eve_basis[k, lo:hi], next(u)
-                )
+                slots = outcome_slots(state, photon, cols.eve_basis[k, lo:hi], next(x))
+                cols.eve_label[k, lo:hi] = OUTCOME_LABEL.take(slots)
+                state = OUTCOME_POST.take(slots)
         a_basis = cols.alice_basis[lo:hi]
         b_basis = cols.bob_basis[lo:hi]
-        a_basis[:] = next(u) >= 0.5
-        b_basis[:] = next(u) >= 0.5
-        cols.alice_label[lo:hi], state = tables.measure(state, Photon.ONE, a_basis, next(u))
-        cols.bob_label[lo:hi], _ = tables.measure(state, Photon.TWO, b_basis, next(u))
-        cols.alice_detected[lo:hi] = next(u) < config.efficiency
-        cols.bob_detected[lo:hi] = next(u) < config.efficiency
+        a_basis[:] = next(x) >> 63
+        b_basis[:] = next(x) >> 63
+        slots = outcome_slots(state, Photon.ONE, a_basis, next(x))
+        cols.alice_label[lo:hi] = OUTCOME_LABEL.take(slots)
+        state = OUTCOME_POST.take(slots)
+        slots = outcome_slots(state, Photon.TWO, b_basis, next(x))
+        cols.bob_label[lo:hi] = OUTCOME_LABEL.take(slots)
+        if detect:
+            np.less(next(x), threshold, out=cols.alice_detected[lo:hi])
+            np.less(next(x), threshold, out=cols.bob_detected[lo:hi])
     return cols
 
 

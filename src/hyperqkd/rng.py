@@ -6,13 +6,21 @@ grouped or ordered. The generator is SplitMix64: constant-time seeding,
 full 64-bit avalanche, and identical output on every platform.
 
 SplitMix64 is counter-based: draw ``j`` of a stream whose seed state is
-``s`` is ``mix64(s + (j + 1) * GAMMA)``. :func:`round_uniforms` and
+``s`` is ``mix64(s + (j + 1) * GAMMA)``. :func:`round_draws` and
 :func:`stream_uniforms` use that to compute many draws at once with numpy,
 bit-identical to the scalar :class:`RandomSource` they share constants with
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+
+A uniform is the top 53 bits of a draw ``x`` times 2**-53, so a comparison
+with a uniform can be made on ``x`` itself: ``uniform < 1/2`` is
+``x >> 63 == 0``, ``uniform < k/4`` is ``x >> 62 < k``, and
+``uniform < p`` is ``x < below_threshold(p)``.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Iterator
 
 import numpy as np
 
@@ -62,39 +70,52 @@ class RandomSource:
         return (self.next_u64() >> 11) * _INV_2_53
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64` over a uint64 array; array arithmetic wraps modulo 2**64."""
-    z = (z ^ (z >> 30)) * np.uint64(_MIX1)
-    z = (z ^ (z >> 27)) * np.uint64(_MIX2)
-    return z ^ (z >> 31)
+def below_threshold(p: float) -> int:
+    """The least draw ``x`` whose uniform is not below ``p``, for ``p`` in (0, 1].
 
-
-def _to_uniform(u: np.ndarray) -> np.ndarray:
-    # The top 53 bits convert to float64 exactly, as in RandomSource.uniform.
-    return (u >> 11).astype(np.float64) * _INV_2_53
-
-
-def round_uniforms(master_seed: int, round_ids: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of each round's stream.
-
-    Returns a ``(count, len(round_ids))`` float64 array whose entry
-    ``[j, k]`` equals the ``j``-th ``RandomSource.for_round(master_seed,
-    round_ids[k]).uniform()``.
+    ``uniform < p`` holds exactly when ``x >> 11 < ceil(p * 2**53)``, that
+    is when ``x < below_threshold(p)``; scaling by a power of two is exact,
+    so no rounding enters. The threshold is 2**64 when ``p`` is 1.
     """
-    seed = np.uint64(master_seed & _MASK64)
-    states = _mix64_array(seed ^ _mix64_array(np.asarray(round_ids, dtype=np.uint64)))
-    out = np.empty((count, len(states)), dtype=np.float64)
+    return math.ceil(float(p) * 2.0**53) << 11
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`mix64` over a uint64 array, in place; ``tmp`` is scratch of the
+    same shape. Array arithmetic wraps modulo 2**64."""
+    z ^= np.right_shift(z, 30, out=tmp)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, 27, out=tmp)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
+
+
+def round_draws(master_seed: int, round_ids: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """The first ``count`` raw draws of each round's stream, one array per draw.
+
+    The ``j``-th array yielded holds, at position ``k``, the ``j``-th
+    ``RandomSource.for_round(master_seed, round_ids[k]).next_u64()`` as
+    uint64. Every draw is computed in place into the same buffer, so an
+    array is valid only until the next one is asked for.
+    """
+    states = np.array(round_ids, dtype=np.uint64)
+    out = np.empty_like(states)
+    tmp = np.empty_like(states)
+    states = _mix64_inplace(states, tmp)
+    states ^= np.uint64(master_seed & _MASK64)
+    _mix64_inplace(states, tmp)
     for j in range(count):
         # The offset is reduced as a Python int: numpy scalar arithmetic
         # would warn on the wrap-around that array arithmetic does silently.
-        out[j] = _to_uniform(
-            _mix64_array(states + np.uint64(((j + 1) * _GAMMA) & _MASK64))
-        )
-    return out
+        np.add(states, np.uint64(((j + 1) * _GAMMA) & _MASK64), out=out)
+        yield _mix64_inplace(out, tmp)
 
 
 def stream_uniforms(master_seed: int, stream_label: int, count: int) -> np.ndarray:
     """The first ``count`` uniforms of ``RandomSource.for_stream(master_seed, stream_label)``."""
     state = np.uint64(mix64((master_seed & _MASK64) ^ mix64(stream_label)))
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    return _to_uniform(_mix64_array(state + steps))
+    # The top 53 bits convert to float64 exactly, as in RandomSource.uniform.
+    draws = _mix64_inplace(state + steps, np.empty(count, dtype=np.uint64))
+    return (draws >> 11).astype(np.float64) * _INV_2_53

@@ -21,6 +21,7 @@ from hyperqkd import (
     measure_party,
     measure_single,
 )
+from hyperqkd import hilbert
 
 import oracle
 
@@ -431,3 +432,107 @@ class TestSamplingContract:
         for _ in range(5000):
             res = measure_single(bell_vector(BellLabel.OMEGA_PLUS), BasisType.TYPE_I, rng)
             assert res.label in (BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
+
+
+class Words(RandomSource):
+    """A stream whose raw draws are the given words, in order."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+
+    def next_u64(self):
+        return self.words.pop(0)
+
+
+CLOSED_IDS = range(hilbert.SHARED_ID + 1)
+BASIS_CODES = {basis: code for code, basis in enumerate(BasisType)}
+
+
+def _row(sid, photon, basis):
+    return 4 * sid + 2 * (photon.value - 1) + BASIS_CODES[basis]
+
+
+class TestClosedTables:
+    """The fixed tables of the protocol's closed state set."""
+
+    def test_fixed_ids(self):
+        codes = [lab for basis in BasisType for lab in basis_labels(basis)]
+        for c1, a in enumerate(codes):
+            for c2, b in enumerate(codes):
+                np.testing.assert_array_equal(
+                    hilbert._STATES[8 * c1 + c2], np.kron(bell_vector(a), bell_vector(b))
+                )
+        assert hilbert._STATES[hilbert.SHARED_ID] is build_shared_state()
+
+    @pytest.mark.parametrize("sid", CLOSED_IDS)
+    def test_rows_are_computed_probabilities_in_quarters(self, sid):
+        state = hilbert._STATES[sid]
+        for photon in Photon:
+            for basis in BasisType:
+                probs, posts = hilbert._joint_table(state, photon, basis)
+                row = _row(sid, photon, basis)
+                quarters = hilbert._QUARTERS[4 * row:4 * row + 4].tolist()
+                assert quarters == [round(4 * p) for p in probs]
+                # The computed probabilities are the quarters up to rounding,
+                # so a label of 0 quarters has exact probability 0.
+                assert max(abs(4 * p - q) for p, q in zip(probs, quarters)) <= 1e-12
+                slots = 4 * row + np.arange(4)
+                labels = hilbert.OUTCOME_LABEL[slots]
+                # Each label is picked by as many of the four top-two-bit
+                # values as it has quarters (so never when it has none), in
+                # label order, as inverse-CDF sampling picks them.
+                assert np.bincount(labels, minlength=4).tolist() == quarters
+                assert (np.diff(labels) >= 0).all()
+                for lab, post in zip(labels.tolist(), hilbert.OUTCOME_POST[slots].tolist()):
+                    assert post in CLOSED_IDS
+                    assert fidelity(posts[lab], hilbert._STATES[post]) >= 1.0 - ATOL
+
+    def test_certain_outcome_at_the_top_draw(self):
+        # Eve measures photon 2 in type-I and gets Phi+; Alice measures photon
+        # 1 in type-II and gets chi-. Bob's type-I outcome is then certainly
+        # Phi+: computed probabilities leave about 5e-34 on Phi-, which
+        # sampling from them picks for every uniform at or above their sum,
+        # 1 - 2**-51.
+        top = 2**64 - 1  # uniform 1 - 2**-53
+        eve = measure_party(build_shared_state(), Photon.TWO, BasisType.TYPE_I, Words(0))
+        alice = measure_party(eve.post_state, Photon.ONE, BasisType.TYPE_II, Words(0))
+        assert (eve.label, alice.label) == (BellLabel.PHI_PLUS, BellLabel.CHI_MINUS)
+        bob = measure_party(alice.post_state, Photon.TWO, BasisType.TYPE_I, Words(top))
+        assert bob.label is BellLabel.PHI_PLUS
+        assert bob.probability == 1.0
+        # The batch engine reads the same tables.
+        state = hilbert.SHARED_ID
+        for photon, basis, word, want in [
+            (Photon.TWO, 0, 0, 0), (Photon.ONE, 1, 0, 1), (Photon.TWO, 0, top, 0)
+        ]:
+            slots = hilbert.outcome_slots(state, photon, basis, np.array([word], np.uint64))
+            assert hilbert.OUTCOME_LABEL.take(slots).tolist() == [want]
+            state = hilbert.OUTCOME_POST.take(slots)
+
+    @pytest.mark.parametrize("photon", list(Photon))
+    @pytest.mark.parametrize("basis", list(BasisType))
+    def test_batch_slots_equal_measure_party(self, photon, basis):
+        words = np.random.default_rng(5).integers(0, 2**64, 2 * len(CLOSED_IDS),
+                                                  dtype=np.uint64, endpoint=False)
+        ids = np.tile(np.arange(len(CLOSED_IDS)), 2)
+        code = np.full(len(ids), BASIS_CODES[basis], dtype=np.int8)
+        slots = hilbert.outcome_slots(ids, photon, code, words.copy())
+        for sid, word, lab, post in zip(ids.tolist(), words.tolist(),
+                                        hilbert.OUTCOME_LABEL.take(slots).tolist(),
+                                        hilbert.OUTCOME_POST.take(slots).tolist()):
+            res = measure_party(hilbert._STATES[sid], photon, basis, Words(word))
+            assert res.label is basis_labels(basis)[lab]
+            assert res.post_state is hilbert._STATES[post]
+            assert res.probability > 0.0
+
+    def test_other_states_are_not_snapped(self):
+        # A state a rounding error away from a closed-set one is measured
+        # with its own computed probabilities and collapses off the set.
+        near = hilbert._STATES[9].copy()
+        near[5] += 1e-13
+        near /= np.linalg.norm(near)
+        for word in (0, 2**63, 2**64 - 1):
+            res = measure_party(near, Photon.TWO, BasisType.TYPE_II, Words(word))
+            probs, _ = hilbert._joint_table(near, Photon.TWO, BasisType.TYPE_II)
+            assert res.probability == probs[basis_labels(BasisType.TYPE_II).index(res.label)]
+            assert res.post_state.tobytes() not in hilbert._STATE_IDS
