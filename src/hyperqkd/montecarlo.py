@@ -443,18 +443,21 @@ def _rows(
     return 8 * basis.take(ids).astype(np.intp) + 2 * label.take(ids) + offset
 
 
-def eve_information_se(
-    information: float, known: np.ndarray, widths: np.ndarray, key_len: int
-) -> float:
+def eve_information_se(known_bits: int, known_sq: int, width_sq: int, key_len: int) -> float:
     """Standard error of Eve's information, clustered by round.
 
     Eve knows both bits of a same-basis round or neither, so the key bits
-    are not independent. With ``known`` her per-round knowledge, ``widths``
-    each round's key bits b_r and k_r = b_r if known else 0, this is the
-    ratio estimator's sqrt(sum_r (k_r - information * b_r)**2) / key_len.
+    are not independent. With b_r each key round's bits, k_r = b_r if she
+    knows the round else 0, and the integer counts K = sum_r k_r
+    (``known_bits``), A = sum_r k_r**2 (``known_sq``), B = sum_r b_r**2
+    (``width_sq``) and L = ``key_len``, the ratio estimator's
+    sqrt(sum_r (k_r - K/L * b_r)**2) / L is sqrt(A L**2 - 2 K A L + K**2 B)
+    / L**2. The radicand is an exact integer, so the result is the same on
+    every host.
     """
-    resid = widths * (known - information)
-    return math.sqrt(float(np.dot(resid, resid))) / key_len
+    radicand = (known_sq * key_len**2 - 2 * known_bits * known_sq * key_len
+                + known_bits**2 * width_sq)
+    return math.sqrt(radicand) / key_len**2
 
 
 def run_batch(config: SimConfig) -> BatchResult:
@@ -503,8 +506,12 @@ def run_batch(config: SimConfig) -> BatchResult:
             cell = _rows(rounds.eve_basis[-1], rounds.eve_label[-1], key_ids,
                          rounds.bob_basis.take(key_ids))
             known = _EVE_KNOWS.ravel().take(cell)
-            info = int(np.count_nonzero(known) + np.count_nonzero(known & key_same)) / key_len
-            info_se = eve_information_se(info, known, key_same + 1, key_len)
+            # A same-basis round weighs 2 bits (4 squared), any other 1.
+            known_rounds = int(np.count_nonzero(known))
+            known_same = int(np.count_nonzero(known & key_same))
+            info = (known_rounds + known_same) / key_len
+            info_se = eve_information_se(known_rounds + known_same, known_rounds + 3 * known_same,
+                                         key_len + 2 * int(np.count_nonzero(key_same)), key_len)
             scores = _GUESS_ROWS.take(2 * cell + key_diff, axis=0).ravel()
             # Summed left to right, as eve_guess_accuracy does: the scores
             # are not all exact, so the order decides the last bit. Adding a

@@ -234,14 +234,10 @@ def test_double_intercept_across_blocks(attack):
 def test_eve_information_se_hand_built_key():
     # Rounds: same-basis known, same-basis unknown, different-basis known,
     # different-basis unknown -> 3 of 6 key bits known.
-    known = np.array([True, False, True, False])
-    widths = np.array([2, 2, 1, 1])
-    info = 3 / 6
+    # known bits K = 2 + 1, their squares A = 4 + 1, all squares B = 4 + 4 + 1 + 1;
     # residuals k_r - info * b_r: 1, -1, 0.5, -0.5
     expected = math.sqrt(1 + 1 + 0.25 + 0.25) / 6
-    assert montecarlo.eve_information_se(info, known, widths, 6) == pytest.approx(
-        expected, rel=1e-15
-    )
+    assert montecarlo.eve_information_se(3, 5, 10, 6) == pytest.approx(expected, rel=1e-15)
     # A binomial SE over the six bits would read sqrt(0.25 / 6), too small.
     assert expected > math.sqrt(0.25 / 6)
 

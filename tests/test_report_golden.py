@@ -3,17 +3,25 @@
 The digests below were taken from the ``--deterministic-output --check``
 reports of the program as it was just before key extraction and Eve's
 estimators became row-table gathers, generated on that earlier commit so
-that the rewrite had to reproduce them. Any change to a report's bytes, in
-the statistics, the keys or the rendering, fails here. The cases are the
+that the rewrite had to reproduce them. Ten of them were regenerated when
+``eve_information_se`` moved from a floating-point dot product, whose sum
+order depends on the BLAS thread count, to exact integer counts; those
+reports changed only in the last digit of that field. Any change to a
+report's bytes, in the statistics, the keys or the rendering, fails here. The cases are the
 six scenarios at efficiency 1.0 and 0.5, in JSON and CSV, at 2 000
 rounds, and one 70 000-round call per attack kind, which crosses the
 engine's 65 536-round block. All use seed 1.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hyperqkd
 from hyperqkd.cli import main
 
 # (attack, eve bases, efficiency, format, rounds) -> SHA-256 of the report.
@@ -35,21 +43,21 @@ DIGESTS = {
     ("single", "random", 0.5, "csv", 2000):
         "b738d0f11696088bea6fad6dc07dabf7855a052231e71ca833c593ba3ff6a9ea",
     ("single", "same", 1.0, "json", 2000):
-        "f20cd01ef9a0d507cff723ef8a995aca71b8cb1bdd38b0cef2498abfee4dc964",
+        "e1cba0a4d84b853fd098b57cac0ecaf941928e0579cb823d6ec3b62234cedbce",
     ("single", "same", 1.0, "csv", 2000):
-        "ef2069033b1fcd004d24bf715ef145427da8481694b6ad27bbe73a0afda77bea",
+        "ab849ffb866bf109145a0493866e4ac6664abe26c42b5e24d259c8f6f733f1eb",
     ("single", "same", 0.5, "json", 2000):
-        "4d833dc417ff47154a39c11471074ee3e6da128ac4fa839e643eaba3533b5c78",
+        "f86622aab14413c7a7e7ba9d8d795778b433ba48b8b3fbf2b285dde69b95e6a2",
     ("single", "same", 0.5, "csv", 2000):
-        "4dfea6595fad34bf2bb6edf9a8e4c9012e197bacd9a4f0712016223b5da6ee4a",
+        "648d46d503c10f6b6b20dbead4e0a2b1332a62716f34e37bd64ed0f592f34c56",
     ("double", "random", 1.0, "json", 2000):
-        "03edfdc852a87c7d84b373bd693613dc0281c7a32d2ace31f45c065557f388de",
+        "c3375a6bf5c1d46865fe7fd17e025a9da4bc68ba4a935a0547df363971b9ce33",
     ("double", "random", 1.0, "csv", 2000):
-        "7eff09901a25649bfcecc7142dde65d38197aa11bcb99850442a6d2aab46b8c1",
+        "676bfcf9b1ddb31a4ba259bed5a26f7e8977213ada3d6963ab8e957e2259a862",
     ("double", "random", 0.5, "json", 2000):
-        "f2a5ca60170122c291bd0da91bade504ac184204b1f32cbf1906247084f0d41f",
+        "bcf1976ead6ed54777129820a17d2baed370d41b2e20d52bc828989ef47aa866",
     ("double", "random", 0.5, "csv", 2000):
-        "4cd495ed4d8eb33e6f4d8035fb10054061a5e14ec02157f7622d0dceb0e3fbb3",
+        "6a37d82ef2e7e4d33774949f6437e7608f7d54b42b9b391c60f2654528c33e2f",
     ("double", "same", 1.0, "json", 2000):
         "f6a47b2644f4ff77763c2fed464d167633e1740fef747043b3349ccabf6a1a39",
     ("double", "same", 1.0, "csv", 2000):
@@ -69,20 +77,51 @@ DIGESTS = {
     ("none", None, 0.9, "json", 70000):
         "2c85ac2aada7255692fda1407bedb60409ae75b1ff39b1c4310dac707bc134de",
     ("single", None, 0.9, "json", 70000):
-        "80cf0c02603e710f43ce09c6c85f674fc89ec4a7f31db10c9876d8fcbbfd1136",
+        "87a5093d72af551085fffac5b6d3fe73d2150b7a97ddbcf8ffe3964fddb15786",
     ("double", None, 0.9, "json", 70000):
-        "774519d2115a1f2237ef105e7abb0fb2035cc09d7c2582b0e704a310fe140654",
+        "a17320abe24ac5fe2d1301b80e5250f95b68e1054c308fd4099321c5f0876d4b",
 }
+
+
+def _argv(case, out):
+    attack, eve_bases, efficiency, fmt, rounds = case
+    argv = ["--rounds", str(rounds), "--seed", "1", "--efficiency", str(efficiency),
+            "--attack", attack, "--format", fmt, "--check", "--deterministic-output"]
+    if eve_bases is not None:
+        argv += ["--eve-bases", eve_bases]
+    return argv + ["--out", str(out)]
 
 
 @pytest.mark.parametrize("case", list(DIGESTS), ids=lambda c: "-".join(map(str, c)))
 def test_report_bytes(case, tmp_path):
-    attack, eve_bases, efficiency, fmt, rounds = case
     out = tmp_path / "report"
-    argv = ["--rounds", str(rounds), "--seed", "1", "--efficiency", str(efficiency),
-            "--attack", attack, "--format", fmt, "--check", "--deterministic-output",
-            "--out", str(out)]
-    if eve_bases is not None:
-        argv += ["--eve-bases", eve_bases]
-    assert main(argv) == 0
+    assert main(_argv(case, out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[case]
+
+
+# Runs each argv list given as JSON, whose last item is the report's path,
+# and prints the reports' SHA-256 digests.
+_CHILD = """
+import hashlib, json, sys
+from hyperqkd.cli import main
+digests = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+    with open(argv[-1], "rb") as f:
+        digests.append(hashlib.sha256(f.read()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def test_report_bytes_with_one_blas_thread(tmp_path):
+    # The same reports from a process whose BLAS and OpenMP run one thread,
+    # as on a one-core host. The thread count is read when numpy loads, so
+    # the cases run in a fresh interpreter.
+    src = os.path.dirname(os.path.dirname(hyperqkd.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argvs = [_argv(case, tmp_path / f"report{i}") for i, case in enumerate(DIGESTS)]
+    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert dict(zip(DIGESTS, json.loads(done.stdout))) == DIGESTS
