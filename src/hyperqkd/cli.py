@@ -159,12 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing does not change the parser, and building it costs a
+# tenth of a short run.
+_PARSER = build_parser()
+
+
 def parse_config(argv: Sequence[str]) -> tuple[SimConfig, ReportOptions]:
     """Parse CLI arguments into a simulation config and output options.
 
     Raises SystemExit(2) on usage errors, naming the offending flag.
     """
-    parser = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
 
     attack = None

@@ -111,6 +111,16 @@ class TestParseConfig:
             parse_config(["--frobnicate"])
         assert excinfo.value.code == 2
 
+    def test_parser_is_reused_unchanged(self, capsys):
+        # parse_config reuses one parser; a failed parse leaves nothing behind
+        # for the next call, and build_parser still makes a fresh one.
+        with pytest.raises(SystemExit):
+            parse_config(["--rounds", "0", "--attack", "double"])
+        config, options = parse_config(["--rounds", "5"])
+        assert (config.rounds, config.attack, options.check) == (5, None, False)
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser().format_help() == cli._PARSER.format_help()
+
 
 class TestReportDocuments:
     def test_json_round_trip_exact(self, tmp_path):
