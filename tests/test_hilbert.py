@@ -516,7 +516,7 @@ class TestClosedTables:
                                                   dtype=np.uint64, endpoint=False)
         ids = np.tile(np.arange(len(CLOSED_IDS)), 2)
         code = np.full(len(ids), BASIS_CODES[basis], dtype=np.int8)
-        slots = hilbert.outcome_slots(ids, photon, code, words.copy())
+        slots = hilbert.outcome_slots(ids, photon, code, words)
         for sid, word, lab, post in zip(ids.tolist(), words.tolist(),
                                         hilbert.OUTCOME_LABEL.take(slots).tolist(),
                                         hilbert.OUTCOME_POST.take(slots).tolist()):

@@ -8,6 +8,7 @@ integer rule to its float comparison, on the words where they could part.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,18 +22,9 @@ PROBABILITIES = st.floats(min_value=5e-324, max_value=1.0)
 EDGE_PROBABILITIES = [1.0, 0.9, 0.5, 0.05, math.nextafter(1.0, 0.0), 5e-324]
 
 
-class Words(RandomSource):
-    """A stream whose raw draws are the given words, in order."""
-
-    def __init__(self, *words):
-        self.words = list(words)
-
-    def next_u64(self):
-        return self.words.pop(0)
-
-
 def uniform_of(word):
-    return Words(word).uniform()
+    """``RandomSource.uniform`` of a stream whose next raw draw is ``word``."""
+    return RandomSource.uniform(SimpleNamespace(next_u64=lambda: word))
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,11 +41,6 @@ def test_block_draws_equal_scalar_stream(seed, round_ids, count):
         want = [rand.next_u64() for _ in range(count)]
         assert [int(block[k]) for block in blocks] == want
     assert all(block.dtype == np.uint64 for block in blocks)
-
-
-def test_block_draws_reuse_one_buffer():
-    draws = round_draws(1, np.arange(4, dtype=np.uint64), 2)
-    assert next(draws) is next(draws)
 
 
 def test_stream_uniforms_equal_scalar_stream():
