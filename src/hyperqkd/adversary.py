@@ -24,9 +24,9 @@ from .hilbert import (
     BasisType,
     BellLabel,
     Photon,
+    _CODES,
+    _OVERLAP_QUARTERS,
     basis_labels,
-    bell_vector,
-    fidelity,
     measure_party,
 )
 from .protocol import (
@@ -42,10 +42,12 @@ from .rng import RandomSource
 # |<basis label_i | resent label>|^2 for each (resent label, measuring basis),
 # aligned with basis_labels() order. Same-basis entries are 0/1; cross-basis
 # entries are 0 or 1/2 (each Bell state overlaps exactly two states of the
-# complementary basis).
+# complementary basis). Read from hilbert's exact quarters, so every value
+# is exactly 0, 1/2 or 1.
 _OVERLAP: dict[tuple[BellLabel, BasisType], tuple[float, ...]] = {
     (sent, basis): tuple(
-        fidelity(bell_vector(lab), bell_vector(sent)) for lab in basis_labels(basis)
+        int(_OVERLAP_QUARTERS[_CODES.index(lab), _CODES.index(sent)]) / 4
+        for lab in basis_labels(basis)
     )
     for sent in BellLabel
     for basis in BasisType

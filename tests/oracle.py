@@ -59,6 +59,25 @@ def prob_single(state4, label):
     return amp * amp
 
 
+def support(label, basis):
+    """Labels of ``basis`` that measuring the Bell state ``label`` can give."""
+    return [lab for lab in BASIS_LABELS[basis] if prob_single(VEC[label], lab) > _EPS]
+
+
+def guess_probability(label, basis, same, k=0):
+    """Probability that the best guess of one key bit is right when the key
+    owner measures the Bell state ``label`` in ``basis`` (``label`` None: a
+    state nobody touched, so every outcome of the basis is equally likely).
+
+    ``same`` selects the two-bit code and ``k`` its bit; otherwise the one-bit
+    code is guessed.
+    """
+    labels = BASIS_LABELS[basis]
+    post = {lab: 0.25 if label is None else prob_single(VEC[label], lab) for lab in labels}
+    q1 = sum(p for lab, p in post.items() if (CODE2[lab][k] if same else CODE1[lab]) == 1)
+    return max(q1, 1.0 - q1)
+
+
 def joint_prob(state16, label1, label2):
     amp = float(np.kron(VEC[label1], VEC[label2]) @ state16)
     return amp * amp
@@ -203,13 +222,8 @@ def single_eve_information(eve_bases=BASES, bob_basis_forced_to_eve=False):
                 w_bases = (1.0 / len(BASES)) * (1.0 / len(basis_bs))
                 w = w_eve * p_e * w_bases
                 nbits = 2 if basis_a == basis_b else 1
-                support = [
-                    lab
-                    for lab in BASIS_LABELS[basis_b]
-                    if prob_single(VEC[e], lab) > _EPS
-                ]
                 total += w * nbits
-                if len(support) == 1:
+                if len(support(e, basis_b)) == 1:
                     known += w * nbits
     return known / total
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hyperqkd import (
+    DIFF,
+    SAME,
     AttackConfig,
     AttackKind,
     BasisType,
@@ -30,6 +32,7 @@ from hyperqkd import (
     run_round,
     sift,
 )
+from hyperqkd.adversary import guess_score, knows_outcome
 
 import oracle
 
@@ -355,3 +358,25 @@ class TestEveInformation:
         errors = sum(a != b for a, b in zip(alice.bits, bob.bits))
         rate = errors / len(alice.bits)
         assert abs(rate - exact) <= 3 * math.sqrt(exact * (1 - exact) / len(alice.bits))
+
+
+class TestExactKnowledge:
+    """Eve's knowledge and guess scores against the oracle, label by label."""
+
+    @pytest.mark.parametrize("basis", list(BasisType))
+    @pytest.mark.parametrize("sent", list(BellLabel))
+    def test_knows_outcome_matches_oracle_support(self, sent, basis):
+        support = oracle.support(sent.value, basis.value)
+        assert knows_outcome(sent, basis) is (len(support) == 1)
+
+    @pytest.mark.parametrize("basis", list(BasisType))
+    @pytest.mark.parametrize("sent", [None, *BellLabel])
+    def test_guess_scores_are_exact_quarters(self, sent, basis):
+        for tag, pos in ((SAME, 0), (SAME, 1), (DIFF, 0)):
+            score = guess_score(sent, basis, tag, pos)
+            # Every posterior is a number of quarters, so is every score.
+            assert (4 * score).is_integer(), (tag, pos, score)
+            expected = oracle.guess_probability(
+                None if sent is None else sent.value, basis.value, tag == SAME, pos
+            )
+            assert score == round(4 * expected) / 4

@@ -1,6 +1,7 @@
 """Tests for the batch driver, estimators, and reproducibility contracts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -205,6 +206,30 @@ class TestRunBatch:
         )
         assert attacked.stats.eve_information == 0.0
         assert attacked.stats.eve_guess_accuracy == 0.0
+
+    def test_guess_accuracy_is_an_exact_count(self):
+        # hyperqkd --rounds 37 --seed 18446744073709551615 --attack single
+        # --eve-bases same: 45 key bits, guessed right 168 quarters of the time.
+        result = run_batch(SimConfig(
+            rounds=37, seed=2**64 - 1,
+            attack=AttackConfig(AttackKind.SINGLE_INTERCEPT, EveBasisStrategy.FIXED_SAME),
+        ))
+        stats = result.stats
+        records = {rec.round_id: rec for rec in result.records}
+        quarters = 0
+        prev, pos = None, 0
+        for rid, tag in result.bob_key.provenance:
+            pos = pos + 1 if rid == prev else 0
+            prev = rid
+            rec = records[rid]
+            score = oracle.guess_probability(
+                rec.eve_trace.outcomes[-1].value, rec.bob_basis.value, tag == "same", pos
+            )
+            quarters += round(4 * score)
+        n = 4 * stats.key_length
+        assert (stats.key_length, quarters) == (45, 168)
+        assert (stats.eve_guess_accuracy * n).is_integer()
+        assert stats.eve_guess_accuracy == float(Fraction(quarters, n)) == 42 / 45
 
 
 class TestDetectionProbability:
