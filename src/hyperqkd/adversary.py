@@ -11,6 +11,12 @@ and before either legitimate measurement:
 
 Eve resends exactly the eigenstate she measured; she records only her own
 basis choices and outcomes.
+
+Her knowledge of the receiver's key comes from the Born law of the state she
+resent, read as exact quarters from :func:`hyperqkd.hilbert.overlap_quarters`
+(each Bell state overlaps two states of the other basis, a half each), so
+:func:`knows_outcome` is an exact test and every :func:`guess_score` an exact
+multiple of 1/4.
 """
 
 from __future__ import annotations
@@ -24,10 +30,9 @@ from .hilbert import (
     BasisType,
     BellLabel,
     Photon,
-    _CODES,
-    _OVERLAP_QUARTERS,
     basis_labels,
     measure_party,
+    overlap_quarters,
 )
 from .protocol import (
     SAME,
@@ -38,31 +43,6 @@ from .protocol import (
     encode_same_basis,
 )
 from .rng import RandomSource
-
-# |<basis label_i | resent label>|^2 for each (resent label, measuring basis),
-# aligned with basis_labels() order. Same-basis entries are 0/1; cross-basis
-# entries are 0 or 1/2 (each Bell state overlaps exactly two states of the
-# complementary basis). Read from hilbert's exact quarters, so every value
-# is exactly 0, 1/2 or 1.
-_OVERLAP: dict[tuple[BellLabel, BasisType], tuple[float, ...]] = {
-    (sent, basis): tuple(
-        int(_OVERLAP_QUARTERS[_CODES.index(lab), _CODES.index(sent)]) / 4
-        for lab in basis_labels(basis)
-    )
-    for sent in BellLabel
-    for basis in BasisType
-}
-
-# Labels reachable with nonzero probability when the resent state is measured
-# in a basis; a singleton means the measuring party's outcome is certain.
-_SUPPORT: dict[tuple[BellLabel, BasisType], tuple[BellLabel, ...]] = {
-    key: tuple(
-        lab for lab, p in zip(basis_labels(key[1]), probs) if p > 1e-9
-    )
-    for key, probs in _OVERLAP.items()
-}
-
-_UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
 
 
 class AttackKind(Enum):
@@ -201,8 +181,9 @@ def _bit_positions(provenance: Sequence[tuple[int, str]]):
 
 def knows_outcome(eve_outcome: BellLabel, basis: BasisType) -> bool:
     """Whether the state Eve resent as ``eve_outcome`` has one possible
-    outcome when the receiver measures it in ``basis``."""
-    return len(_SUPPORT[(eve_outcome, basis)]) == 1
+    outcome when the receiver measures it in ``basis``: some label holds
+    all four quarters."""
+    return 4 in overlap_quarters(eve_outcome, basis)
 
 
 def guess_score(
@@ -212,17 +193,16 @@ def guess_score(
 
     ``eve_outcome`` is the photon-2 outcome she resent (None when she did
     not touch the round), ``basis`` the receiver's basis, ``tag`` the key
-    group and ``pos`` the bit's position within its round.
+    group and ``pos`` the bit's position within its round. Her posterior
+    over the receiver's outcome is :func:`hyperqkd.hilbert.overlap_quarters`
+    (one quarter each when she did not touch the round); with q quarters on
+    bit value 1 the score is exactly max(q, 4 - q) / 4.
     """
-    labels = basis_labels(basis)
-    probs = _UNIFORM4 if eve_outcome is None else _OVERLAP[(eve_outcome, basis)]
-    if tag == SAME:
-        q_one = sum(
-            p for p, lab in zip(probs, labels) if encode_same_basis(lab)[pos] == 1
-        )
-    else:
-        q_one = sum(p for p, lab in zip(probs, labels) if encode_diff_basis(lab) == 1)
-    return max(q_one, 1.0 - q_one)
+    quarters = (1, 1, 1, 1) if eve_outcome is None else overlap_quarters(eve_outcome, basis)
+    bits = (encode_same_basis(lab)[pos] if tag == SAME else encode_diff_basis(lab)
+            for lab in basis_labels(basis))
+    q = sum(n * bit for n, bit in zip(quarters, bits))
+    return max(q, 4 - q) / 4
 
 
 def eve_information(

@@ -66,7 +66,8 @@ class BasisType(Enum):
 
 
 class BellLabel(Enum):
-    """The eight Bell states, four per basis."""
+    """The eight Bell states, four per basis, declared basis by basis in
+    :class:`BasisType`'s order."""
 
     PHI_PLUS = "Phi+"
     PHI_MINUS = "Phi-"
@@ -89,25 +90,13 @@ class Photon(Enum):
     TWO = 2
 
 
-_TYPE_I_LABELS = (
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-)
-_TYPE_II_LABELS = (
-    BellLabel.CHI_PLUS,
-    BellLabel.CHI_MINUS,
-    BellLabel.OMEGA_PLUS,
-    BellLabel.OMEGA_MINUS,
-)
-_LABEL_BASIS = {label: BasisType.TYPE_I for label in _TYPE_I_LABELS}
-_LABEL_BASIS.update({label: BasisType.TYPE_II for label in _TYPE_II_LABELS})
-
-_BASIS_LABELS = {
-    BasisType.TYPE_I: _TYPE_I_LABELS,
-    BasisType.TYPE_II: _TYPE_II_LABELS,
-}
+#: A basis's code is its position here, a label's code its position in
+#: LABELS: 4 * basis code + index in basis. The batch engine's columns and
+#: tables hold these codes.
+BASES = tuple(BasisType)
+LABELS = tuple(BellLabel)
+_BASIS_LABELS = {basis: LABELS[4 * code:4 * code + 4] for code, basis in enumerate(BASES)}
+_LABEL_BASIS = {label: BASES[code // 4] for code, label in enumerate(LABELS)}
 
 
 def _frozen(vector) -> np.ndarray:
@@ -116,23 +105,23 @@ def _frozen(vector) -> np.ndarray:
     return arr
 
 
-_BELL_VECTORS = {
-    BellLabel.PHI_PLUS: _frozen([_SQRT1_2, 0.0, 0.0, _SQRT1_2]),
-    BellLabel.PHI_MINUS: _frozen([_SQRT1_2, 0.0, 0.0, -_SQRT1_2]),
-    BellLabel.PSI_PLUS: _frozen([0.0, _SQRT1_2, _SQRT1_2, 0.0]),
-    BellLabel.PSI_MINUS: _frozen([0.0, _SQRT1_2, -_SQRT1_2, 0.0]),
-    BellLabel.CHI_PLUS: _frozen([0.5, 0.5, 0.5, -0.5]),
-    BellLabel.CHI_MINUS: _frozen([0.5, 0.5, -0.5, 0.5]),
-    BellLabel.OMEGA_PLUS: _frozen([0.5, -0.5, 0.5, 0.5]),
-    BellLabel.OMEGA_MINUS: _frozen([-0.5, 0.5, 0.5, 0.5]),
-}
-
+# Row c is the Bell vector of label code c.
+_BELL = _frozen([
+    [_SQRT1_2, 0.0, 0.0, _SQRT1_2],    # Phi+
+    [_SQRT1_2, 0.0, 0.0, -_SQRT1_2],   # Phi-
+    [0.0, _SQRT1_2, _SQRT1_2, 0.0],    # Psi+
+    [0.0, _SQRT1_2, -_SQRT1_2, 0.0],   # Psi-
+    [0.5, 0.5, 0.5, -0.5],             # chi+
+    [0.5, 0.5, -0.5, 0.5],             # chi-
+    [0.5, -0.5, 0.5, 0.5],             # omega+
+    [-0.5, 0.5, 0.5, 0.5],             # omega-
+])
+_BELL_VECTORS = dict(zip(LABELS, _BELL))
 # Row l = the l-th Bell vector of the basis, in fixed label order. The Bell
 # vectors are real, so <bell|psi> needs no conjugation of the basis matrix.
-_BASIS_MATRIX = {
-    basis: _frozen(np.stack([_BELL_VECTORS[lab] for lab in labels]))
-    for basis, labels in _BASIS_LABELS.items()
-}
+_BASIS_MATRIX = {basis: _BELL[4 * code:4 * code + 4] for code, basis in enumerate(BASES)}
+# 4 |<a|b>|^2 for label codes a, b: 0 or 4 within a basis, 0 or 2 across.
+_OVERLAP_QUARTERS = np.rint(4 * abs(_BELL.conj() @ _BELL.T) ** 2).astype(np.int8)
 
 # Shared pair state: (1/2)(H1 V2 - V1 H2) x (a1 b2 - b1 a2), i.e. a
 # polarization singlet times a path singlet.
@@ -166,6 +155,14 @@ def basis_labels(basis: BasisType) -> tuple[BellLabel, ...]:
 def basis_of(label: BellLabel) -> BasisType:
     """Which of the two complementary bases a Bell label belongs to."""
     return _LABEL_BASIS[label]
+
+
+def overlap_quarters(sent: BellLabel, basis: BasisType) -> tuple[int, ...]:
+    """Exact outcome probabilities, in quarters, of measuring the Bell state
+    ``sent`` in ``basis``, for the basis's labels in order: (0, 0, 0, 4) up
+    to order within its own basis, two 2s and two 0s in the other."""
+    code = 4 * BASES.index(basis)
+    return tuple(_OVERLAP_QUARTERS[LABELS.index(sent), code:code + 4].tolist())
 
 
 def build_shared_state() -> np.ndarray:
@@ -275,29 +272,29 @@ def _single_table(state: np.ndarray, basis: BasisType) -> tuple[list[float], tup
     return entry
 
 
-# The closed set's measurement tables. A label code is 4 * basis code +
-# index in basis (basis code 0 for type-I, 1 for type-II). State id
+# The closed set's measurement tables, over the codes of LABELS. State id
 # 8 * c1 + c2 is the product of the Bell vectors with codes c1 (photon 1)
 # and c2 (photon 2), and SHARED_ID the shared state. Measuring a product
 # leaves the other photon's factor as it is; measuring the shared state
 # leaves the partner in the measured label's Bell vector (its conditional
 # state is +-1/2 times it). Up to a global phase, which changes no
 # probability, these 65 are all the states a round reaches.
-_BASES = tuple(BasisType)
-_CODES = tuple(lab for basis in _BASES for lab in _BASIS_LABELS[basis])
-_BELL = np.stack([_BELL_VECTORS[lab] for lab in _CODES])
-# 4 |<a|b>|^2 for label codes a, b: 0 or 4 within a basis, 0 or 2 across.
-_OVERLAP_QUARTERS = np.rint(4 * abs(_BELL.conj() @ _BELL.T) ** 2).astype(np.int8)
 
 #: Id of the shared state in the closed set.
 SHARED_ID = 64
 
 
+def _row(state_ids, photon: Photon, bases):
+    """Row of the closed set's tables for measuring ``photon`` of states
+    ``state_ids`` in ``bases`` (basis codes); single values or arrays."""
+    return 4 * state_ids + 2 * (photon.value - 1) + bases
+
+
 def _closed_tables():
-    """The closed set's tables, indexed by row 4 * id + 2 * (photon - 1) +
-    basis code: each label's probability in quarters at ``4 * row +
-    label``, and each draw's label and post-state id at ``4 * row + q``
-    (see :func:`outcome_slots`); and the states by id."""
+    """The closed set's tables, indexed by :func:`_row`: each label's
+    probability in quarters at ``4 * row + label``, and each draw's label and
+    post-state id at ``4 * row + q`` (see :func:`outcome_slots`); and the
+    states by id."""
     codes = np.arange(8).reshape(2, 4)  # [basis code, index in basis]
     c1, c2 = (c[:, None, None] for c in np.divmod(np.arange(SHARED_ID), 8))
     quarters = np.ones((SHARED_ID + 1, 2, 2, 4), dtype=np.int8)
@@ -342,8 +339,8 @@ def outcome_slots(state_ids, photon: Photon, bases, draws: np.ndarray) -> np.nda
     for the same draw.
     """
     slots = (draws >> 62).view(np.int64)
-    slots += 16 * state_ids + 8 * (photon.value - 1)
-    slots += 4 * bases
+    # An int64 id keeps the sum with int8 basis codes from overflowing.
+    slots += 4 * _row(np.asarray(state_ids, dtype=np.int64), photon, bases)
     return slots
 
 
@@ -384,7 +381,7 @@ def measure_party(
         return MeasurementResult(
             label=_BASIS_LABELS[basis][idx], probability=probs[idx], post_state=posts[idx]
         )
-    row = 4 * sid + 2 * (photon.value - 1) + _BASES.index(basis)
+    row = _row(sid, photon, BASES.index(basis))
     slot = 4 * row + (rand.next_u64() >> 62)
     idx = OUTCOME_LABEL.item(slot)
     return MeasurementResult(

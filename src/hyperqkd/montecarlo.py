@@ -13,8 +13,11 @@ threshold. Every record equals what the scalar reference
 verification and the detection strata are array operations on those
 columns. Key extraction and Eve's two estimators are gathers on
 small fixed tables: each key round picks, for each party, a row holding its
-two bits or its one bit and a filler, and for Eve a row of her knowledge
-and guess scores; dropping the fillers leaves the key bits in key order.
+two bits or its one bit and a filler, and for Eve whether she knows the
+round and her guess scores summed in quarters; dropping the fillers leaves
+the key bits in key order. Eve's tables come from the exact Bell overlaps of
+:mod:`hyperqkd.hilbert`, so her guess accuracy is an integer count of
+quarters divided once by 4 * key length.
 Each key stores its rounds' ids and same-basis flags and builds per-bit
 provenance only when asked. All of it is computed exactly as the reference
 functions ``sift``, ``verify_sample``, ``build_keys``, ``eve_information``,
@@ -51,8 +54,7 @@ from .adversary import (  # noqa: F401
     knows_outcome,
 )
 from .errors import ConfigurationError
-from .hilbert import (OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, BasisType, Photon,
-                      basis_labels, outcome_slots)
+from .hilbert import BASES, LABELS, OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, Photon, outcome_slots
 from .protocol import (  # noqa: F401
     DIFF,
     SAME,
@@ -194,28 +196,27 @@ _FIELD_NAMES = {
 # overhead is small, small enough that a block's draws stay a few megabytes.
 _BLOCK_ROUNDS = 65_536
 
-# Basis codes index _BASES; label codes are 4 * basis code + index in basis.
-_BASES = tuple(BasisType)
-_LABELS = tuple(lab for basis in _BASES for lab in basis_labels(basis))
+# Bases and labels are held as their codes in hilbert's BASES and LABELS.
 # A key-bit row holds a round's bits padded to two with _FILLER, which is no
 # bit value and fits in two bits. Row 2 * label code + (0 for a same-basis
 # round, 1 otherwise) of _BIT_ROWS is the label's two-bit code, or its one
 # bit and the filler.
 _FILLER = 2
 _BIT_ROWS = np.array(
-    [row for lab in _LABELS
+    [row for lab in LABELS
      for row in (encode_same_basis(lab), (encode_diff_basis(lab), _FILLER))],
     dtype=np.uint8,
 )
 # Cell 2 * (Eve's photon-2 label code) + receiver's basis code: whether she
-# knows the receiver's outcome. Row 2 * cell + (0 for a same-basis round, 1
-# otherwise) of _GUESS_ROWS: her guess scores for the round's key bits,
-# padded to two with 0.0.
-_EVE_KNOWS = np.array([[knows_outcome(lab, b) for b in _BASES] for lab in _LABELS])
-_GUESS_ROWS = np.array(
-    [row for lab in _LABELS for b in _BASES
-     for row in ((guess_score(lab, b, SAME, 0), guess_score(lab, b, SAME, 1)),
-                 (guess_score(lab, b, DIFF, 0), 0.0))]
+# knows the receiver's outcome. Entry 2 * cell + (0 for a same-basis round, 1
+# otherwise) of _GUESS_QUARTERS: her guess scores for the round's key bits,
+# summed, in quarters (each score is an exact number of quarters).
+_EVE_KNOWS = np.array([[knows_outcome(lab, b) for b in BASES] for lab in LABELS])
+_GUESS_QUARTERS = np.array(
+    [int(4 * score) for lab in LABELS for b in BASES
+     for score in (guess_score(lab, b, SAME, 0) + guess_score(lab, b, SAME, 1),
+                   guess_score(lab, b, DIFF, 0))],
+    dtype=np.int8,
 )
 
 
@@ -250,8 +251,8 @@ class _Rounds:
             traces = [
                 EveRecord(
                     rid,
-                    tuple(_BASES[b] for b in bases),
-                    tuple(_LABELS[4 * b + lab] for b, lab in zip(bases, labels)),
+                    tuple(BASES[b] for b in bases),
+                    tuple(LABELS[4 * b + lab] for b, lab in zip(bases, labels)),
                 )
                 for rid, (bases, labels) in enumerate(
                     zip(self.eve_basis.T.tolist(), self.eve_label.T.tolist())
@@ -260,10 +261,10 @@ class _Rounds:
         return tuple(
             RoundRecord(
                 round_id=rid,
-                alice_basis=_BASES[ab],
-                bob_basis=_BASES[bb],
-                alice_outcome=_LABELS[4 * ab + al] if ad else None,
-                bob_outcome=_LABELS[4 * bb + bl] if bd else None,
+                alice_basis=BASES[ab],
+                bob_basis=BASES[bb],
+                alice_outcome=LABELS[4 * ab + al] if ad else None,
+                bob_outcome=LABELS[4 * bb + bl] if bd else None,
                 alice_detected=ad,
                 bob_detected=bd,
                 eve_trace=trace,
@@ -391,7 +392,7 @@ def _simulate(config: SimConfig) -> _Rounds:
                     cols.eve_basis[k, lo:hi] = next(x) >> 63
             else:
                 # Fixed strategies take no draw, so there is no stream to pass.
-                fixed = [_BASES.index(b) for b in attack.bases_for_round(None)]
+                fixed = [BASES.index(b) for b in attack.bases_for_round(None)]
                 cols.eve_basis[:, lo:hi] = np.array(fixed)[:, None]
             photons = (Photon.TWO,) if eve_photons == 1 else (Photon.ONE, Photon.TWO)
             for k, photon in enumerate(photons):
@@ -512,12 +513,9 @@ def run_batch(config: SimConfig) -> BatchResult:
             info = (known_rounds + known_same) / key_len
             info_se = eve_information_se(known_rounds + known_same, known_rounds + 3 * known_same,
                                          key_len + 2 * int(np.count_nonzero(key_same)), key_len)
-            scores = _GUESS_ROWS.take(2 * cell + key_diff, axis=0).ravel()
-            # Summed left to right, as eve_guess_accuracy does: the scores
-            # are not all exact, so the order decides the last bit. Adding a
-            # filler 0.0 to the running sum of non-negative scores leaves it
-            # unchanged bit for bit.
-            accuracy = float(np.add.accumulate(scores, out=scores)[-1]) / key_len
+            # One correctly rounded division of exact integers: bit for bit
+            # what eve_guess_accuracy's exact float sum of quarters gives.
+            accuracy = int(_GUESS_QUARTERS.take(2 * cell + key_diff).sum()) / (4 * key_len)
         if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
             equal = rounds.eve_basis[0, same_ids] == rounds.eve_basis[1, same_ids]
             detection = _detection_stats(

@@ -121,6 +121,25 @@ class TestBellVectors:
         for label in TYPE_II:
             assert basis_of(label) is BasisType.TYPE_II
 
+    def test_codes_follow_declaration_order(self):
+        # The oracle lists each basis's labels in sampling order.
+        assert [b.value for b in hilbert.BASES] == list(oracle.BASES)
+        assert [lab.value for lab in hilbert.LABELS] == [*oracle.LABELS_I, *oracle.LABELS_II]
+        for code, label in enumerate(hilbert.LABELS):
+            assert basis_of(label) is hilbert.BASES[code // 4]
+            assert basis_labels(basis_of(label))[code % 4] is label
+
+    @pytest.mark.parametrize("basis", list(BasisType))
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_overlap_quarters_match_oracle(self, label, basis):
+        quarters = hilbert.overlap_quarters(label, basis)
+        probs = [oracle.prob_single(oracle.VEC[label.value], lab)
+                 for lab in oracle.BASIS_LABELS[basis.value]]
+        assert all(type(q) is int for q in quarters)
+        assert max(abs(q / 4 - p) for q, p in zip(quarters, probs)) <= ATOL
+        expected = [0, 0, 0, 4] if basis is label.basis else [0, 0, 2, 2]
+        assert sorted(quarters) == expected
+
     def test_eight_labels_two_bases(self):
         assert len(ALL_LABELS) == 8
         assert len(list(BasisType)) == 2
