@@ -29,7 +29,10 @@ the Bell-overlap matrix, give each measurement's outcome from the top two
 bits of its raw 64-bit draw alone (exact sampling from dyadic laws, Knuth
 and Yao 1976). :func:`measure_party` samples these states from the same
 tables as the batch engine; any other state is measured from its computed
-probabilities.
+probabilities. The same exact overlaps, as :func:`overlap_quarters`, are
+Eve's posteriors in :mod:`hyperqkd.adversary`. This module is the one home
+of the basis and label codes (:data:`BASES`, :data:`LABELS`) that the
+batch engine's columns and tables hold.
 """
 
 from __future__ import annotations
