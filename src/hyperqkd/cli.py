@@ -5,7 +5,9 @@ Report schema (version "1"): a JSON object with ``schema_version``,
 of the parsed flags), ``stats`` (every BatchStats field, standard errors
 included), ``keys`` (lengths and SHA-256 digests of both key strings) and,
 when --check is given, ``checks`` (one verdict per expected value for the
-configured scenario: within CHECK_Z standard errors, or exact). The CSV
+configured scenario: within CHECK_Z standard errors, or exact; null when
+the run has no data to estimate it from) and ``checks_passed`` (false when
+some verdict is false). The CSV
 format is a flat single-row projection in the fixed column order of
 CSV_FIELDS, derived from the dataclass fields: the config echo, the stats
 fields (``verification`` and ``detection`` flattened under the ``verify_``
@@ -14,7 +16,7 @@ two detection mismatch counts appear in JSON only. Empty cells stand for
 null. Every config rule lives in ``SimConfig.validate``; a violated rule
 is a usage error naming the flag.
 
-Exit status: 0 success, 1 at least one --check verdict failed, 2 usage
+Exit status: 0 success, 1 at least one --check verdict is false, 2 usage
 error, 3 output could not be written.
 """
 
@@ -271,7 +273,12 @@ def _lookup_metric(doc: dict, path: str):
 
 
 def evaluate_checks(result: BatchResult, config: SimConfig) -> list[dict]:
-    """Verdicts comparing this run's estimators with the scenario's expected values."""
+    """Verdicts comparing this run's estimators with the scenario's expected values.
+
+    A verdict's ``passed`` is None when its estimator is undefined for lack
+    of data (``actual`` or the band's SE is None): a short run that never
+    measured a quantity neither confirms nor refutes its expected value.
+    """
     if config.attack is None:
         scenario = ("none", None)
     else:
@@ -286,7 +293,7 @@ def evaluate_checks(result: BatchResult, config: SimConfig) -> list[dict]:
             se = null_se(stats_dict)
             tolerance = None if se is None else CHECK_Z * se
         if actual is None or tolerance is None:
-            passed = False
+            passed = None
         else:
             passed = abs(actual - expected) <= tolerance
         checks.append(
@@ -323,7 +330,7 @@ def build_report(
     }
     if checks is not None:
         doc["checks"] = checks
-        doc["checks_passed"] = all(c["passed"] for c in checks)
+        doc["checks_passed"] = all(c["passed"] is not False for c in checks)
     return doc
 
 
@@ -412,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
     if checks is not None:
-        failed = [c for c in checks if not c["passed"]]
+        failed = [c for c in checks if c["passed"] is False]
         for check in failed:
             print(
                 f"check failed: {check['metric']} = {check['actual']!r}, "

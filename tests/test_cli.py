@@ -2,9 +2,12 @@
 
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
+import pathlib
+import sys
 
 import pytest
 
@@ -21,6 +24,8 @@ from hyperqkd.cli import (
     render_json,
     ReportOptions,
 )
+
+_REPORT_GRID = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_grid.py"
 
 
 def _with_bias(result, factor):
@@ -283,6 +288,40 @@ class TestCheckMode:
         # these once failed against tolerances sized for 1e5 rounds
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["checks_passed"] is True
+
+    @pytest.mark.parametrize(
+        "argv, undefined",
+        [
+            # one round: no same-basis round, so no mismatch rate
+            (["--rounds", "1", "--seed", "1", "--check"], {"same_basis_mismatch_rate"}),
+            # no coincidence and an empty key: no band can be formed
+            (["--rounds", "37", "--seed", "1", "--efficiency", "0.05",
+              "--attack", "single", "--check"],
+             {"bits_per_coincidence", "same_basis_mismatch_rate", "eve_information"}),
+        ],
+    )
+    def test_undefined_verdicts_are_null(self, argv, undefined, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        parsed = json.loads(captured.out)
+        assert parsed["checks_passed"] is True
+        assert {c["metric"] for c in parsed["checks"] if c["passed"] is None} == undefined
+        assert all(c["passed"] is True for c in parsed["checks"]
+                   if c["metric"] not in undefined)
+
+    def test_report_grid_never_fails_a_correct_run(self, capsys, monkeypatch):
+        # Every scenario at 1 to 70 000 rounds, efficiency down to 0.05. The
+        # script puts its src/ on sys.path; the copy keeps that to this test.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("report_grid", _REPORT_GRID)
+        report_grid = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(report_grid)
+        assert report_grid.main([]) == 0
+        digests = json.loads(capsys.readouterr().out)
+        assert len(digests) == 576
+        assert {name for name, case in digests.items() if case["exit"] != 0} == set()
 
     def test_one_percent_bias_caught_at_1e6_rounds(self, capsys, monkeypatch):
         argv = ["--rounds", "1000000", "--seed", "5", "--check"]
