@@ -2,16 +2,16 @@
 
 A batch runs independent rounds whose randomness is derived per round from
 the master seed, so results are bit-identical for a given configuration.
-Rounds are simulated in fixed blocks as numpy columns (bases, outcome
-labels, detections and Eve's record), computing each round's raw 64-bit
-draws in the documented order and reading every decision off them as an
-integer: a basis is the draw's top bit, a measurement outcome a gather on
-the closed state set's fixed tables in :mod:`hyperqkd.hilbert` at the
-draw's top two bits, and a detection a comparison with the efficiency's
-threshold. Every record equals what the scalar reference
-:func:`hyperqkd.protocol.run_round` gives for the same round. Sifting,
-verification and the detection strata are array operations on those
-columns. Key extraction and Eve's two estimators are gathers on
+Rounds are simulated in fixed blocks as numpy columns (each party's and
+each of Eve's measurements as one label code, and the detections),
+computing each round's raw 64-bit draws in the documented order and
+reading every decision off them as an integer: a basis is the draw's top
+bit, a measurement outcome a gather on the closed state set's fixed tables
+in :mod:`hyperqkd.hilbert` at the draw's top two bits, and a detection a
+comparison with the efficiency's threshold. Every record equals what the
+scalar reference :func:`hyperqkd.protocol.run_round` gives for the same
+round. Sifting, verification and the detection strata are array operations
+on those columns. Key extraction and Eve's two estimators are gathers on
 small fixed tables: each key round picks, for each party, a row holding its
 two bits or its one bit and a filler, and for Eve whether she knows the
 round and her guess scores summed in quarters; dropping the fillers leaves
@@ -196,9 +196,10 @@ _FIELD_NAMES = {
 # overhead is small, small enough that a block's draws stay a few megabytes.
 _BLOCK_ROUNDS = 65_536
 
-# Bases and labels are held as their codes in hilbert's BASES and LABELS.
-# A key-bit row holds a round's bits padded to two with _FILLER, which is no
-# bit value and fits in two bits. Row 2 * label code + (0 for a same-basis
+# A measurement is held as its label code in hilbert's LABELS, whose basis
+# code is code >> 2; two codes of the same basis are equal exactly when the
+# labels are. A key-bit row holds a round's bits padded to two with
+# _FILLER, which is no bit value and fits in two bits. Row 2 * label code + (0 for a same-basis
 # round, 1 otherwise) of _BIT_ROWS is the label's two-bit code, or its one
 # bit and the filler.
 _FILLER = 2
@@ -224,52 +225,42 @@ _GUESS_QUARTERS = np.array(
 class _Rounds:
     """A batch's rounds as columns indexed by round id.
 
-    Bases are basis codes and labels indices within the basis (int8); the
-    Eve columns have one row per photon she measured, in measurement order,
-    and are None without an attack.
+    ``alice`` and ``bob`` hold each party's measurement as its label code
+    (int8), which carries the basis as ``code >> 2``; a party's outcome is
+    measured whether or not it is detected. ``eve`` holds Eve's label codes,
+    one row per photon she measured in measurement order, and is None
+    without an attack.
     """
 
-    alice_basis: np.ndarray
-    bob_basis: np.ndarray
-    alice_label: np.ndarray
-    bob_label: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
     alice_detected: np.ndarray
     bob_detected: np.ndarray
-    eve_basis: Optional[np.ndarray]
-    eve_label: Optional[np.ndarray]
+    eve: Optional[np.ndarray]
 
     def records(self) -> tuple[RoundRecord, ...]:
         """The rounds as the RoundRecords that ``run_round`` returns."""
-        cols = [
-            c.tolist()
-            for c in (self.alice_basis, self.bob_basis, self.alice_label,
-                      self.bob_label, self.alice_detected, self.bob_detected)
-        ]
-        if self.eve_basis is None:
+        cols = [c.tolist() for c in (self.alice, self.bob, self.alice_detected, self.bob_detected)]
+        if self.eve is None:
             traces = [None] * len(cols[0])
         else:
             traces = [
-                EveRecord(
-                    rid,
-                    tuple(BASES[b] for b in bases),
-                    tuple(LABELS[4 * b + lab] for b, lab in zip(bases, labels)),
-                )
-                for rid, (bases, labels) in enumerate(
-                    zip(self.eve_basis.T.tolist(), self.eve_label.T.tolist())
-                )
+                EveRecord(rid, tuple(BASES[c >> 2] for c in codes),
+                          tuple(LABELS[c] for c in codes))
+                for rid, codes in enumerate(self.eve.T.tolist())
             ]
         return tuple(
             RoundRecord(
                 round_id=rid,
-                alice_basis=BASES[ab],
-                bob_basis=BASES[bb],
-                alice_outcome=LABELS[4 * ab + al] if ad else None,
-                bob_outcome=LABELS[4 * bb + bl] if bd else None,
+                alice_basis=BASES[a >> 2],
+                bob_basis=BASES[b >> 2],
+                alice_outcome=LABELS[a] if ad else None,
+                bob_outcome=LABELS[b] if bd else None,
                 alice_detected=ad,
                 bob_detected=bd,
                 eve_trace=trace,
             )
-            for rid, (ab, bb, al, bl, ad, bd, trace) in enumerate(zip(*cols, traces))
+            for rid, (a, b, ad, bd, trace) in enumerate(zip(*cols, traces))
         )
 
 
@@ -359,6 +350,21 @@ def detection_probability(
     return _detection_stats(compared, mismatched)
 
 
+def _basis(draws: np.ndarray) -> np.ndarray:
+    """Basis codes read off raw draws: the top bit, so that a draw below
+    2**63 (a uniform below 1/2) is type-I (code 0), as in choose_basis."""
+    return (draws >> 63).astype(np.int8)
+
+
+def _measure(state, photon: Photon, bases, draws: np.ndarray, out: np.ndarray):
+    """Measure ``photon`` of closed-set states in ``bases`` (basis codes)
+    with their raw ``draws``: write the outcomes' label codes into ``out``
+    and return the post-measurement state ids."""
+    slots = outcome_slots(state, photon, bases, draws)
+    out[:] = OUTCOME_LABEL.take(slots) + 4 * bases
+    return OUTCOME_POST.take(slots)
+
+
 def _simulate(config: SimConfig) -> _Rounds:
     """Every round of the batch, block by block, in run_round's draw order.
 
@@ -374,40 +380,28 @@ def _simulate(config: SimConfig) -> _Rounds:
     detect = config.efficiency < 1.0
     draws = (eve_photons if eve_random else 0) + eve_photons + 4 + 2 * detect
     cols = _Rounds(
-        *(np.empty(n, dtype=np.int8) for _ in range(4)),
+        *(np.empty(n, dtype=np.int8) for _ in range(2)),
         *(np.empty(n, dtype=bool) if detect else np.ones(n, dtype=bool) for _ in range(2)),
-        *(np.empty((eve_photons, n), dtype=np.int8) if eve_photons else None
-          for _ in range(2)),
+        np.empty((eve_photons, n), dtype=np.int8) if eve_photons else None,
     )
+    photons = (Photon.TWO,) if eve_photons == 1 else (Photon.ONE, Photon.TWO)
     threshold = np.uint64(below_threshold(config.efficiency)) if detect else None
     for lo in range(0, n, _BLOCK_ROUNDS):
         hi = min(lo + _BLOCK_ROUNDS, n)
         x = round_draws(config.seed, np.arange(lo, hi, dtype=np.uint64), draws)
         state = SHARED_ID
-        # A basis is a draw's top bit: below 2**63 (a uniform below 1/2) is
-        # type-I (code 0), as in choose_basis.
         if eve_photons:
             if eve_random:
-                for k in range(eve_photons):
-                    cols.eve_basis[k, lo:hi] = next(x) >> 63
+                eve_bases = [_basis(next(x)) for _ in photons]
             else:
                 # Fixed strategies take no draw, so there is no stream to pass.
-                fixed = [BASES.index(b) for b in attack.bases_for_round(None)]
-                cols.eve_basis[:, lo:hi] = np.array(fixed)[:, None]
-            photons = (Photon.TWO,) if eve_photons == 1 else (Photon.ONE, Photon.TWO)
+                eve_bases = [BASES.index(b) for b in attack.bases_for_round(None)]
             for k, photon in enumerate(photons):
-                slots = outcome_slots(state, photon, cols.eve_basis[k, lo:hi], next(x))
-                cols.eve_label[k, lo:hi] = OUTCOME_LABEL.take(slots)
-                state = OUTCOME_POST.take(slots)
-        a_basis = cols.alice_basis[lo:hi]
-        b_basis = cols.bob_basis[lo:hi]
-        a_basis[:] = next(x) >> 63
-        b_basis[:] = next(x) >> 63
-        slots = outcome_slots(state, Photon.ONE, a_basis, next(x))
-        cols.alice_label[lo:hi] = OUTCOME_LABEL.take(slots)
-        state = OUTCOME_POST.take(slots)
-        slots = outcome_slots(state, Photon.TWO, b_basis, next(x))
-        cols.bob_label[lo:hi] = OUTCOME_LABEL.take(slots)
+                state = _measure(state, photon, eve_bases[k], next(x), cols.eve[k, lo:hi])
+        a_basis = _basis(next(x))
+        b_basis = _basis(next(x))
+        state = _measure(state, Photon.ONE, a_basis, next(x), cols.alice[lo:hi])
+        _measure(state, Photon.TWO, b_basis, next(x), cols.bob[lo:hi])
         if detect:
             np.less(next(x), threshold, out=cols.alice_detected[lo:hi])
             np.less(next(x), threshold, out=cols.bob_detected[lo:hi])
@@ -432,16 +426,8 @@ def _verify(
     for a, b in enumerate(swap.tolist()):
         slots[a], slots[b] = slots.get(b, b), slots.get(a, a)
     chosen = same_ids[[slots[a] for a in range(k)]]
-    mismatches = int(np.count_nonzero(rounds.alice_label[chosen] != rounds.bob_label[chosen]))
+    mismatches = int(np.count_nonzero(rounds.alice[chosen] != rounds.bob[chosen]))
     return VerificationReport(k, mismatches, mismatches / k), chosen
-
-
-def _rows(
-    basis: np.ndarray, label: np.ndarray, ids: np.ndarray, offset: np.ndarray
-) -> np.ndarray:
-    """2 * label code + ``offset`` for each round in ``ids``: a row of a
-    table with two rows per label code."""
-    return 8 * basis.take(ids).astype(np.intp) + 2 * label.take(ids) + offset
 
 
 def eve_information_se(known_bits: int, known_sq: int, width_sq: int, key_len: int) -> float:
@@ -472,7 +458,7 @@ def run_batch(config: SimConfig) -> BatchResult:
     config.validate()
     rounds = _simulate(config)
     coincident = rounds.alice_detected & rounds.bob_detected
-    same = coincident & (rounds.alice_basis == rounds.bob_basis)
+    same = coincident & ((rounds.alice >> 2) == (rounds.bob >> 2))
     same_ids = np.flatnonzero(same)
     verification, consumed = _verify(config, rounds, same_ids)
 
@@ -484,9 +470,10 @@ def run_batch(config: SimConfig) -> BatchResult:
     # Alice's rows go in bits 0-1 and Bob's in bits 2-3 of one byte; both
     # parties' fillers fall on the same slots, so one mask drops them and
     # leaves the key bits in key order.
-    alice_rows = _rows(rounds.alice_basis, rounds.alice_label, key_ids, key_diff)
-    bob_rows = _rows(rounds.bob_basis, rounds.bob_label, key_ids, key_diff)
-    packed = (_BIT_ROWS.take(alice_rows, axis=0) | _BIT_ROWS.take(bob_rows, axis=0) << 2).ravel()
+    alice_codes = rounds.alice.take(key_ids)
+    bob_codes = rounds.bob.take(key_ids)
+    packed = (_BIT_ROWS.take(2 * alice_codes + key_diff, axis=0)
+              | _BIT_ROWS.take(2 * bob_codes + key_diff, axis=0) << 2).ravel()
     packed = packed[packed != (_FILLER | _FILLER << 2)]
     alice_bits = packed & 3
     bob_bits = packed >> 2
@@ -494,7 +481,7 @@ def run_batch(config: SimConfig) -> BatchResult:
     coincidences = int(np.count_nonzero(coincident))
     same_n = len(same_ids)
     diff_n = coincidences - same_n
-    same_mismatch = rounds.alice_label[same_ids] != rounds.bob_label[same_ids]
+    same_mismatch = rounds.alice[same_ids] != rounds.bob[same_ids]
     mismatches = int(np.count_nonzero(same_mismatch))
     key_len = len(packed)
     key_errors = int(np.count_nonzero(alice_bits != bob_bits))
@@ -504,8 +491,7 @@ def run_batch(config: SimConfig) -> BatchResult:
         info = accuracy = 0.0
         if key_len:
             # Eve's photon-2 outcome decides what she knows of Bob's key.
-            cell = _rows(rounds.eve_basis[-1], rounds.eve_label[-1], key_ids,
-                         rounds.bob_basis.take(key_ids))
+            cell = 2 * rounds.eve[-1].take(key_ids) + (bob_codes >> 2)
             known = _EVE_KNOWS.ravel().take(cell)
             # A same-basis round weighs 2 bits (4 squared), any other 1.
             known_rounds = int(np.count_nonzero(known))
@@ -517,7 +503,8 @@ def run_batch(config: SimConfig) -> BatchResult:
             # what eve_guess_accuracy's exact float sum of quarters gives.
             accuracy = int(_GUESS_QUARTERS.take(2 * cell + key_diff).sum()) / (4 * key_len)
         if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
-            equal = rounds.eve_basis[0, same_ids] == rounds.eve_basis[1, same_ids]
+            eve_bases = rounds.eve[:, same_ids] >> 2
+            equal = eve_bases[0] == eve_bases[1]
             detection = _detection_stats(
                 [int(np.count_nonzero(equal)), int(np.count_nonzero(~equal))],
                 [int(np.count_nonzero(same_mismatch & equal)),
