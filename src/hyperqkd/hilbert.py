@@ -28,11 +28,13 @@ every Born probability is 0, 1/4, 1/2 or 1, so the fixed tables
 the Bell-overlap matrix, give each measurement's outcome from the top two
 bits of its raw 64-bit draw alone (exact sampling from dyadic laws, Knuth
 and Yao 1976). :func:`measure_party` samples these states from the same
-tables as the batch engine; any other state is measured from its computed
-probabilities. The same exact overlaps, as :func:`overlap_quarters`, are
-Eve's posteriors in :mod:`hyperqkd.adversary`. This module is the one home
-of the basis and label codes (:data:`BASES`, :data:`LABELS`) that the
-batch engine's columns and tables hold.
+tables as the batch engine. Any other state (only a caller outside the
+protocol makes one) is validated and measured from its computed
+probabilities on every call. The same exact overlaps, as
+:func:`overlap_quarters`, are Eve's posteriors in :mod:`hyperqkd.adversary`.
+This module is the one home of the basis and label codes (:data:`BASES`,
+:data:`LABELS`): the batch engine's columns hold one label code per
+measurement, and its tables are indexed by them.
 """
 
 from __future__ import annotations
@@ -218,22 +220,11 @@ def _sample_index(probs: list[float], u: float) -> int:
     return last
 
 
-# Measurement of a state outside the closed set is a pure function of
-# (state, target, basis) apart from the one draw, so the deterministic part
-# -- Born probabilities and the collapsed state per label -- is cached by
-# state content. Cached inputs skip re-validation; the cap only bounds
-# memory for callers measuring many distinct ad-hoc states.
-_MEASURE_CACHE: dict = {}
-_MEASURE_CACHE_MAX = 4096
-
-
+# A state outside the closed set is validated and measured from its
+# computed Born probabilities on every call; protocol rounds never reach one.
 def _joint_table(
     state: np.ndarray, photon: Photon, basis: BasisType
 ) -> tuple[list[float], tuple]:
-    key = (state.tobytes(), photon, basis)
-    entry = _MEASURE_CACHE.get(key)
-    if entry is not None:
-        return entry
     state = _require_normalized(state, 16, "joint state")
     m = state.reshape(4, 4)
     # Row l of `cond` is the partner photon's unnormalized conditional state
@@ -254,25 +245,14 @@ def _joint_table(
             post = np.multiply.outer(partner, bell).reshape(16)
         post.flags.writeable = False
         posts.append(post)
-    entry = (probs, tuple(posts))
-    if len(_MEASURE_CACHE) < _MEASURE_CACHE_MAX:
-        _MEASURE_CACHE[key] = entry
-    return entry
+    return probs, tuple(posts)
 
 
 def _single_table(state: np.ndarray, basis: BasisType) -> tuple[list[float], tuple]:
-    key = (state.tobytes(), None, basis)
-    entry = _MEASURE_CACHE.get(key)
-    if entry is not None:
-        return entry
     state = _require_normalized(state, 4, "state")
     coeffs = _BASIS_MATRIX[basis] @ state
     probs = (coeffs * coeffs.conj()).real.tolist()
-    posts = tuple(_BELL_VECTORS[label] for label in _BASIS_LABELS[basis])
-    entry = (probs, posts)
-    if len(_MEASURE_CACHE) < _MEASURE_CACHE_MAX:
-        _MEASURE_CACHE[key] = entry
-    return entry
+    return probs, tuple(_BELL_VECTORS[label] for label in _BASIS_LABELS[basis])
 
 
 # The closed set's measurement tables, over the codes of LABELS. State id
