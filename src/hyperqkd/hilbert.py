@@ -220,8 +220,8 @@ def _sample_index(probs: list[float], u: float) -> int:
     return last
 
 
-# A state outside the closed set is validated and measured from its
-# computed Born probabilities on every call; protocol rounds never reach one.
+# Measurement of a state outside the closed set, from its computed Born
+# probabilities; protocol rounds never reach one.
 def _joint_table(
     state: np.ndarray, photon: Photon, basis: BasisType
 ) -> tuple[list[float], tuple]:
