@@ -209,7 +209,7 @@ def eve_information(
     traces: Iterable[EveRecord],
     records: Iterable[RoundRecord],
     key: KeyBits,
-) -> float:
+) -> Optional[float]:
     """Fraction of the receiver's key bits whose value Eve can pin down.
 
     A bit counts as known only when Eve's record for its round, combined
@@ -226,7 +226,7 @@ def eve_information(
     records_by_id = _index_records(records)
     traces_by_id = _index_traces(traces, records_by_id)
     if not key.bits:
-        return 0.0
+        return None
     known = 0
     for rid, _tag in key.provenance:
         rec = records_by_id.get(rid)
@@ -245,7 +245,7 @@ def eve_guess_accuracy(
     traces: Iterable[EveRecord],
     records: Iterable[RoundRecord],
     key: KeyBits,
-) -> float:
+) -> Optional[float]:
     """Expected per-bit accuracy of Eve's best guess at the receiver's key.
 
     For each key bit, Eve's posterior over the key owner's outcome is the
@@ -258,7 +258,7 @@ def eve_guess_accuracy(
     records_by_id = _index_records(records)
     traces_by_id = _index_traces(traces, records_by_id)
     if not key.bits:
-        return 0.0
+        return None
     total = 0.0
     for rid, tag, pos in _bit_positions(key.provenance):
         rec = records_by_id.get(rid)

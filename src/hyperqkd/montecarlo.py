@@ -488,7 +488,6 @@ def run_batch(config: SimConfig) -> BatchResult:
 
     info = info_se = accuracy = detection = None
     if config.attack is not None:
-        info = accuracy = 0.0
         if key_len:
             # Eve's photon-2 outcome decides what she knows of Bob's key.
             cell = 2 * rounds.eve[-1].take(key_ids) + (bob_codes >> 2)

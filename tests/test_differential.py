@@ -200,8 +200,8 @@ def test_empty_key_under_attack():
         SimConfig(rounds=1, seed=1, efficiency=0.05, attack=ATTACKS[1])
     )
     assert result.stats.key_length == 0
-    assert result.stats.eve_information == 0.0
-    assert result.stats.eve_guess_accuracy == 0.0
+    assert result.stats.eve_information is None
+    assert result.stats.eve_guess_accuracy is None
     assert result.stats.eve_information_se is None
 
 

@@ -204,8 +204,8 @@ class TestRunBatch:
             SimConfig(rounds=40, seed=9, efficiency=0.01,
                       attack=AttackConfig(AttackKind.SINGLE_INTERCEPT))
         )
-        assert attacked.stats.eve_information == 0.0
-        assert attacked.stats.eve_guess_accuracy == 0.0
+        assert attacked.stats.eve_information is None
+        assert attacked.stats.eve_guess_accuracy is None
 
     def test_guess_accuracy_is_an_exact_count(self):
         # hyperqkd --rounds 37 --seed 18446744073709551615 --attack single
