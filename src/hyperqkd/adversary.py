@@ -16,14 +16,16 @@ Her knowledge of the receiver's key comes from the Born law of the state she
 resent, read as exact quarters from :func:`hyperqkd.hilbert.overlap_quarters`
 (each Bell state overlaps two states of the other basis, a half each), so
 :func:`knows_outcome` is an exact test and every :func:`guess_score` an exact
-multiple of 1/4.
+multiple of 1/4. Both estimators walk the receiver's key round by round
+(:attr:`hyperqkd.protocol.KeyBits.rounds`): a same-basis round carries two
+key bits and any other round one. Both are None for an empty key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import ConfigurationError
 from .hilbert import (
@@ -35,6 +37,7 @@ from .hilbert import (
     overlap_quarters,
 )
 from .protocol import (
+    DIFF,
     SAME,
     KeyBits,
     RoundRecord,
@@ -169,16 +172,6 @@ def _index_records(records: Iterable[RoundRecord]) -> dict[int, RoundRecord]:
     return by_id
 
 
-def _bit_positions(provenance: Sequence[tuple[int, str]]):
-    """Yield (round_id, tag, position-within-round) for each key bit."""
-    prev: Optional[int] = None
-    pos = 0
-    for rid, tag in provenance:
-        pos = pos + 1 if rid == prev else 0
-        prev = rid
-        yield rid, tag, pos
-
-
 def knows_outcome(eve_outcome: BellLabel, basis: BasisType) -> bool:
     """Whether the state Eve resent as ``eve_outcome`` has one possible
     outcome when the receiver measures it in ``basis``: some label holds
@@ -205,40 +198,52 @@ def guess_score(
     return max(q, 4 - q) / 4
 
 
+def _key_rounds(
+    traces: Iterable[EveRecord], records: Iterable[RoundRecord], key: KeyBits
+) -> list[tuple[BasisType, Optional[BellLabel], bool]]:
+    """For each round of the receiver's ``key``, in key order: the
+    receiver's basis, the photon-2 outcome Eve resent (None when she did
+    not touch the round) and whether it was a same-basis round."""
+    records_by_id = _index_records(records)
+    traces_by_id = _index_traces(traces, records_by_id)
+    rounds = []
+    round_ids, same = key.rounds
+    for rid, is_same in zip(round_ids.tolist(), same.tolist()):
+        rec = records_by_id.get(rid)
+        if rec is None:
+            raise ValueError(f"key bit references round {rid} with no record")
+        trace = traces_by_id.get(rid)
+        # outcomes[-1] is Eve's photon-2 outcome for either attack kind.
+        rounds.append((rec.bob_basis, None if trace is None else trace.outcomes[-1], is_same))
+    return rounds
+
+
 def eve_information(
     traces: Iterable[EveRecord],
     records: Iterable[RoundRecord],
     key: KeyBits,
 ) -> Optional[float]:
-    """Fraction of the receiver's key bits whose value Eve can pin down.
+    """Fraction of the receiver's key bits whose value Eve can pin down,
+    or None for an empty key.
 
     A bit counts as known only when Eve's record for its round, combined
     with the public basis announcements, determines the key owner's
     measurement outcome uniquely: the state she resent toward that party
     must have exactly one possible outcome in the announced basis. The bit
-    then follows by replaying the encoding rules on that outcome. Bits
-    whose generating outcome stays ambiguous count zero, even if the
-    candidate outcomes happen to share an encoded value.
+    then follows by replaying the encoding rules on that outcome, so she
+    knows both bits of a same-basis round or neither. Bits whose
+    generating outcome stays ambiguous count zero, even if the candidate
+    outcomes happen to share an encoded value.
 
     ``key`` is the receiver's (Bob's) key; ``traces`` and ``records`` must
     align by round id.
     """
-    records_by_id = _index_records(records)
-    traces_by_id = _index_traces(traces, records_by_id)
-    if not key.bits:
+    rounds = _key_rounds(traces, records, key)
+    if not len(key):
         return None
-    known = 0
-    for rid, _tag in key.provenance:
-        rec = records_by_id.get(rid)
-        if rec is None:
-            raise ValueError(f"key bit references round {rid} with no record")
-        trace = traces_by_id.get(rid)
-        if trace is None:
-            continue
-        # outcomes[-1] is Eve's photon-2 outcome for either attack kind.
-        if knows_outcome(trace.outcomes[-1], rec.bob_basis):
-            known += 1
-    return known / len(key.bits)
+    known = sum(1 + same for basis, eve_outcome, same in rounds
+                if eve_outcome is not None and knows_outcome(eve_outcome, basis))
+    return known / len(key)
 
 
 def eve_guess_accuracy(
@@ -246,25 +251,22 @@ def eve_guess_accuracy(
     records: Iterable[RoundRecord],
     key: KeyBits,
 ) -> Optional[float]:
-    """Expected per-bit accuracy of Eve's best guess at the receiver's key.
+    """Expected per-bit accuracy of Eve's best guess at the receiver's key,
+    or None for an empty key.
 
     For each key bit, Eve's posterior over the key owner's outcome is the
     Born distribution of the state she resent (uniform when she did not
     touch the round); the bit is guessed by the larger posterior mass under
     the encoding rules and scores its probability of being right. Captures
     the partial knowledge the certainty criterion of
-    :func:`eve_information` deliberately ignores.
+    :func:`eve_information` deliberately ignores. Every score is an exact
+    number of quarters, so the float sum is exact.
     """
-    records_by_id = _index_records(records)
-    traces_by_id = _index_traces(traces, records_by_id)
-    if not key.bits:
+    rounds = _key_rounds(traces, records, key)
+    if not len(key):
         return None
     total = 0.0
-    for rid, tag, pos in _bit_positions(key.provenance):
-        rec = records_by_id.get(rid)
-        if rec is None:
-            raise ValueError(f"key bit references round {rid} with no record")
-        trace = traces_by_id.get(rid)
-        eve_outcome = None if trace is None else trace.outcomes[-1]
-        total += guess_score(eve_outcome, rec.bob_basis, tag, pos)
-    return total / len(key.bits)
+    for basis, eve_outcome, same in rounds:
+        tag = SAME if same else DIFF
+        total += sum(guess_score(eve_outcome, basis, tag, pos) for pos in range(1 + same))
+    return total / len(key)

@@ -108,16 +108,16 @@ class SiftGroups:
 
 
 class KeyBits:
-    """A party's key material with per-bit provenance ``(round_id, group tag)``.
+    """A party's key material, held as its rounds.
 
-    Immutable. Held as arrays: the bits, and each bit's round id and
-    whether its round was a same-basis one. A key made by
-    :meth:`from_rounds` holds those two per round instead and builds the
-    per-bit arrays on first use; ``bits`` and ``provenance`` are tuples
-    built on first access.
+    Immutable. Holds the bits and, for each key round in key order, its
+    round id and whether it was a same-basis round, which gave two
+    consecutive bits (any other round gave one). The per-bit provenance
+    ``(round_id, group tag)`` and the ``bits`` tuple are built from those
+    on first access.
     """
 
-    __slots__ = ("_bits", "_rounds", "_per_bit", "_bits_tuple", "_provenance")
+    __slots__ = ("_bits", "_round_ids", "_same", "_bits_tuple", "_provenance")
 
     def __init__(
         self, bits: Sequence[int], provenance: Sequence[tuple[int, str]]
@@ -128,14 +128,15 @@ class KeyBits:
             raise ValueError("key bits must be 0 or 1")
         if any(tag not in (SAME, DIFF) for _, tag in provenance):
             raise ValueError(f"provenance tags must be {SAME!r} or {DIFF!r}")
-        self._init(
-            np.array(bits, dtype=np.uint8),
-            rounds=None,
-            per_bit=_read_only(
-                np.array([rid for rid, _ in provenance], dtype=np.int64),
-                np.array([tag == SAME for _, tag in provenance], dtype=bool),
-            ),
-        )
+        round_ids, same = [], []
+        entries = iter(provenance)
+        for rid, tag in entries:
+            if tag == SAME and tuple(next(entries, ())) != (rid, SAME):
+                raise ValueError(f"same-basis round {rid} must give two consecutive bits")
+            round_ids.append(rid)
+            same.append(tag == SAME)
+        self._hold(np.array(bits, dtype=np.uint8), np.array(round_ids, dtype=np.int64),
+                   np.array(same, dtype=bool))
 
     @classmethod
     def from_rounds(
@@ -145,21 +146,19 @@ class KeyBits:
         each round's id and whether it was a same-basis round (two bits) or
         not (one). The arrays are not copied."""
         key = cls.__new__(cls)
-        key._init(bits, rounds=_read_only(round_ids, same), per_bit=None)
+        key._hold(bits, round_ids, same)
         return key
 
-    def _init(self, bits: np.ndarray, rounds, per_bit) -> None:
-        (self._bits,) = _read_only(bits)
-        self._rounds, self._per_bit = rounds, per_bit
+    def _hold(self, bits: np.ndarray, round_ids: np.ndarray, same: np.ndarray) -> None:
+        for arr in (bits, round_ids, same):
+            arr.flags.writeable = False
+        self._bits, self._round_ids, self._same = bits, round_ids, same
         self._bits_tuple = self._provenance = None
 
-    def _bit_rounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each bit's round id and same-basis flag."""
-        if self._per_bit is None:
-            round_ids, same = self._rounds
-            widths = same + 1
-            self._per_bit = _read_only(np.repeat(round_ids, widths), np.repeat(same, widths))
-        return self._per_bit
+    @property
+    def rounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each key round's id and same-basis flag, in key order (read-only)."""
+        return self._round_ids, self._same
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -170,9 +169,11 @@ class KeyBits:
     @property
     def provenance(self) -> tuple[tuple[int, str], ...]:
         if self._provenance is None:
-            round_ids, same = self._bit_rounds()
-            tags = [SAME if s else DIFF for s in same.tolist()]
-            self._provenance = tuple(zip(round_ids.tolist(), tags))
+            self._provenance = tuple(
+                (rid, tag)
+                for rid, same in zip(self._round_ids.tolist(), self._same.tolist())
+                for tag in ((SAME, SAME) if same else (DIFF,))
+            )
         return self._provenance
 
     def __len__(self) -> int:
@@ -181,24 +182,16 @@ class KeyBits:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KeyBits):
             return NotImplemented
-        return np.array_equal(self._bits, other._bits) and all(
-            map(np.array_equal, self._bit_rounds(), other._bit_rounds())
-        )
+        return all(map(np.array_equal, (self._bits, *self.rounds), (other._bits, *other.rounds)))
 
     def __hash__(self) -> int:
-        return hash((self._bits.tobytes(), *(a.tobytes() for a in self._bit_rounds())))
+        return hash(tuple(a.tobytes() for a in (self._bits, *self.rounds)))
 
     def __repr__(self) -> str:
         return f"KeyBits({self.as_string()!r})"
 
     def as_string(self) -> str:
         return (self._bits + 48).tobytes().decode("ascii")
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 @dataclass(frozen=True)
@@ -303,29 +296,28 @@ def build_keys(
     """Extract both parties' key bits from sifted rounds in round-id order.
 
     Same-basis rounds contribute two bits, different-basis rounds one;
-    rounds consumed by verification are skipped.
+    rounds consumed by verification are skipped. Both keys share one
+    per-round array of ids and one of same-basis flags.
     """
     excluded = frozenset(verify_exclusions)
     alice_bits: list[int] = []
     bob_bits: list[int] = []
-    provenance: list[tuple[int, str]] = []
     ordered = sorted(
-        list(groups.same_basis) + list(groups.diff_basis), key=lambda r: r.round_id
+        (rec for group in (groups.same_basis, groups.diff_basis) for rec in group
+         if rec.round_id not in excluded),
+        key=lambda r: r.round_id,
     )
     for rec in ordered:
-        if rec.round_id in excluded:
-            continue
         if rec.alice_basis is rec.bob_basis:
             alice_bits.extend(_CODE_TWO_BITS[rec.alice_outcome])
             bob_bits.extend(_CODE_TWO_BITS[rec.bob_outcome])
-            provenance.append((rec.round_id, SAME))
-            provenance.append((rec.round_id, SAME))
         else:
             alice_bits.append(_CODE_ONE_BIT[rec.alice_outcome])
             bob_bits.append(_CODE_ONE_BIT[rec.bob_outcome])
-            provenance.append((rec.round_id, DIFF))
-    prov = tuple(provenance)
-    return KeyBits(tuple(alice_bits), prov), KeyBits(tuple(bob_bits), prov)
+    round_ids = np.array([rec.round_id for rec in ordered], dtype=np.int64)
+    same = np.array([rec.alice_basis is rec.bob_basis for rec in ordered], dtype=bool)
+    return (KeyBits.from_rounds(np.array(alice_bits, dtype=np.uint8), round_ids, same),
+            KeyBits.from_rounds(np.array(bob_bits, dtype=np.uint8), round_ids, same))
 
 
 def verify_sample(
