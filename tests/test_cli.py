@@ -231,6 +231,21 @@ class TestReportDocuments:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_empty_key_eve_estimators_are_null(self, fmt, capsys):
+        code = main(["--rounds", "37", "--seed", "1", "--efficiency", "0.05",
+                     "--attack", "single", "--format", fmt])
+        assert code == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            stats = json.loads(out)["stats"]
+        else:
+            header, row = csv.reader(io.StringIO(out))
+            stats = {k: (None if v == "" else v) for k, v in zip(header, row)}
+        assert int(stats["key_length"]) == 0
+        assert stats["eve_information"] is None
+        assert stats["eve_guess_accuracy"] is None
+
 
 class TestCheckMode:
     def test_no_attack_check_passes(self, capsys):

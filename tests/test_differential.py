@@ -181,6 +181,9 @@ def assert_matches_reference(config, block=montecarlo._BLOCK_ROUNDS):
     assert result.bob_key == bob
     assert result.alice_key.as_string() == alice.as_string()
     assert result.alice_key.provenance == alice.provenance
+    for got, want in ((result.alice_key, alice), (result.bob_key, bob)):
+        assert all(map(np.array_equal, got.rounds, want.rounds))
+        assert not any(arr.flags.writeable for arr in (*got.rounds, *want.rounds))
     # No key bit is the filler that pads a different-basis round's row.
     for key in (result.alice_key, result.bob_key):
         assert set(key.bits) <= {0, 1}

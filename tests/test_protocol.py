@@ -425,6 +425,42 @@ class TestKeyBits:
         assert rounds != KeyBits(bits, prov[:-1] + ((9, "diff"),))
 
 
+class TestKeyRounds:
+    @pytest.mark.parametrize(
+        "bits, provenance",
+        [
+            ((1,), ((0, "same"),)),
+            ((1, 0, 1), ((0, "same"), (1, "same"), (1, "same"))),
+            ((1, 0), ((0, "same"), (0, "diff"))),
+            ((1, 0, 1), ((0, "same"), (0, "same"), (0, "same"))),
+        ],
+    )
+    def test_same_basis_round_must_give_one_consecutive_pair(self, bits, provenance):
+        with pytest.raises(ValueError, match="same-basis round 0"):
+            KeyBits(bits, provenance)
+
+    def test_rounds_group_provenance(self):
+        key = KeyBits(
+            (1, 0, 1, 1, 0), ((0, "same"), (0, "same"), (3, "diff"), (5, "same"), (5, "same"))
+        )
+        round_ids, same = key.rounds
+        assert round_ids.tolist() == [0, 3, 5]
+        assert same.tolist() == [True, False, True]
+
+    def test_from_rounds_gives_back_its_arrays_read_only(self):
+        import numpy as np
+
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        round_ids, same = np.array([4, 9]), np.array([True, False])
+        key = KeyBits.from_rounds(bits, round_ids, same)
+        got_ids, got_same = key.rounds
+        assert got_ids is round_ids and got_same is same
+        for arr in (bits, round_ids, same):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert key.provenance == ((4, "same"), (4, "same"), (9, "diff"))
+
+
 def test_threaded_rounds_match_serial():
     # immutable state tables: concurrent rounds with per-thread RandomSources
     # must reproduce the serial results exactly
