@@ -18,11 +18,13 @@ round and her guess scores summed in quarters; dropping the fillers leaves
 the key bits in key order. Eve's tables come from the exact Bell overlaps of
 :mod:`hyperqkd.hilbert`, so her guess accuracy is an integer count of
 quarters divided once by 4 * key length.
-Each key stores its rounds' ids and same-basis flags and builds per-bit
-provenance only when asked. All of it is computed exactly as the reference
+Each key is made from its rounds' ids and same-basis flags, as every
+:class:`KeyBits` is. All of it is computed exactly as the reference
 functions ``sift``, ``verify_sample``, ``build_keys``, ``eve_information``,
 ``eve_guess_accuracy`` and :func:`detection_probability` compute it.
-``SimConfig.workers`` is accepted and echoed but changes nothing.
+``SimConfig.workers`` is accepted and echoed but changes nothing. At a
+``verify_fraction`` of 0 the engine compares no round and skips
+verification, while ``verify_sample`` itself rejects a fraction of 0.
 Estimators report binomial standard errors, except Eve's information,
 whose standard error is clustered by round.
 
