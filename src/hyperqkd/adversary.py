@@ -16,7 +16,10 @@ Her knowledge of the receiver's key comes from the Born law of the state she
 resent, read as exact quarters from :func:`hyperqkd.hilbert.overlap_quarters`
 (each Bell state overlaps two states of the other basis, a half each), so
 :func:`knows_outcome` is an exact test and every :func:`guess_score` an exact
-multiple of 1/4. Both estimators walk the receiver's key round by round
+multiple of 1/4. Both estimators take the round records and the receiver's
+key, read what Eve saw in a round from its record
+(:attr:`hyperqkd.protocol.RoundRecord.eve_trace`, None when she did not
+touch it) and walk the key round by round
 (:attr:`hyperqkd.protocol.KeyBits.rounds`): a same-basis round carries two
 key bits and any other round one. Both are None for an empty key.
 """
@@ -150,19 +153,6 @@ def eve_double_intercept(
     )
 
 
-def _index_traces(
-    traces: Iterable[EveRecord], records_by_id: dict[int, RoundRecord]
-) -> dict[int, EveRecord]:
-    by_id: dict[int, EveRecord] = {}
-    for trace in traces:
-        if trace.round_id in by_id:
-            raise ValueError(f"duplicate trace for round {trace.round_id}")
-        if trace.round_id not in records_by_id:
-            raise ValueError(f"trace for round {trace.round_id} has no matching record")
-        by_id[trace.round_id] = trace
-    return by_id
-
-
 def _index_records(records: Iterable[RoundRecord]) -> dict[int, RoundRecord]:
     by_id: dict[int, RoundRecord] = {}
     for rec in records:
@@ -199,30 +189,25 @@ def guess_score(
 
 
 def _key_rounds(
-    traces: Iterable[EveRecord], records: Iterable[RoundRecord], key: KeyBits
+    records: Iterable[RoundRecord], key: KeyBits
 ) -> list[tuple[BasisType, Optional[BellLabel], bool]]:
     """For each round of the receiver's ``key``, in key order: the
     receiver's basis, the photon-2 outcome Eve resent (None when she did
     not touch the round) and whether it was a same-basis round."""
     records_by_id = _index_records(records)
-    traces_by_id = _index_traces(traces, records_by_id)
     rounds = []
     round_ids, same = key.rounds
     for rid, is_same in zip(round_ids.tolist(), same.tolist()):
         rec = records_by_id.get(rid)
         if rec is None:
             raise ValueError(f"key bit references round {rid} with no record")
-        trace = traces_by_id.get(rid)
+        trace = rec.eve_trace
         # outcomes[-1] is Eve's photon-2 outcome for either attack kind.
         rounds.append((rec.bob_basis, None if trace is None else trace.outcomes[-1], is_same))
     return rounds
 
 
-def eve_information(
-    traces: Iterable[EveRecord],
-    records: Iterable[RoundRecord],
-    key: KeyBits,
-) -> Optional[float]:
+def eve_information(records: Iterable[RoundRecord], key: KeyBits) -> Optional[float]:
     """Fraction of the receiver's key bits whose value Eve can pin down,
     or None for an empty key.
 
@@ -235,10 +220,10 @@ def eve_information(
     generating outcome stays ambiguous count zero, even if the candidate
     outcomes happen to share an encoded value.
 
-    ``key`` is the receiver's (Bob's) key; ``traces`` and ``records`` must
-    align by round id.
+    ``key`` is the receiver's (Bob's) key and ``records`` must hold each
+    of its rounds; Eve's record of a round is the round's ``eve_trace``.
     """
-    rounds = _key_rounds(traces, records, key)
+    rounds = _key_rounds(records, key)
     if not len(key):
         return None
     known = sum(1 + same for basis, eve_outcome, same in rounds
@@ -246,11 +231,7 @@ def eve_information(
     return known / len(key)
 
 
-def eve_guess_accuracy(
-    traces: Iterable[EveRecord],
-    records: Iterable[RoundRecord],
-    key: KeyBits,
-) -> Optional[float]:
+def eve_guess_accuracy(records: Iterable[RoundRecord], key: KeyBits) -> Optional[float]:
     """Expected per-bit accuracy of Eve's best guess at the receiver's key,
     or None for an empty key.
 
@@ -262,7 +243,7 @@ def eve_guess_accuracy(
     :func:`eve_information` deliberately ignores. Every score is an exact
     number of quarters, so the float sum is exact.
     """
-    rounds = _key_rounds(traces, records, key)
+    rounds = _key_rounds(records, key)
     if not len(key):
         return None
     total = 0.0

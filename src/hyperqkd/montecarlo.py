@@ -18,10 +18,13 @@ round and her guess scores summed in quarters; dropping the fillers leaves
 the key bits in key order. Eve's tables come from the exact Bell overlaps of
 :mod:`hyperqkd.hilbert`, so her guess accuracy is an integer count of
 quarters divided once by 4 * key length.
-Each key is made from its rounds' ids and same-basis flags, as every
-:class:`KeyBits` is. All of it is computed exactly as the reference
-functions ``sift``, ``verify_sample``, ``build_keys``, ``eve_information``,
-``eve_guess_accuracy`` and :func:`detection_probability` compute it.
+Each key is built, as every :class:`KeyBits` is, from its bits and its
+rounds' ids and same-basis flags. All of it is computed exactly as the
+reference functions ``sift``, ``verify_sample``, ``build_keys``,
+``eve_information``, ``eve_guess_accuracy`` and
+:func:`detection_probability` compute it; those read what Eve saw in a
+round from its record's ``eve_trace``, which the engine holds as the
+round's column of Eve's label codes.
 ``SimConfig.workers`` is accepted and echoed but changes nothing. At a
 ``verify_fraction`` of 0 the engine compares no round and skips
 verification, while ``verify_sample`` itself rejects a fraction of 0.
@@ -317,29 +320,20 @@ def _detection_stats(compared: list[int], mismatched: list[int]) -> DetectionSta
     )
 
 
-def detection_probability(
-    records: Iterable[RoundRecord], traces: Optional[Iterable[EveRecord]] = None
-) -> DetectionStats:
+def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
     """Stratified same-basis mismatch rates for a double-intercept batch.
 
     Compares all coincident same-basis rounds, split by whether Eve used
-    equal or different bases on the two photons. Traces default to the ones
-    embedded in the records; passing them separately re-aligns by round id.
-    Raises ValueError if any compared round lacks a two-basis trace.
+    equal or different bases on the two photons, as each round's
+    ``eve_trace`` records them. Raises ValueError if any compared round
+    lacks a two-basis trace.
     """
-    traces_by_id = None
-    if traces is not None:
-        traces_by_id = {}
-        for trace in traces:
-            if trace.round_id in traces_by_id:
-                raise ValueError(f"duplicate trace for round {trace.round_id}")
-            traces_by_id[trace.round_id] = trace
     compared = [0, 0]
     mismatched = [0, 0]
     for rec in records:
         if not rec.coincident or not rec.same_basis:
             continue
-        trace = rec.eve_trace if traces_by_id is None else traces_by_id.get(rec.round_id)
+        trace = rec.eve_trace
         if trace is None or len(trace.bases) != 2:
             raise ValueError(
                 f"round {rec.round_id} lacks a double-intercept trace; "
@@ -548,6 +542,6 @@ def run_batch(config: SimConfig) -> BatchResult:
         eve_guess_accuracy=accuracy,
         detection=detection,
     )
-    alice_key = KeyBits.from_rounds(alice_bits, key_ids, key_same)
-    bob_key = KeyBits.from_rounds(bob_bits, key_ids, key_same)
+    alice_key = KeyBits(alice_bits, key_ids, key_same)
+    bob_key = KeyBits(bob_bits, key_ids, key_same)
     return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)

@@ -87,6 +87,10 @@ class RoundRecord:
             raise ValueError("alice_outcome does not belong to alice_basis")
         if self.bob_outcome is not None and self.bob_outcome.basis is not self.bob_basis:
             raise ValueError("bob_outcome does not belong to bob_basis")
+        if self.eve_trace is not None and self.eve_trace.round_id != self.round_id:
+            raise ValueError(
+                f"eve_trace of round {self.eve_trace.round_id} given for round {self.round_id}"
+            )
 
     @property
     def coincident(self) -> bool:
@@ -110,49 +114,47 @@ class SiftGroups:
 class KeyBits:
     """A party's key material, held as its rounds.
 
-    Immutable. Holds the bits and, for each key round in key order, its
-    round id and whether it was a same-basis round, which gave two
-    consecutive bits (any other round gave one). The per-bit provenance
-    ``(round_id, group tag)`` and the ``bits`` tuple are built from those
-    on first access.
+    Immutable. Built from the bits and, for each key round in key order,
+    its round id and whether it was a same-basis round, which gave two
+    consecutive bits (any other round gave one). The three are held as
+    read-only uint8, int64 and bool arrays; an array that already has its
+    dtype is not copied. The per-bit provenance ``(round_id, group tag)``
+    and the ``bits`` tuple are built from them on first access.
+
+    Raises ValueError unless each is one-dimensional with values its dtype
+    holds exactly, the bits are 0 or 1, there is one flag per round id, and
+    the bit count is the number of rounds plus the same-basis ones.
     """
 
     __slots__ = ("_bits", "_round_ids", "_same", "_bits_tuple", "_provenance")
 
     def __init__(
-        self, bits: Sequence[int], provenance: Sequence[tuple[int, str]]
+        self,
+        bits: Sequence[int] | np.ndarray,
+        round_ids: Sequence[int] | np.ndarray,
+        same: Sequence[bool] | np.ndarray,
     ) -> None:
-        if len(bits) != len(provenance):
-            raise ValueError("bits and provenance must have equal lengths")
-        if any(b not in (0, 1) for b in bits):
+        arrays = []
+        for name, values, dtype in (
+            ("bits", bits, np.uint8), ("round_ids", round_ids, np.int64), ("same", same, bool)
+        ):
+            given = np.asarray(values)
+            arr = given.astype(dtype, copy=False)
+            if arr.ndim != 1 or (arr is not given and not np.array_equal(arr, given)):
+                raise ValueError(f"{name} must be a 1-D array of {np.dtype(dtype)} values")
+            arrays.append(arr)
+        bits, round_ids, same = arrays
+        if bits.max(initial=0) > 1:
             raise ValueError("key bits must be 0 or 1")
-        if any(tag not in (SAME, DIFF) for _, tag in provenance):
-            raise ValueError(f"provenance tags must be {SAME!r} or {DIFF!r}")
-        round_ids, same = [], []
-        entries = iter(provenance)
-        for rid, tag in entries:
-            if tag == SAME and tuple(next(entries, ())) != (rid, SAME):
-                raise ValueError(f"same-basis round {rid} must give two consecutive bits")
-            round_ids.append(rid)
-            same.append(tag == SAME)
-        self._hold(np.array(bits, dtype=np.uint8), np.array(round_ids, dtype=np.int64),
-                   np.array(same, dtype=bool))
-
-    @classmethod
-    def from_rounds(
-        cls, bits: np.ndarray, round_ids: np.ndarray, same: np.ndarray
-    ) -> "KeyBits":
-        """Key from uint8 bits and the rounds that gave them, in key order:
-        each round's id and whether it was a same-basis round (two bits) or
-        not (one). The arrays are not copied."""
-        key = cls.__new__(cls)
-        key._hold(bits, round_ids, same)
-        return key
-
-    def _hold(self, bits: np.ndarray, round_ids: np.ndarray, same: np.ndarray) -> None:
-        for arr in (bits, round_ids, same):
+        if len(round_ids) != len(same):
+            raise ValueError("round_ids and same must have equal lengths")
+        # A same-basis round gave two bits, any other round one.
+        width = len(same) + int(np.count_nonzero(same))
+        if len(bits) != width:
+            raise ValueError(f"the key rounds give {width} bits, not {len(bits)}")
+        for arr in arrays:
             arr.flags.writeable = False
-        self._bits, self._round_ids, self._same = bits, round_ids, same
+        self._bits, self._round_ids, self._same = arrays
         self._bits_tuple = self._provenance = None
 
     @property
@@ -316,8 +318,8 @@ def build_keys(
             bob_bits.append(_CODE_ONE_BIT[rec.bob_outcome])
     round_ids = np.array([rec.round_id for rec in ordered], dtype=np.int64)
     same = np.array([rec.alice_basis is rec.bob_basis for rec in ordered], dtype=bool)
-    return (KeyBits.from_rounds(np.array(alice_bits, dtype=np.uint8), round_ids, same),
-            KeyBits.from_rounds(np.array(bob_bits, dtype=np.uint8), round_ids, same))
+    return (KeyBits(np.array(alice_bits, dtype=np.uint8), round_ids, same),
+            KeyBits(np.array(bob_bits, dtype=np.uint8), round_ids, same))
 
 
 def verify_sample(

@@ -15,6 +15,7 @@ from hyperqkd import (
     ConfigurationError,
     EveBasisStrategy,
     EveRecord,
+    KeyBits,
     Photon,
     RandomSource,
     RoundRecord,
@@ -248,8 +249,7 @@ def _keyed_batch(n, seed, attack):
     records = simulate_attacked(n, seed, attack)
     groups = sift(records)
     alice, bob = build_keys(groups)
-    traces = [r.eve_trace for r in records if r.eve_trace is not None]
-    return records, traces, alice, bob
+    return records, alice, bob
 
 
 class TestEveInformation:
@@ -259,21 +259,20 @@ class TestEveInformation:
         ]
         groups = sift(records)
         _, bob = build_keys(groups)
-        assert eve_information([], records, bob) == 0.0
+        assert eve_information(records, bob) == 0.0
 
     def test_empty_key(self):
-        records, traces, _, bob = _keyed_batch(
-            10, 72, AttackConfig(AttackKind.SINGLE_INTERCEPT)
-        )
-        empty = type(bob)((), ())
-        assert eve_information(traces, records, empty) is None
+        records, _, _ = _keyed_batch(10, 72, AttackConfig(AttackKind.SINGLE_INTERCEPT))
+        empty = KeyBits((), (), ())
+        assert eve_information(records, empty) is None
+        assert eve_guess_accuracy(records, empty) is None
 
     def test_single_random_half(self):
         assert abs(oracle.single_eve_information() - 0.5) < 1e-12
-        records, traces, _, bob = _keyed_batch(
+        records, _, bob = _keyed_batch(
             20_000, 73, AttackConfig(AttackKind.SINGLE_INTERCEPT)
         )
-        estimate = eve_information(traces, records, bob)
+        estimate = eve_information(records, bob)
         assert abs(estimate - 0.5) <= 0.015
 
     def test_known_bits_are_correct(self):
@@ -281,11 +280,10 @@ class TestEveInformation:
         # encoding must reproduce Bob's actual bits
         from hyperqkd import encode_diff_basis, encode_same_basis
 
-        records, traces, _, bob = _keyed_batch(
+        records, _, bob = _keyed_batch(
             2000, 74, AttackConfig(AttackKind.SINGLE_INTERCEPT)
         )
         by_id = {r.round_id: r for r in records}
-        trace_by_id = {t.round_id: t for t in traces}
         checked = 0
         position = 0
         prev = None
@@ -293,7 +291,7 @@ class TestEveInformation:
             position = position + 1 if rid == prev else 0
             prev = rid
             rec = by_id[rid]
-            trace = trace_by_id[rid]
+            trace = rec.eve_trace
             support = [
                 lab
                 for lab in basis_labels(rec.bob_basis)
@@ -328,31 +326,26 @@ class TestEveInformation:
             )
         groups = sift(records)
         _, bob = build_keys(groups)
-        traces = [r.eve_trace for r in records]
-        assert eve_information(traces, records, bob) == 1.0
+        assert eve_information(records, bob) == 1.0
 
-    def test_misaligned_round_ids(self):
-        records, traces, _, bob = _keyed_batch(
-            50, 76, AttackConfig(AttackKind.SINGLE_INTERCEPT)
-        )
-        orphan = EveRecord(10_000, traces[0].bases, traces[0].outcomes)
-        with pytest.raises(ValueError):
-            eve_information(traces + [orphan], records, bob)
-        with pytest.raises(ValueError):
-            eve_information([traces[0], traces[0]], records, bob)
+    def test_key_round_without_record(self):
+        records, _, bob = _keyed_batch(50, 76, AttackConfig(AttackKind.SINGLE_INTERCEPT))
+        missing = bob.rounds[0][0]
+        with pytest.raises(ValueError, match=f"round {missing} with no record"):
+            eve_information([r for r in records if r.round_id != missing], bob)
 
     def test_guess_accuracy_five_sixths(self):
         exact = oracle.single_eve_guess_accuracy()
         assert abs(exact - 5.0 / 6.0) < 1e-12
-        records, traces, _, bob = _keyed_batch(
+        records, _, bob = _keyed_batch(
             20_000, 77, AttackConfig(AttackKind.SINGLE_INTERCEPT)
         )
-        estimate = eve_guess_accuracy(traces, records, bob)
+        estimate = eve_guess_accuracy(records, bob)
         assert abs(estimate - exact) <= 0.01
 
     def test_key_error_rate_matches_oracle(self):
         exact = oracle.single_key_bit_error()
-        records, traces, alice, bob = _keyed_batch(
+        records, alice, bob = _keyed_batch(
             20_000, 78, AttackConfig(AttackKind.SINGLE_INTERCEPT)
         )
         errors = sum(a != b for a, b in zip(alice.bits, bob.bits))

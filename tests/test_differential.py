@@ -68,9 +68,8 @@ def reference(config):
     eve = dict(eve_information=None, eve_information_se=None, eve_guess_accuracy=None)
     detection = None
     if config.attack is not None:
-        traces = [rec.eve_trace for rec in records]
-        eve["eve_information"] = eve_information(traces, records, bob)
-        eve["eve_guess_accuracy"] = eve_guess_accuracy(traces, records, bob)
+        eve["eve_information"] = eve_information(records, bob)
+        eve["eve_guess_accuracy"] = eve_guess_accuracy(records, bob)
         if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
             detection = detection_probability(records)
     stats = reference_stats(

@@ -275,15 +275,6 @@ class TestDetectionProbability:
         with pytest.raises(ValueError):
             detection_probability(single.records)
 
-    def test_external_traces_alignment(self):
-        attack = AttackConfig(AttackKind.DOUBLE_INTERCEPT)
-        result = run_batch(SimConfig(rounds=500, seed=22, attack=attack))
-        traces = [r.eve_trace for r in result.records]
-        stats = detection_probability(result.records, traces)
-        assert stats == result.stats.detection
-        with pytest.raises(ValueError):
-            detection_probability(result.records, traces + [traces[0]])
-
     def test_double_key_error_matches_oracle(self):
         for strategy, equal in (
             (EveBasisStrategy.FIXED_SAME, True),

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hyperqkd import (
     BasisType,
     BellLabel,
     ConfigurationError,
+    EveRecord,
     KeyBits,
     RandomSource,
     RoundRecord,
@@ -203,6 +205,15 @@ class TestRoundRecord:
                 alice_detected=True,
                 bob_detected=False,
             )
+
+    def test_eve_trace_must_be_of_its_round(self):
+        trace = EveRecord(7, (BasisType.TYPE_I,), (BellLabel.PSI_MINUS,))
+        fields = dict(alice_basis=BasisType.TYPE_I, bob_basis=BasisType.TYPE_I,
+                      alice_outcome=None, bob_outcome=None,
+                      alice_detected=False, bob_detected=False)
+        assert RoundRecord(round_id=7, eve_trace=trace, **fields).eve_trace is trace
+        with pytest.raises(ValueError, match="eve_trace of round 7 given for round 8"):
+            RoundRecord(round_id=8, eve_trace=trace, **fields)
 
 
 def _make_record(round_id, a_basis, b_basis, a_out, b_out, a_det=True, b_det=True):
@@ -403,56 +414,63 @@ class TestVerifySample:
 
 class TestKeyBits:
     def test_as_string(self):
-        key = KeyBits((1, 0, 1, 1), ((0, "same"), (0, "same"), (1, "diff"), (2, "diff")))
+        key = KeyBits((1, 0, 1, 1), (0, 1, 2), (True, False, False))
         assert key.as_string() == "1011"
         assert len(key) == 4
 
-    def test_from_rounds_equals_init(self):
-        import numpy as np
-
-        prov = ((0, "same"), (0, "same"), (3, "diff"), (5, "same"), (5, "same"), (8, "diff"))
+    def test_rounds_give_provenance_and_equality(self):
         bits = (1, 0, 1, 1, 1, 0)
-        built = KeyBits(bits, prov)
-        rounds = KeyBits.from_rounds(
-            np.array(bits, dtype=np.uint8), np.array([0, 3, 5, 8]),
-            np.array([True, False, True, False]),
+        round_ids, same = [0, 3, 5, 8], [True, False, True, False]
+        key = KeyBits(bits, round_ids, same)
+        assert key.provenance == (
+            (0, "same"), (0, "same"), (3, "diff"), (5, "same"), (5, "same"), (8, "diff")
         )
-        # hash first: it must build the per-bit arrays on its own
-        assert hash(rounds) == hash(built)
-        assert rounds == built and built == rounds
-        assert rounds.provenance == built.provenance == prov
-        assert rounds.bits == bits
-        assert rounds != KeyBits(bits, prov[:-1] + ((9, "diff"),))
+        assert key.bits == bits
+        as_arrays = KeyBits(np.array(bits, dtype=np.uint8), np.array(round_ids),
+                            np.array(same))
+        assert key == as_arrays and hash(key) == hash(as_arrays)
+        assert key != KeyBits(bits, [0, 3, 5, 9], same)
+
+    def test_equal_keys_hash_equal_whatever_the_id_dtype(self):
+        bits, same = np.array([1, 0, 1], dtype=np.uint8), np.array([True, False])
+        narrow = KeyBits(bits, np.array([4, 9], dtype=np.int32), same)
+        wide = KeyBits(bits, np.array([4, 9], dtype=np.int64), same)
+        assert narrow == wide
+        assert hash(narrow) == hash(wide)
+        assert len({narrow, wide}) == 1
 
 
 class TestKeyRounds:
     @pytest.mark.parametrize(
-        "bits, provenance",
+        "bits, round_ids, same, match",
         [
-            ((1,), ((0, "same"),)),
-            ((1, 0, 1), ((0, "same"), (1, "same"), (1, "same"))),
-            ((1, 0), ((0, "same"), (0, "diff"))),
-            ((1, 0, 1), ((0, "same"), (0, "same"), (0, "same"))),
+            # not one-dimensional
+            ([[1, 0]], [1], [True], "bits must be a 1-D"),
+            ([1, 0], [[1]], [True], "round_ids must be a 1-D"),
+            ([1, 0], [1], True, "same must be a 1-D"),
+            # values their dtype cannot hold
+            (np.array([256, 1]), [1], [True], "bits must be a 1-D array of uint8"),
+            ([1], [1.5], [False], "round_ids must be a 1-D array of int64"),
+            ([1], [1], [2], "same must be a 1-D array of bool"),
+            # bits other than 0 and 1
+            ([5, 7], [1, 2, 3], [True] * 3, "0 or 1"),
+            ([1, 2], [1], [True], "0 or 1"),
+            # one id and one flag per round
+            ([1, 0, 1], [1, 2], [True], "equal lengths"),
+            # two bits per same-basis round, one per other round
+            ([1], [0], [True], "give 2 bits, not 1"),
+            ([1, 0, 1], [0, 1], [True, True], "give 4 bits, not 3"),
+            ([1, 0], [1, 2, 3], [False] * 3, "give 3 bits, not 2"),
         ],
     )
-    def test_same_basis_round_must_give_one_consecutive_pair(self, bits, provenance):
-        with pytest.raises(ValueError, match="same-basis round 0"):
-            KeyBits(bits, provenance)
+    def test_malformed_key_is_rejected(self, bits, round_ids, same, match):
+        with pytest.raises(ValueError, match=match):
+            KeyBits(bits, round_ids, same)
 
-    def test_rounds_group_provenance(self):
-        key = KeyBits(
-            (1, 0, 1, 1, 0), ((0, "same"), (0, "same"), (3, "diff"), (5, "same"), (5, "same"))
-        )
-        round_ids, same = key.rounds
-        assert round_ids.tolist() == [0, 3, 5]
-        assert same.tolist() == [True, False, True]
-
-    def test_from_rounds_gives_back_its_arrays_read_only(self):
-        import numpy as np
-
+    def test_constructor_keeps_its_arrays_read_only(self):
         bits = np.array([1, 0, 1], dtype=np.uint8)
         round_ids, same = np.array([4, 9]), np.array([True, False])
-        key = KeyBits.from_rounds(bits, round_ids, same)
+        key = KeyBits(bits, round_ids, same)
         got_ids, got_same = key.rounds
         assert got_ids is round_ids and got_same is same
         for arr in (bits, round_ids, same):
