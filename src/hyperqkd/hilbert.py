@@ -28,9 +28,10 @@ every Born probability is 0, 1/4, 1/2 or 1, so the fixed tables
 the Bell-overlap matrix, give each measurement's outcome from the top two
 bits of its raw 64-bit draw alone (exact sampling from dyadic laws, Knuth
 and Yao 1976). :func:`measure_party` samples these states from the same
-tables as the batch engine. Any other state (only a caller outside the
-protocol makes one) is validated and measured from its computed
-probabilities on every call. The same exact overlaps, as
+tables as the batch engine, and :func:`measure_single` a lone Bell vector
+as photon 2 of a closed-set product. Any other state (only a caller
+outside the protocol makes one) is validated and measured from its
+computed probabilities on every call. The same exact overlaps, as
 :func:`overlap_quarters`, are Eve's posteriors in :mod:`hyperqkd.adversary`.
 This module is the one home of the basis and label codes (:data:`BASES`,
 :data:`LABELS`): the batch engine's columns hold one label code per
@@ -309,6 +310,9 @@ def _closed_tables():
 #: basis, and the post-measurement state id.
 _QUARTERS, OUTCOME_LABEL, OUTCOME_POST, _STATES = _closed_tables()
 _STATE_IDS = {state.tobytes(): sid for sid, state in enumerate(_STATES)}
+# State id c (< 8) is the product of Phi+ (code 0) with the Bell vector of
+# code c, whose photon 2 has that vector's Born law.
+_BELL_CODES = {vector.tobytes(): code for code, vector in enumerate(_BELL)}
 
 
 def outcome_slots(state_ids, photon: Photon, bases, draws: np.ndarray) -> np.ndarray:
@@ -377,8 +381,20 @@ def measure_party(
 def measure_single(
     state: np.ndarray, basis: BasisType, rand: RandomSource
 ) -> MeasurementResult:
-    """Bell-basis measurement of a lone photon; the post state is the eigenstate."""
-    probs, posts = _single_table(np.asarray(state, dtype=np.complex128), basis)
+    """Bell-basis measurement of a lone photon; the post state is the eigenstate.
+
+    Consumes exactly one draw. A Bell vector, given exactly as
+    :func:`bell_vector` returns it, is measured as photon 2 of the
+    closed-set product of Phi+ with it, from the fixed tables with exact
+    probabilities; any other state is sampled from its computed
+    probabilities.
+    """
+    state = np.asarray(state, dtype=np.complex128)
+    code = _BELL_CODES.get(state.tobytes()) if state.shape == (4,) else None
+    if code is not None:
+        res = measure_party(_STATES[code], Photon.TWO, basis, rand)
+        return MeasurementResult(res.label, res.probability, _BELL_VECTORS[res.label])
+    probs, posts = _single_table(state, basis)
     idx = _sample_index(probs, rand.uniform())
     return MeasurementResult(
         label=_BASIS_LABELS[basis][idx], probability=probs[idx], post_state=posts[idx]

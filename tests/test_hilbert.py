@@ -383,6 +383,20 @@ class TestMeasureSingle:
         assert abs(res.probability - 1.0) <= ATOL
         np.testing.assert_array_equal(res.post_state, bell_vector(BellLabel.PHI_MINUS))
 
+    def test_bell_vector_is_measured_with_exact_quarters(self):
+        # The draw's top two bits q pick the first label whose running
+        # quarter count exceeds q, as measure_party does on the closed set.
+        for label in ALL_LABELS:
+            for basis in BasisType:
+                quarters = hilbert.overlap_quarters(label, basis)
+                running = np.cumsum(quarters)
+                for q in range(4):
+                    res = measure_single(bell_vector(label), basis, Words(q << 62 | 12345))
+                    idx = int(np.searchsorted(running, q, side="right"))
+                    assert res.label is basis_labels(basis)[idx]
+                    assert res.probability == quarters[idx] / 4
+                    assert res.post_state is bell_vector(res.label)
+
     def test_post_state_is_eigenstate(self):
         np_rng = np.random.default_rng(29)
         rng = RandomSource(29)
