@@ -193,7 +193,10 @@ def _key_rounds(
 ) -> list[tuple[BasisType, Optional[BellLabel], bool]]:
     """For each round of the receiver's ``key``, in key order: the
     receiver's basis, the photon-2 outcome Eve resent (None when she did
-    not touch the round) and whether it was a same-basis round."""
+    not touch the round) and whether it was a same-basis round.
+
+    Raises ValueError if a key round has no record, or if its same-basis
+    flag disagrees with its record's bases."""
     records_by_id = _index_records(records)
     rounds = []
     round_ids, same = key.rounds
@@ -201,6 +204,8 @@ def _key_rounds(
         rec = records_by_id.get(rid)
         if rec is None:
             raise ValueError(f"key bit references round {rid} with no record")
+        if is_same != rec.same_basis:
+            raise ValueError(f"key gives round {rid} the wrong same-basis flag")
         trace = rec.eve_trace
         # outcomes[-1] is Eve's photon-2 outcome for either attack kind.
         rounds.append((rec.bob_basis, None if trace is None else trace.outcomes[-1], is_same))

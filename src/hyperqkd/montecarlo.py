@@ -2,16 +2,21 @@
 
 A batch runs independent rounds whose randomness is derived per round from
 the master seed, so results are bit-identical for a given configuration.
-Rounds are simulated in fixed blocks as numpy columns (each party's and
-each of Eve's measurements as one label code, and the detections),
-computing each round's raw 64-bit draws in the documented order and
-reading every decision off them as an integer: a basis is the draw's top
-bit, a measurement outcome a gather on the closed state set's fixed tables
-in :mod:`hyperqkd.hilbert` at the draw's top two bits, and a detection a
-comparison with the efficiency's threshold. Every record equals what the
-scalar reference :func:`hyperqkd.protocol.run_round` gives for the same
-round. Sifting, verification and the detection strata are array operations
-on those columns. Key extraction and Eve's two estimators are gathers on
+Rounds are simulated in fixed blocks of 16 384 as numpy columns (each
+party's and each of Eve's measurements as one label code, and the
+detections), computing each round's raw 64-bit draws in the documented
+order and reading every decision off them as an integer. A basis is decided
+by the draw's top bit and a measurement outcome by its top two bits, so the
+top bits of a round's basis and measurement draws, concatenated in draw
+order, index one column of a composed round table: at most 12 bits, one
+table per attack shape, built once from the closed state set's fixed tables
+in :mod:`hyperqkd.hilbert`. A detection is a comparison of the full draw
+with the efficiency's threshold. Every record equals what the scalar
+reference :func:`hyperqkd.protocol.run_round` gives for the same round.
+Sifting, verification and the detection strata are array operations on
+those columns; the verification picks are
+:func:`hyperqkd.protocol.partial_shuffle`, which ``verify_sample`` also
+calls. Key extraction and Eve's two estimators are gathers on
 small fixed tables: each key round picks, for each party, a row holding its
 two bits or its one bit and a filler, and for Eve whether she knows the
 round and her guess scores summed in quarters; dropping the fillers leaves
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -69,6 +74,7 @@ from .protocol import (  # noqa: F401
     build_keys,
     encode_diff_basis,
     encode_same_basis,
+    partial_shuffle,
     run_round,
     sift,
     verify_sample,
@@ -198,8 +204,10 @@ _FIELD_NAMES = {
 
 
 # Rounds per block of the columnar engine: large enough that numpy's per-call
-# overhead is small, small enough that a block's draws stay a few megabytes.
-_BLOCK_ROUNDS = 65_536
+# overhead is small, small enough that a block's uint64 draws and indices
+# (128 KiB each) stay in a core's L2 cache. 16 384 was the fastest of 4 096
+# to 65 536 in a sweep of _simulate at 10**5 rounds on 2 vCPUs.
+_BLOCK_ROUNDS = 16_384
 
 # A measurement is held as its label code in hilbert's LABELS, whose basis
 # code is code >> 2; two codes of the same basis are equal exactly when the
@@ -346,58 +354,98 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
     return _detection_stats(compared, mismatched)
 
 
-def _basis(draws: np.ndarray) -> np.ndarray:
-    """Basis codes read off raw draws: the top bit, so that a draw below
-    2**63 (a uniform below 1/2) is type-I (code 0), as in choose_basis."""
-    return (draws >> 63).astype(np.int8)
+def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
+    """How many top bits of each of a round's decision draws ``run_round``
+    reads, in its draw order: one for a basis, two for a measurement. The
+    detection draws after them are compared in full."""
+    if attack is None:
+        eve = ()
+    else:
+        photons = 1 if attack.kind is AttackKind.SINGLE_INTERCEPT else 2
+        random = attack.strategy is EveBasisStrategy.RANDOM_PER_ROUND
+        eve = (1,) * (photons if random else 0) + (2,) * photons
+    return eve + (1, 1, 2, 2)
 
 
-def _measure(state, photon: Photon, bases, draws: np.ndarray, out: np.ndarray):
-    """Measure ``photon`` of closed-set states in ``bases`` (basis codes)
-    with their raw ``draws``: write the outcomes' label codes into ``out``
-    and return the post-measurement state ids."""
-    slots = outcome_slots(state, photon, bases, draws)
-    out[:] = OUTCOME_LABEL.take(slots) + 4 * bases
-    return OUTCOME_POST.take(slots)
+@cache
+def _round_table(attack: Optional[AttackConfig]) -> np.ndarray:
+    """Every round of ``attack``'s shape as one table of label codes.
+
+    Column ``p`` is the round whose decision draws carry the bit pattern
+    ``p``: the top bits of the draws (see :func:`_draw_widths`) concatenated
+    in draw order, the first draw's the most significant. Its rows are Eve's
+    codes in measurement order, then Alice's and Bob's. The table is built
+    once per attack, by running every pattern through the closed set's
+    measurement chain (``outcome_slots``, ``OUTCOME_LABEL`` and
+    ``OUTCOME_POST``) in ``run_round``'s order.
+    """
+    widths = _draw_widths(attack)
+    patterns = np.arange(1 << sum(widths), dtype=np.uint64)
+    shift = sum(widths)
+    draws = []
+    for width in widths:
+        shift -= width
+        draws.append((patterns >> shift & (1 << width) - 1) << 64 - width)
+    x = iter(draws)
+    state, codes = SHARED_ID, []
+
+    def measure(photons, bases):
+        nonlocal state
+        for photon, basis in zip(photons, bases):
+            slots = outcome_slots(state, photon, basis, next(x))
+            codes.append(OUTCOME_LABEL.take(slots) + 4 * basis)
+            state = OUTCOME_POST.take(slots)
+
+    if attack is not None:
+        single = attack.kind is AttackKind.SINGLE_INTERCEPT
+        photons = (Photon.TWO,) if single else (Photon.ONE, Photon.TWO)
+        if attack.strategy is EveBasisStrategy.RANDOM_PER_ROUND:
+            bases = [(next(x) >> 63).astype(np.int8) for _ in photons]
+        else:
+            # Fixed strategies take no draw, so there is no stream to pass.
+            bases = [BASES.index(b) for b in attack.bases_for_round(None)]
+        measure(photons, bases)
+    measure((Photon.ONE, Photon.TWO), [(next(x) >> 63).astype(np.int8) for _ in range(2)])
+    table = np.array(codes, dtype=np.int8)
+    table.flags.writeable = False
+    return table
 
 
 def _simulate(config: SimConfig) -> _Rounds:
     """Every round of the batch, block by block, in run_round's draw order.
 
-    At efficiency 1 every detection succeeds, so those draws are not
-    computed.
+    A round's label codes are one column of its attack's round table, at the
+    index its decision draws' top bits make. At efficiency 1 every detection
+    succeeds, so those draws are not computed.
     """
     n = config.rounds
     attack = config.attack
-    eve_photons = 0
-    if attack is not None:
-        eve_photons = 1 if attack.kind is AttackKind.SINGLE_INTERCEPT else 2
-    eve_random = attack is not None and attack.strategy is EveBasisStrategy.RANDOM_PER_ROUND
+    widths = _draw_widths(attack)
+    table = _round_table(attack)
+    eve_photons = len(table) - 2
     detect = config.efficiency < 1.0
-    draws = (eve_photons if eve_random else 0) + eve_photons + 4 + 2 * detect
     cols = _Rounds(
         *(np.empty(n, dtype=np.int8) for _ in range(2)),
         *(np.empty(n, dtype=bool) if detect else np.ones(n, dtype=bool) for _ in range(2)),
         np.empty((eve_photons, n), dtype=np.int8) if eve_photons else None,
     )
-    photons = (Photon.TWO,) if eve_photons == 1 else (Photon.ONE, Photon.TWO)
+    outs = (*(cols.eve if eve_photons else ()), cols.alice, cols.bob)
     threshold = np.uint64(below_threshold(config.efficiency)) if detect else None
     for lo in range(0, n, _BLOCK_ROUNDS):
         hi = min(lo + _BLOCK_ROUNDS, n)
-        x = round_draws(config.seed, np.arange(lo, hi, dtype=np.uint64), draws)
-        state = SHARED_ID
-        if eve_photons:
-            if eve_random:
-                eve_bases = [_basis(next(x)) for _ in photons]
-            else:
-                # Fixed strategies take no draw, so there is no stream to pass.
-                eve_bases = [BASES.index(b) for b in attack.bases_for_round(None)]
-            for k, photon in enumerate(photons):
-                state = _measure(state, photon, eve_bases[k], next(x), cols.eve[k, lo:hi])
-        a_basis = _basis(next(x))
-        b_basis = _basis(next(x))
-        state = _measure(state, Photon.ONE, a_basis, next(x), cols.alice[lo:hi])
-        _measure(state, Photon.TWO, b_basis, next(x), cols.bob[lo:hi])
+        x = round_draws(config.seed, np.arange(lo, hi, dtype=np.uint64), len(widths) + 2 * detect)
+        index = next(x) >> (64 - widths[0])
+        for width in widths[1:]:
+            index <<= width
+            # A draw's buffer is rewritten by the next draw, so it can be
+            # shifted in place.
+            draw = next(x)
+            draw >>= 64 - width
+            index |= draw
+        index = index.view(np.int64)
+        # Every index is in range; "clip" lets take write straight into out.
+        for row, out in zip(table, outs):
+            row.take(index, out=out[lo:hi], mode="clip")
         if detect:
             np.less(next(x), threshold, out=cols.alice_detected[lo:hi])
             np.less(next(x), threshold, out=cols.bob_detected[lo:hi])
@@ -413,15 +461,7 @@ def _verify(
     if config.verify_fraction == 0.0 or n == 0:
         return VerificationReport(0, 0, None), same_ids[:0]
     k = math.ceil(config.verify_fraction * n)
-    u = stream_uniforms(config.seed, _VERIFY_STREAM, k)
-    i = np.arange(k)
-    swap = i + np.minimum((u * (n - i)).astype(np.int64), n - i - 1)
-    # The partial Fisher-Yates shuffle of verify_sample, holding only the
-    # slots it has moved.
-    slots: dict[int, int] = {}
-    for a, b in enumerate(swap.tolist()):
-        slots[a], slots[b] = slots.get(b, b), slots.get(a, a)
-    chosen = same_ids[[slots[a] for a in range(k)]]
+    chosen = same_ids[partial_shuffle(n, stream_uniforms(config.seed, _VERIFY_STREAM, k))]
     mismatches = int(np.count_nonzero(rounds.alice[chosen] != rounds.bob[chosen]))
     return VerificationReport(k, mismatches, mismatches / k), chosen
 

@@ -122,8 +122,9 @@ class KeyBits:
     and the ``bits`` tuple are built from them on first access.
 
     Raises ValueError unless each is one-dimensional with values its dtype
-    holds exactly, the bits are 0 or 1, there is one flag per round id, and
-    the bit count is the number of rounds plus the same-basis ones.
+    holds exactly, the bits are 0 or 1, there is one flag per round id, the
+    round ids are strictly increasing, and the bit count is the number of
+    rounds plus the same-basis ones.
     """
 
     __slots__ = ("_bits", "_round_ids", "_same", "_bits_tuple", "_provenance")
@@ -148,6 +149,8 @@ class KeyBits:
             raise ValueError("key bits must be 0 or 1")
         if len(round_ids) != len(same):
             raise ValueError("round_ids and same must have equal lengths")
+        if np.any(round_ids[1:] <= round_ids[:-1]):
+            raise ValueError("round_ids must be strictly increasing")
         # A same-basis round gave two bits, any other round one.
         width = len(same) + int(np.count_nonzero(same))
         if len(bits) != width:
@@ -338,14 +341,50 @@ def verify_sample(
     if n == 0:
         return VerificationReport(0, 0, None), frozenset()
     k = math.ceil(fraction * n)
-    # Partial Fisher-Yates: the first k slots end up a uniform sample.
-    idx = list(range(n))
-    for i in range(k):
-        j = i + min(int(rand.uniform() * (n - i)), n - i - 1)
-        idx[i], idx[j] = idx[j], idx[i]
-    chosen = idx[:k]
+    chosen = partial_shuffle(n, np.array([rand.uniform() for _ in range(k)])).tolist()
     mismatches = sum(
         1 for i in chosen if same[i].alice_outcome is not same[i].bob_outcome
     )
     consumed = frozenset(same[i].round_id for i in chosen)
     return VerificationReport(k, mismatches, mismatches / k), consumed
+
+
+def partial_shuffle(n: int, uniforms: np.ndarray) -> np.ndarray:
+    """The first ``k = len(uniforms)`` slots of a partial Fisher-Yates
+    shuffle of ``range(n)``, a uniform sample without replacement.
+
+    Step ``i`` swaps slot ``i`` with slot ``i + min(int(u_i * (n - i)), n -
+    i - 1)``, the target drawn from the step's uniform. No later step
+    touches slot ``i``, so it ends up holding what its target held before
+    step ``i``: the target itself, unless an earlier step swapped into it,
+    in which case what that step's own slot held before it. Both links, the
+    last earlier step into a step's target and the last earlier step into
+    its own slot, are read off one stable sort of the targets, and the
+    second are followed back by pointer jumping.
+    """
+    k = len(uniforms)
+    step = np.arange(k)
+    target = step + np.minimum((uniforms * (n - step)).astype(np.int64), n - step - 1)
+    order = np.argsort(target, kind="stable")
+    ordered = target[order]
+    # In the stable order, the steps into one slot follow each other in step
+    # order; -1 marks a step with no earlier one into its target.
+    into_target = np.full(k, -1)
+    repeat = ordered[1:] == ordered[:-1]
+    into_target[order[1:][repeat]] = order[:-1][repeat]
+    # The last step into slot s is the last entry <= s in the stable order,
+    # if its target is s (index -1 wraps to the largest target, which then
+    # exceeds s). That entry is step s itself only when s is its own
+    # target, and such a step is never followed below: each step followed
+    # swapped into a later slot.
+    last = order[np.searchsorted(ordered, step, side="right") - 1]
+    into_own = np.where(target[last] == step, last, step)
+    # held[s] is what slot s held before step s: follow into_own to a step
+    # that no earlier step swapped into, doubling the stride each pass.
+    held = into_own
+    while True:
+        jumped = held[held]
+        if np.array_equal(jumped, held):
+            break
+        held = jumped
+    return np.where(into_target >= 0, held[into_target], target)

@@ -334,6 +334,24 @@ class TestEveInformation:
         with pytest.raises(ValueError, match=f"round {missing} with no record"):
             eve_information([r for r in records if r.round_id != missing], bob)
 
+    def test_key_flag_must_match_record_bases(self):
+        # Same-basis rounds 3 (Eve's resent Phi+ pins Bob's type-I outcome)
+        # and 4 (her chi+ does not).
+        def record(rid, eve_basis, eve_outcome):
+            return RoundRecord(rid, BasisType.TYPE_I, BasisType.TYPE_I, BellLabel.PHI_PLUS,
+                               BellLabel.PHI_PLUS, True, True,
+                               EveRecord(rid, (eve_basis,), (eve_outcome,)))
+
+        records = [record(3, BasisType.TYPE_I, BellLabel.PHI_PLUS),
+                   record(4, BasisType.TYPE_II, BellLabel.CHI_PLUS)]
+        assert eve_information(records, KeyBits([0] * 4, [3, 4], [True, True])) == 0.5
+        # A key that gives round 3 one bit, as a different-basis round, is
+        # not scored as given.
+        wrong = KeyBits([0] * 3, [3, 4], [False, True])
+        for estimator in (eve_information, eve_guess_accuracy):
+            with pytest.raises(ValueError, match="round 3 the wrong same-basis flag"):
+                estimator(records, wrong)
+
     def test_guess_accuracy_five_sixths(self):
         exact = oracle.single_eve_guess_accuracy()
         assert abs(exact - 5.0 / 6.0) < 1e-12

@@ -457,6 +457,9 @@ class TestKeyRounds:
             ([1, 2], [1], [True], "0 or 1"),
             # one id and one flag per round
             ([1, 0, 1], [1, 2], [True], "equal lengths"),
+            # each round once, in round order
+            ([0] * 5, [3, 3, 3, 4], [False, False, False, True], "strictly increasing"),
+            ([1, 0], [4, 2], [False, False], "strictly increasing"),
             # two bits per same-basis round, one per other round
             ([1], [0], [True], "give 2 bits, not 1"),
             ([1, 0, 1], [0, 1], [True, True], "give 4 bits, not 3"),

@@ -9,13 +9,12 @@ order depends on the BLAS thread count, to exact integer counts; those
 reports changed only in the last digit of that field. Any change to a
 report's bytes, in the statistics, the keys or the rendering, fails here. The cases are the
 six scenarios at efficiency 1.0 and 0.5, in JSON and CSV, at 2 000
-rounds, and one 70 000-round call per attack kind, which crosses the
-engine's 65 536-round block. All use seed 1.
-
-The three 10**6-round calls at efficiency 0.9, one per attack kind, were
-added before the engine read whole rounds off one composed table, and
-were generated on the commit before that change. Each crosses about
-sixteen 65 536-round blocks and makes about 40 000 verification picks.
+rounds, and one 70 000-round and one 10**6-round call per attack kind at
+efficiency 0.9. The 70 000-round calls cross a 65 536-round block, the
+engine's block size when they were pinned. The 10**6-round calls were
+generated before the engine read whole rounds off one composed table in
+16 384-round blocks, on the commit before that change; each crosses 62 of
+those blocks and makes about 40 000 verification picks. All use seed 1.
 """
 
 import hashlib
