@@ -1,6 +1,6 @@
 """Command-line entry point: run a batch, emit a report, optionally self-check.
 
-Report schema (version "1"): a JSON object with ``schema_version``,
+Report schema (version "2"): a JSON object with ``schema_version``,
 ``generated_at`` (omitted under --deterministic-output), ``config`` (echo
 of the parsed flags), ``stats`` (every BatchStats field, standard errors
 included), ``keys`` (lengths and SHA-256 digests of both key strings) and,
@@ -47,7 +47,7 @@ from .montecarlo import (
 )
 from .protocol import VerificationReport
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 #: Width of every statistical --check band, in standard errors. A correct
 #: program falls outside 5 SE with probability about 6e-7 per check, while
@@ -146,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verify-fraction", type=float, default=0.1,
                         help="fraction of same-basis rounds compared in public "
                              "and removed from the key (default: 0.1)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted and echoed in the report; the batch runs in "
-                             "this process and results never depend on it (default: 1)")
     parser.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report format (default: json)")
     parser.add_argument("--check", action="store_true",
@@ -193,7 +190,6 @@ def parse_config(argv: Sequence[str]) -> tuple[SimConfig, ReportOptions]:
         efficiency=args.efficiency,
         attack=attack,
         verify_fraction=args.verify_fraction,
-        workers=args.workers,
     )
     try:
         config.validate()
@@ -222,7 +218,6 @@ def _config_echo(config: SimConfig) -> dict:
         "attack": attack,
         "eve_bases": eve_bases,
         "verify_fraction": config.verify_fraction,
-        "workers": config.workers,
     }
 
 

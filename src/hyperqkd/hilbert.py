@@ -309,10 +309,19 @@ def _closed_tables():
 #: Per slot (see :func:`outcome_slots`): the outcome's label index in its
 #: basis, and the post-measurement state id.
 _QUARTERS, OUTCOME_LABEL, OUTCOME_POST, _STATES = _closed_tables()
-_STATE_IDS = {state.tobytes(): sid for sid, state in enumerate(_STATES)}
+
+
+def _lookup_key(state: np.ndarray) -> bytes:
+    """Bytes of ``state`` with each signed zero made +0.0, so that states
+    equal in value have one key (``np.kron`` of two Bell vectors gives
+    -0.0 where the tables hold 0.0)."""
+    return (state + 0.0).tobytes()
+
+
+_STATE_IDS = {_lookup_key(state): sid for sid, state in enumerate(_STATES)}
 # State id c (< 8) is the product of Phi+ (code 0) with the Bell vector of
 # code c, whose photon 2 has that vector's Born law.
-_BELL_CODES = {vector.tobytes(): code for code, vector in enumerate(_BELL)}
+_BELL_CODES = {_lookup_key(vector): code for code, vector in enumerate(_BELL)}
 
 
 def outcome_slots(state_ids, photon: Photon, bases, draws: np.ndarray) -> np.ndarray:
@@ -354,14 +363,14 @@ def measure_party(
     The outcome is sampled with Born probabilities; the post state is the
     normalized projection of ``state`` onto the outcome's Bell vector on
     the measured photon (the partner photon keeps its conditional state).
-    Consumes exactly one draw. A state of the closed set, given exactly as
-    this module returns it, is sampled from the fixed tables with exact
+    Consumes exactly one draw. A state equal in every entry to one of the
+    closed set, as this module returns it, is sampled from the fixed tables with exact
     probabilities and collapses to a closed-set state; any other state is
     sampled from its computed probabilities. Post states may be shared,
     read-only arrays.
     """
     state = np.asarray(state, dtype=np.complex128)
-    sid = _STATE_IDS.get(state.tobytes()) if state.shape == (16,) else None
+    sid = _STATE_IDS.get(_lookup_key(state)) if state.shape == (16,) else None
     if sid is None:
         probs, posts = _joint_table(state, photon, basis)
         idx = _sample_index(probs, rand.uniform())
@@ -383,14 +392,14 @@ def measure_single(
 ) -> MeasurementResult:
     """Bell-basis measurement of a lone photon; the post state is the eigenstate.
 
-    Consumes exactly one draw. A Bell vector, given exactly as
-    :func:`bell_vector` returns it, is measured as photon 2 of the
+    Consumes exactly one draw. A state equal in every entry to a Bell
+    vector, as :func:`bell_vector` returns it, is measured as photon 2 of the
     closed-set product of Phi+ with it, from the fixed tables with exact
     probabilities; any other state is sampled from its computed
     probabilities.
     """
     state = np.asarray(state, dtype=np.complex128)
-    code = _BELL_CODES.get(state.tobytes()) if state.shape == (4,) else None
+    code = _BELL_CODES.get(_lookup_key(state)) if state.shape == (4,) else None
     if code is not None:
         res = measure_party(_STATES[code], Photon.TWO, basis, rand)
         return MeasurementResult(res.label, res.probability, _BELL_VECTORS[res.label])

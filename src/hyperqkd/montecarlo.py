@@ -30,9 +30,8 @@ reference functions ``sift``, ``verify_sample``, ``build_keys``,
 :func:`detection_probability` compute it; those read what Eve saw in a
 round from its record's ``eve_trace``, which the engine holds as the
 round's column of Eve's label codes.
-``SimConfig.workers`` is accepted and echoed but changes nothing. At a
-``verify_fraction`` of 0 the engine compares no round and skips
-verification, while ``verify_sample`` itself rejects a fraction of 0.
+At a ``verify_fraction`` of 0 no round is compared and every coincidence
+stays in the key.
 Estimators report binomial standard errors, except Eve's information,
 whose standard error is clustered by round.
 
@@ -99,18 +98,13 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one batch run.
-
-    ``workers`` is validated and echoed in reports; the batch always runs in
-    one process, so it changes no result.
-    """
+    """Configuration of one batch run; the batch runs in one process."""
 
     rounds: int
     seed: int = 42
     efficiency: float = 1.0
     attack: Optional[AttackConfig] = None
     verify_fraction: float = 0.1
-    workers: int = 1
 
     def validate(self) -> None:
         """Raise ConfigurationError listing every violated field.
@@ -128,8 +122,6 @@ class SimConfig:
             problems["efficiency"] = f"must be in (0, 1], got {self.efficiency!r}"
         if not _is_real(self.verify_fraction) or not 0.0 <= self.verify_fraction < 1.0:
             problems["verify_fraction"] = f"must be in [0, 1), got {self.verify_fraction!r}"
-        if not _is_int(self.workers) or self.workers < 1:
-            problems["workers"] = f"must be an integer >= 1, got {self.workers!r}"
         if self.attack is not None and not isinstance(self.attack, AttackConfig):
             problems["attack"] = f"must be an AttackConfig or None, got {self.attack!r}"
         if problems:
@@ -167,7 +159,10 @@ class DetectionStats:
 
 @dataclass(frozen=True)
 class BatchStats:
-    """Monte Carlo estimates for one batch, with binomial standard errors."""
+    """Monte Carlo estimates for one batch, with binomial standard errors.
+
+    ``same_basis_mismatches`` counts over all ``same_basis_count`` rounds.
+    """
 
     rounds: int
     coincidences: int
@@ -180,7 +175,6 @@ class BatchStats:
     bits_per_coincidence_se: Optional[float]
     ekert_ratio: Optional[float]
     ekert_ratio_se: Optional[float]
-    same_basis_compared: int
     same_basis_mismatches: int
     same_basis_mismatch_rate: Optional[float]
     same_basis_mismatch_se: Optional[float]
@@ -458,9 +452,9 @@ def _verify(
     """``verify_sample`` on the same-basis rounds: the report and the
     round ids it consumed."""
     n = len(same_ids)
-    if config.verify_fraction == 0.0 or n == 0:
-        return VerificationReport(0, 0, None), same_ids[:0]
     k = math.ceil(config.verify_fraction * n)
+    if k == 0:
+        return VerificationReport(0, 0, None), same_ids[:0]
     chosen = same_ids[partial_shuffle(n, stream_uniforms(config.seed, _VERIFY_STREAM, k))]
     mismatches = int(np.count_nonzero(rounds.alice[chosen] != rounds.bob[chosen]))
     return VerificationReport(k, mismatches, mismatches / k), chosen
@@ -486,8 +480,7 @@ def eve_information_se(known_bits: int, known_sq: int, width_sq: int, key_len: i
 def run_batch(config: SimConfig) -> BatchResult:
     """Run a configured batch and compute its estimators.
 
-    Identical configurations produce bit-identical results; ``workers``
-    changes nothing. The headline bits-per-coincidence counts every
+    Identical configurations produce bit-identical results. The headline bits-per-coincidence counts every
     coincident round as key material; the bits consumed by verification
     show up separately in ``key_length``.
     """
@@ -569,7 +562,6 @@ def run_batch(config: SimConfig) -> BatchResult:
         bits_per_coincidence_se=bpc_se,
         ekert_ratio=ratio,
         ekert_ratio_se=ratio_se,
-        same_basis_compared=same_n,
         same_basis_mismatches=mismatches,
         same_basis_mismatch_rate=mism_rate,
         same_basis_mismatch_se=mism_se,

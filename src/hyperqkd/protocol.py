@@ -333,14 +333,16 @@ def verify_sample(
     Samples ``ceil(fraction * len(same_basis))`` rounds uniformly without
     replacement, compares the full outcome labels, and returns the report
     together with the sampled round ids (consumed: excluded from keys).
+    ``fraction`` is in [0, 1), the range ``SimConfig`` accepts; at 0 no
+    round is compared.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ConfigurationError(f"verification fraction must be in (0, 1), got {fraction}")
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigurationError(f"verification fraction must be in [0, 1), got {fraction}")
     same = groups.same_basis
     n = len(same)
-    if n == 0:
-        return VerificationReport(0, 0, None), frozenset()
     k = math.ceil(fraction * n)
+    if k == 0:
+        return VerificationReport(0, 0, None), frozenset()
     chosen = partial_shuffle(n, np.array([rand.uniform() for _ in range(k)])).tolist()
     mismatches = sum(
         1 for i in chosen if same[i].alice_outcome is not same[i].bob_outcome

@@ -57,13 +57,10 @@ def reference(config):
         for i in range(config.rounds)
     ]
     groups = sift(records)
-    if config.verify_fraction > 0.0 and groups.same_basis:
-        verification, consumed = verify_sample(
-            groups, config.verify_fraction,
-            RandomSource.for_stream(config.seed, montecarlo._VERIFY_STREAM),
-        )
-    else:
-        verification, consumed = VerificationReport(0, 0, None), frozenset()
+    verification, consumed = verify_sample(
+        groups, config.verify_fraction,
+        RandomSource.for_stream(config.seed, montecarlo._VERIFY_STREAM),
+    )
     alice, bob = build_keys(groups, consumed)
     eve = dict(eve_information=None, eve_information_se=None, eve_guess_accuracy=None)
     detection = None
@@ -121,7 +118,6 @@ def reference_stats(config, *, coincidences, same_n, mismatches, verification,
         bits_per_coincidence_se=bpc_se,
         ekert_ratio=ratio,
         ekert_ratio_se=ratio_se,
-        same_basis_compared=same_n,
         same_basis_mismatches=mismatches,
         same_basis_mismatch_rate=mism_rate,
         same_basis_mismatch_se=mism_se,

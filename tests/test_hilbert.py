@@ -1,5 +1,6 @@
 """Tests for the 4x16-dimensional state algebra and Bell-basis measurements."""
 
+import itertools
 import math
 
 import numpy as np
@@ -386,12 +387,15 @@ class TestMeasureSingle:
     def test_bell_vector_is_measured_with_exact_quarters(self):
         # The draw's top two bits q pick the first label whose running
         # quarter count exceeds q, as measure_party does on the closed set.
+        # Its zeros given as -0.0, a Bell vector is still equal in value.
         for label in ALL_LABELS:
+            signed = bell_vector(label).copy()
+            signed[signed == 0] = -0.0
             for basis in BasisType:
                 quarters = hilbert.overlap_quarters(label, basis)
                 running = np.cumsum(quarters)
-                for q in range(4):
-                    res = measure_single(bell_vector(label), basis, Words(q << 62 | 12345))
+                for q, vector in itertools.product(range(4), (bell_vector(label), signed)):
+                    res = measure_single(vector, basis, Words(q << 62 | 12345))
                     idx = int(np.searchsorted(running, q, side="right"))
                     assert res.label is basis_labels(basis)[idx]
                     assert res.probability == quarters[idx] / 4
@@ -496,6 +500,18 @@ class TestClosedTables:
                     hilbert._STATES[8 * c1 + c2], np.kron(bell_vector(a), bell_vector(b))
                 )
         assert hilbert._STATES[hilbert.SHARED_ID] is build_shared_state()
+
+    def test_kron_products_are_read_off_the_tables(self):
+        # np.kron of two Bell vectors holds -0.0 where the closed set holds
+        # 0.0; the products are equal in value, so they take the exact path.
+        codes = [lab for basis in BasisType for lab in basis_labels(basis)]
+        for (c1, a), (c2, b) in itertools.product(enumerate(codes), repeat=2):
+            state = np.kron(bell_vector(a), bell_vector(b))
+            for photon, basis, q in itertools.product(Photon, BasisType, range(4)):
+                res = measure_party(state, photon, basis, Words(q << 62))
+                slot = 4 * _row(8 * c1 + c2, photon, basis) + basis_labels(basis).index(res.label)
+                assert res.probability == hilbert._QUARTERS[slot] / 4
+                assert any(res.post_state is known for known in hilbert._STATES)
 
     @pytest.mark.parametrize("sid", CLOSED_IDS)
     def test_rows_are_computed_probabilities_in_quarters(self, sid):

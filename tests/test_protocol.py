@@ -14,6 +14,7 @@ from hyperqkd import (
     RandomSource,
     RoundRecord,
     SiftGroups,
+    VerificationReport,
     basis_labels,
     build_keys,
     choose_basis,
@@ -401,9 +402,17 @@ class TestVerifySample:
 
     def test_fraction_out_of_range(self):
         groups = sift(simulate(100, 42))
-        for bad in (0.0, 1.0, -0.1, 1.5):
+        for bad in (1.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ConfigurationError):
                 verify_sample(groups, bad, RandomSource(0))
+
+    def test_fraction_zero_compares_nothing(self):
+        # [0, 1), the range SimConfig accepts; at 0 no uniform is drawn.
+        groups = sift(simulate(100, 42))
+        assert groups.same_basis
+        rand = RandomSource(0)
+        assert verify_sample(groups, 0.0, rand) == (VerificationReport(0, 0, None), frozenset())
+        assert rand.next_u64() == RandomSource(0).next_u64()
 
     def test_deterministic_given_seed(self):
         groups = sift(simulate(3000, 43))
