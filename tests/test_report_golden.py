@@ -6,8 +6,13 @@ estimators became row-table gathers, generated on that earlier commit so
 that the rewrite had to reproduce them. Ten of them were regenerated when
 ``eve_information_se`` moved from a floating-point dot product, whose sum
 order depends on the BLAS thread count, to exact integer counts; those
-reports changed only in the last digit of that field. Any change to a
-report's bytes, in the statistics, the keys or the rendering, fails here. The cases are the
+reports changed only in the last digit of that field. All 30 were
+regenerated for report schema "2", which drops two fields that held no
+information, the config echo of a flag that changed no result and
+``stats.same_basis_compared``: parsed, each new report equals the one
+pinned before, with ``schema_version`` changed and those two fields (in
+CSV, their columns) removed. Any change to a report's bytes, in the
+statistics, the keys or the rendering, fails here. The cases are the
 six scenarios at efficiency 1.0 and 0.5, in JSON and CSV, at 2 000
 rounds, and one 70 000-round and one 10**6-round call per attack kind at
 efficiency 0.9. The 70 000-round calls cross a 65 536-round block, the
@@ -31,65 +36,65 @@ from hyperqkd.cli import main
 # (attack, eve bases, efficiency, format, rounds) -> SHA-256 of the report.
 DIGESTS = {
     ("none", None, 1.0, "json", 2000):
-        "a050f3e19693f368cb7bc00a1bfae3e0d6a3e0f017c8de1fa166e5d98051b1ed",
+        "efefddb39b1a679a68c323c1abb0b54da9374d2aabbb17bc138268503f026081",
     ("none", None, 1.0, "csv", 2000):
-        "17a693bac584c256c5627c9b81c3ab24ae3eee524b0061cf81a0b9e8c3ebf109",
+        "299a7a905f9565a6bc79a51af6b18251ac87b125a981b6fe7f8a163278c1d5e1",
     ("none", None, 0.5, "json", 2000):
-        "7f237c72a62caa49e493c4d1bf9ac42c5fdb75c1a74d61ba568fba57afa4532b",
+        "8a8229735f2cc341f376c8327e354d787875d389bc5c4304e0f403b4a81ae351",
     ("none", None, 0.5, "csv", 2000):
-        "66a41be1aeb75f25443fa63909bd5f0fee7bab4c8848cde0524163604554ffe7",
+        "9869dece6a8ccd54ca64a6eab5123a94d02c3901c8f07edb78a9c6dd8696e014",
     ("single", "random", 1.0, "json", 2000):
-        "c103959a184a7ba1050e7f8406cb512b121984f21c7db419ad67d25d44fa73f2",
+        "a855d2620a8ca03ad302e89612cf45619f4a188b7f40c41f465f460d34c720d7",
     ("single", "random", 1.0, "csv", 2000):
-        "9f27c0a7efdb84b8b70ff0e2950f8de5fa8171e9da27bf661b69ee6cbc4ccad0",
+        "680da8dbbf869f6d19bdead3f00005eb294a37440fe0180c607a0d7f6bd78663",
     ("single", "random", 0.5, "json", 2000):
-        "647716ec5b940b93c9d717d3b256ff7ea5ed88cb653f09e16c0d042ff724b2aa",
+        "268ea17b7c135bb0d452d1675a1ac0436208b80aacf7bbc28c10147561e94b28",
     ("single", "random", 0.5, "csv", 2000):
-        "b738d0f11696088bea6fad6dc07dabf7855a052231e71ca833c593ba3ff6a9ea",
+        "9c6b82df651200f429300e7d771578875ea8cf30e46f7c127e08807fca4d04d2",
     ("single", "same", 1.0, "json", 2000):
-        "e1cba0a4d84b853fd098b57cac0ecaf941928e0579cb823d6ec3b62234cedbce",
+        "b4fce8c141ba5db587aff4d96af7f6da563a63903b1b7916d52e1508878c585b",
     ("single", "same", 1.0, "csv", 2000):
-        "ab849ffb866bf109145a0493866e4ac6664abe26c42b5e24d259c8f6f733f1eb",
+        "e9d49095390d349c2b9c97c747677573161a84a7631f86df4ec8cf90f39d94d6",
     ("single", "same", 0.5, "json", 2000):
-        "f86622aab14413c7a7e7ba9d8d795778b433ba48b8b3fbf2b285dde69b95e6a2",
+        "6db0b286f6e568ffa11cedc8fc01e5e1d3269e0c3c818b45de23c85563f38a1f",
     ("single", "same", 0.5, "csv", 2000):
-        "648d46d503c10f6b6b20dbead4e0a2b1332a62716f34e37bd64ed0f592f34c56",
+        "0207d6fa655cad42bb4835d10bb9f7ac664514e1a700ebe45fdfd721bb06c3ce",
     ("double", "random", 1.0, "json", 2000):
-        "c3375a6bf5c1d46865fe7fd17e025a9da4bc68ba4a935a0547df363971b9ce33",
+        "cacee5affe2718545b13d03474c62ddb9051092ee602e0237753f544c303c738",
     ("double", "random", 1.0, "csv", 2000):
-        "676bfcf9b1ddb31a4ba259bed5a26f7e8977213ada3d6963ab8e957e2259a862",
+        "d498aa21c7c78a101c3be9d692cfd85265ae524afd7b084c0d6725a25848d4fa",
     ("double", "random", 0.5, "json", 2000):
-        "bcf1976ead6ed54777129820a17d2baed370d41b2e20d52bc828989ef47aa866",
+        "59e6a9023e2eeab6fdab4258bc33d5937b03e09a9fc0a27e1fdbec1cee5e0b6e",
     ("double", "random", 0.5, "csv", 2000):
-        "6a37d82ef2e7e4d33774949f6437e7608f7d54b42b9b391c60f2654528c33e2f",
+        "d65b7fb121738051f215c475a4d8f5616efe10d64f7ed6712ce3209535495f85",
     ("double", "same", 1.0, "json", 2000):
-        "f6a47b2644f4ff77763c2fed464d167633e1740fef747043b3349ccabf6a1a39",
+        "0ac339afc684d5d4d86645379d968c51206f99b7e99c33aba58f7911e8c2e929",
     ("double", "same", 1.0, "csv", 2000):
-        "b180fac0b62cc8dbdcf31b28a73912fad7ae4caec60f6e394e1eb002baa0d8fb",
+        "76f7058a30f9fd76081e109d75a6b07b2a0f11ea879b08d69704e5463ce7b528",
     ("double", "same", 0.5, "json", 2000):
-        "8396e79c41f8bc81f3478c61fb8cce2578d9c57fd912e8ce2c2a48418a33b468",
+        "7f3022d29b5df32d5e680830043603ec6a009e607f982ce3e0e29cc5d033ccb9",
     ("double", "same", 0.5, "csv", 2000):
-        "6ae0cc812c565b0164282eb7839ac6ea9f8aaa57bdb786e153269ec9c2546fe6",
+        "3c0259e06929c82737dbcde81c170e1211e8997e5ecb70365f39d562267093b4",
     ("double", "different", 1.0, "json", 2000):
-        "99f0b76f664b1679dac9bed94ff159c3f7ea2ebe427f56d9f4ab4e60b9c44650",
+        "761ebf8630dc8fa2bee25615b4043c2153ee57ced21abae17eba0182ff9cb48b",
     ("double", "different", 1.0, "csv", 2000):
-        "9242eaf00f09422c5aa19813873f57f074ca29c2becbafc873a9832ea6a7f768",
+        "c0a317f95fa49b594be8cced9549c6cace1dd9394cb79e078eca7e2e628943f6",
     ("double", "different", 0.5, "json", 2000):
-        "a0b6c4dba2901ff4a345507a0a0de24ece1dd1a14d9ca7495012f521a996266d",
+        "4e80853197ab739151a42c5a8b534adacff05fce12c311d276a253064548d53b",
     ("double", "different", 0.5, "csv", 2000):
-        "a6cdf7a3ed418e267cdd8a1c3ac97def04a44815c9141ad11621e41480258cc9",
+        "901e5e97dd6071ab49a31c549365eb79e3a11dca7f0b4354fa45ac5e58775912",
     ("none", None, 0.9, "json", 70000):
-        "2c85ac2aada7255692fda1407bedb60409ae75b1ff39b1c4310dac707bc134de",
+        "3e9815c779b30537f160721104b4637cdcf29987fa78eb9697ce129649dd6b92",
     ("single", None, 0.9, "json", 70000):
-        "87a5093d72af551085fffac5b6d3fe73d2150b7a97ddbcf8ffe3964fddb15786",
+        "c9c5f1aa053854836fc55177b46d771b09c4a081ba2e9c02e1c92fd5f4f56003",
     ("double", None, 0.9, "json", 70000):
-        "a17320abe24ac5fe2d1301b80e5250f95b68e1054c308fd4099321c5f0876d4b",
+        "4a1583282fe60b7ebb2f55c995d2c24730c89cc3216bd2fe83b6d16a3e3b8182",
     ("none", None, 0.9, "json", 1000000):
-        "b00f58eb40a149e28eec1cb1d756172830195cfb0e4412ccd503775dec54795a",
+        "5b9a993e6da306bcfd867031e19d5a44ed0d4d9f82383c8462b181f3f46c210a",
     ("single", None, 0.9, "json", 1000000):
-        "1335fe442bd1b5fb6b1c4caf366ff734ec73ba41a11c5e102030c13417ded0c2",
+        "bd4441b4343c09aa15ae28b1ce9af296917f7e384910d2606632f4dd48eb6525",
     ("double", None, 0.9, "json", 1000000):
-        "539740b72bd57498ca0d777f7e2016969c45954cfa69fa239a704ac9156dca3d",
+        "d9e07e7b8da66d443db6f9b4b269fe7bf4aa5a4870ba6d418e0dc0a0fe27f460",
 }
 
 
