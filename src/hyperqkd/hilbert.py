@@ -364,10 +364,10 @@ def measure_party(
     normalized projection of ``state`` onto the outcome's Bell vector on
     the measured photon (the partner photon keeps its conditional state).
     Consumes exactly one draw. A state equal in every entry to one of the
-    closed set, as this module returns it, is sampled from the fixed tables with exact
-    probabilities and collapses to a closed-set state; any other state is
-    sampled from its computed probabilities. Post states may be shared,
-    read-only arrays.
+    closed set, as this module returns it, is sampled from the fixed tables
+    with exact probabilities and collapses to a closed-set state; any other
+    state is sampled from its computed probabilities. Post states may be
+    shared, read-only arrays.
     """
     state = np.asarray(state, dtype=np.complex128)
     sid = _STATE_IDS.get(_lookup_key(state)) if state.shape == (16,) else None
@@ -393,9 +393,9 @@ def measure_single(
     """Bell-basis measurement of a lone photon; the post state is the eigenstate.
 
     Consumes exactly one draw. A state equal in every entry to a Bell
-    vector, as :func:`bell_vector` returns it, is measured as photon 2 of the
-    closed-set product of Phi+ with it, from the fixed tables with exact
-    probabilities; any other state is sampled from its computed
+    vector, as :func:`bell_vector` returns it, is measured as photon 2 of
+    the closed-set product of Phi+ with it, from the fixed tables with
+    exact probabilities; any other state is sampled from its computed
     probabilities.
     """
     state = np.asarray(state, dtype=np.complex128)

@@ -480,9 +480,9 @@ def eve_information_se(known_bits: int, known_sq: int, width_sq: int, key_len: i
 def run_batch(config: SimConfig) -> BatchResult:
     """Run a configured batch and compute its estimators.
 
-    Identical configurations produce bit-identical results. The headline bits-per-coincidence counts every
-    coincident round as key material; the bits consumed by verification
-    show up separately in ``key_length``.
+    Identical configurations produce bit-identical results. The headline
+    bits-per-coincidence counts every coincident round as key material; the
+    bits consumed by verification show up separately in ``key_length``.
     """
     config.validate()
     rounds = _simulate(config)

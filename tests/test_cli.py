@@ -161,9 +161,10 @@ class TestReportDocuments:
             "verify_fraction", "coincidences", "coincidence_rate",
             "coincidence_rate_se", "same_basis_count", "diff_basis_count",
             "discarded_count", "bits_per_coincidence", "bits_per_coincidence_se",
-            "ekert_ratio", "ekert_ratio_se", "same_basis_mismatches", "same_basis_mismatch_rate",
-            "same_basis_mismatch_se", "key_length", "key_bit_error_rate",
-            "key_bit_error_se", "verify_compared_rounds", "verify_mismatches",
+            "ekert_ratio", "ekert_ratio_se", "same_basis_mismatches",
+            "same_basis_mismatch_rate", "same_basis_mismatch_se", "key_length",
+            "key_bit_error_rate", "key_bit_error_se", "verify_compared_rounds",
+            "verify_mismatches",
             "verify_mismatch_rate", "eve_information", "eve_information_se",
             "eve_guess_accuracy", "detection_same_bases_compared",
             "detection_same_bases_rate", "detection_same_bases_se",

@@ -23,7 +23,6 @@ from hyperqkd import (
     EveBasisStrategy,
     RandomSource,
     SimConfig,
-    VerificationReport,
     build_keys,
     detection_probability,
     eve_guess_accuracy,

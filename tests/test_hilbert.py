@@ -509,8 +509,9 @@ class TestClosedTables:
             state = np.kron(bell_vector(a), bell_vector(b))
             for photon, basis, q in itertools.product(Photon, BasisType, range(4)):
                 res = measure_party(state, photon, basis, Words(q << 62))
-                slot = 4 * _row(8 * c1 + c2, photon, basis) + basis_labels(basis).index(res.label)
-                assert res.probability == hilbert._QUARTERS[slot] / 4
+                row = _row(8 * c1 + c2, photon, basis)
+                idx = basis_labels(basis).index(res.label)
+                assert res.probability == hilbert._QUARTERS[4 * row + idx] / 4
                 assert any(res.post_state is known for known in hilbert._STATES)
 
     @pytest.mark.parametrize("sid", CLOSED_IDS)
