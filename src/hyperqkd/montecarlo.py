@@ -98,7 +98,7 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one batch run; the batch runs in one process."""
+    """Configuration of one batch run."""
 
     rounds: int
     seed: int = 42
