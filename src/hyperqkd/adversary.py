@@ -17,11 +17,13 @@ resent, read as exact quarters from :func:`hyperqkd.hilbert.overlap_quarters`
 (each Bell state overlaps two states of the other basis, a half each), so
 :func:`knows_outcome` is an exact test and every :func:`guess_score` an exact
 multiple of 1/4. Both estimators take the round records and the receiver's
-key, read what Eve saw in a round from its record
+key, read what Eve saw in each key round
+(:attr:`hyperqkd.protocol.KeyBits.rounds`) from its record
 (:attr:`hyperqkd.protocol.RoundRecord.eve_trace`, None when she did not
-touch it) and walk the key round by round
-(:attr:`hyperqkd.protocol.KeyBits.rounds`): a same-basis round carries two
-key bits and any other round one. Both are None for an empty key.
+touch it) and gather her photon-2 label codes and the receiver's basis codes
+for :func:`eve_counts`, the kernel the batch engine runs on its columns: a
+same-basis round carries two key bits and any other round one. Both are None
+for an empty key.
 """
 
 from __future__ import annotations
@@ -30,8 +32,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .hilbert import (
+    BASES,
+    LABELS,
     BasisType,
     BellLabel,
     Photon,
@@ -188,17 +194,47 @@ def guess_score(
     return max(q, 4 - q) / 4
 
 
-def _key_rounds(
-    records: Iterable[RoundRecord], key: KeyBits
-) -> list[tuple[BasisType, Optional[BellLabel], bool]]:
-    """For each round of the receiver's ``key``, in key order: the
-    receiver's basis, the photon-2 outcome Eve resent (None when she did
-    not touch the round) and whether it was a same-basis round.
+# Cell 2 * (Eve's photon-2 label code) + receiver's basis code: whether she
+# knows the receiver's outcome; code _UNTOUCHED, one past LABELS, stands for
+# a round she did not touch. Entry 2 * cell + (0 for a same-basis round, 1
+# otherwise) of _GUESS_QUARTERS: her guess scores for the round's key bits,
+# summed, in quarters (each score is an exact number of quarters).
+_UNTOUCHED = len(LABELS)
+_EVE_KNOWS = np.array([lab is not None and knows_outcome(lab, b)
+                       for lab in (*LABELS, None) for b in BASES])
+_GUESS_QUARTERS = np.array(
+    [int(4 * score) for lab in (*LABELS, None) for b in BASES
+     for score in (guess_score(lab, b, SAME, 0) + guess_score(lab, b, SAME, 1),
+                   guess_score(lab, b, DIFF, 0))],
+    dtype=np.int8,
+)
+
+
+def eve_counts(
+    eve_codes: np.ndarray, basis_codes: np.ndarray, same: np.ndarray
+) -> tuple[int, int, int]:
+    """Eve's tallies over key rounds: the rounds whose receiver outcome she
+    knows, the same-basis rounds among them, and her guess scores for all
+    their key bits summed in quarters.
+
+    Per key round, ``eve_codes`` holds her photon-2 label code (hilbert's
+    LABELS; _UNTOUCHED for a round she did not touch), ``basis_codes`` the
+    receiver's basis code and ``same`` the same-basis flag.
+    """
+    cell = 2 * eve_codes + basis_codes
+    known = _EVE_KNOWS.take(cell)
+    quarters = int(_GUESS_QUARTERS.take(2 * cell + ~same).sum())
+    return int(np.count_nonzero(known)), int(np.count_nonzero(known & same)), quarters
+
+
+def _key_rounds(records: Iterable[RoundRecord], key: KeyBits) -> tuple[int, int, int]:
+    """:func:`eve_counts` over the rounds of the receiver's ``key``, reading
+    what Eve saw in each round from its record.
 
     Raises ValueError if a key round has no record, or if its same-basis
     flag disagrees with its record's bases."""
     records_by_id = _index_records(records)
-    rounds = []
+    codes = []
     round_ids, same = key.rounds
     for rid, is_same in zip(round_ids.tolist(), same.tolist()):
         rec = records_by_id.get(rid)
@@ -208,8 +244,10 @@ def _key_rounds(
             raise ValueError(f"key gives round {rid} the wrong same-basis flag")
         trace = rec.eve_trace
         # outcomes[-1] is Eve's photon-2 outcome for either attack kind.
-        rounds.append((rec.bob_basis, None if trace is None else trace.outcomes[-1], is_same))
-    return rounds
+        codes.append((_UNTOUCHED if trace is None else LABELS.index(trace.outcomes[-1]),
+                      BASES.index(rec.bob_basis)))
+    codes = np.array(codes, dtype=np.int8).reshape(-1, 2)
+    return eve_counts(codes[:, 0], codes[:, 1], same)
 
 
 def eve_information(records: Iterable[RoundRecord], key: KeyBits) -> Optional[float]:
@@ -228,12 +266,10 @@ def eve_information(records: Iterable[RoundRecord], key: KeyBits) -> Optional[fl
     ``key`` is the receiver's (Bob's) key and ``records`` must hold each
     of its rounds; Eve's record of a round is the round's ``eve_trace``.
     """
-    rounds = _key_rounds(records, key)
+    known_rounds, known_same, _ = _key_rounds(records, key)
     if not len(key):
         return None
-    known = sum(1 + same for basis, eve_outcome, same in rounds
-                if eve_outcome is not None and knows_outcome(eve_outcome, basis))
-    return known / len(key)
+    return (known_rounds + known_same) / len(key)
 
 
 def eve_guess_accuracy(records: Iterable[RoundRecord], key: KeyBits) -> Optional[float]:
@@ -246,13 +282,10 @@ def eve_guess_accuracy(records: Iterable[RoundRecord], key: KeyBits) -> Optional
     the encoding rules and scores its probability of being right. Captures
     the partial knowledge the certainty criterion of
     :func:`eve_information` deliberately ignores. Every score is an exact
-    number of quarters, so the float sum is exact.
+    number of quarters, so the result is one correctly rounded division of
+    their integer count.
     """
-    rounds = _key_rounds(records, key)
+    quarters = _key_rounds(records, key)[2]
     if not len(key):
         return None
-    total = 0.0
-    for basis, eve_outcome, same in rounds:
-        tag = SAME if same else DIFF
-        total += sum(guess_score(eve_outcome, basis, tag, pos) for pos in range(1 + same))
-    return total / len(key)
+    return quarters / (4 * len(key))

@@ -13,23 +13,18 @@ table per attack shape, built once from the closed state set's fixed tables
 in :mod:`hyperqkd.hilbert`. A detection is a comparison of the full draw
 with the efficiency's threshold. Every record equals what the scalar
 reference :func:`hyperqkd.protocol.run_round` gives for the same round.
-Sifting, verification and the detection strata are array operations on
-those columns; the verification picks are
-:func:`hyperqkd.protocol.partial_shuffle`, which ``verify_sample`` also
-calls. Key extraction and Eve's two estimators are gathers on
-small fixed tables: each key round picks, for each party, a row holding its
-two bits or its one bit and a filler, and for Eve whether she knows the
-round and her guess scores summed in quarters; dropping the fillers leaves
-the key bits in key order. Eve's tables come from the exact Bell overlaps of
-:mod:`hyperqkd.hilbert`, so her guess accuracy is an integer count of
-quarters divided once by 4 * key length.
-Each key is built, as every :class:`KeyBits` is, from its bits and its
-rounds' ids and same-basis flags. All of it is computed exactly as the
-reference functions ``sift``, ``verify_sample``, ``build_keys``,
-``eve_information``, ``eve_guess_accuracy`` and
-:func:`detection_probability` compute it; those read what Eve saw in a
-round from its record's ``eve_trace``, which the engine holds as the
-round's column of Eve's label codes.
+Sifting and verification are array operations on those columns; the
+verification picks are :func:`hyperqkd.protocol.partial_shuffle`, which
+``verify_sample`` also calls. Key extraction, Eve's two estimators and the
+detection strata each have one kernel over label codes, run once per batch
+on the key rounds' columns: :func:`hyperqkd.protocol.key_bits`,
+:func:`hyperqkd.adversary.eve_counts` and :func:`_detection`. The scalar
+``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
+:func:`detection_probability` gather the same codes from round records
+(what Eve saw from each record's ``eve_trace``) and call the same kernels.
+Eve's guess accuracy is an integer count of quarters divided once by
+4 * key length. Each key is built, as every :class:`KeyBits` is, from its
+bits and its rounds' ids and same-basis flags.
 At a ``verify_fraction`` of 0 no round is compared and every coincidence
 stays in the key.
 Estimators report binomial standard errors, except Eve's information,
@@ -49,30 +44,27 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-# The scalar reference pipeline (run_round, sift, verify_sample, build_keys
-# and the two Eve estimators) stays importable from this module by name:
-# perfbench/spans.py traces the stages under these names.
+# run_round, sift, verify_sample, build_keys and the two Eve estimators are
+# not used here; they stay importable from this module by name only because
+# perfbench/spans.py traces the scalar stages under these names.
 from .adversary import (  # noqa: F401
     AttackConfig,
     AttackKind,
     EveBasisStrategy,
     EveRecord,
+    eve_counts,
     eve_guess_accuracy,
     eve_information,
-    guess_score,
-    knows_outcome,
 )
 from .errors import ConfigurationError
 from .hilbert import BASES, LABELS, OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, Photon, outcome_slots
 from .protocol import (  # noqa: F401
-    DIFF,
-    SAME,
     KeyBits,
     RoundRecord,
     VerificationReport,
+    _is_real,
     build_keys,
-    encode_diff_basis,
-    encode_same_basis,
+    key_bits,
     partial_shuffle,
     run_round,
     sift,
@@ -90,10 +82,6 @@ _VERIFY_STREAM = 0x7665726966790001
 def _is_int(value) -> bool:
     # bool is an int subclass, but True is no count of rounds.
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -203,31 +191,6 @@ _FIELD_NAMES = {
 # to 65 536 in a sweep of _simulate at 10**5 rounds on 2 vCPUs.
 _BLOCK_ROUNDS = 16_384
 
-# A measurement is held as its label code in hilbert's LABELS, whose basis
-# code is code >> 2; two codes of the same basis are equal exactly when the
-# labels are. A key-bit row holds a round's bits padded to two with
-# _FILLER, which is no bit value and fits in two bits. Row 2 * label code + (0 for a same-basis
-# round, 1 otherwise) of _BIT_ROWS is the label's two-bit code, or its one
-# bit and the filler.
-_FILLER = 2
-_BIT_ROWS = np.array(
-    [row for lab in LABELS
-     for row in (encode_same_basis(lab), (encode_diff_basis(lab), _FILLER))],
-    dtype=np.uint8,
-)
-# Cell 2 * (Eve's photon-2 label code) + receiver's basis code: whether she
-# knows the receiver's outcome. Entry 2 * cell + (0 for a same-basis round, 1
-# otherwise) of _GUESS_QUARTERS: her guess scores for the round's key bits,
-# summed, in quarters (each score is an exact number of quarters).
-_EVE_KNOWS = np.array([[knows_outcome(lab, b) for b in BASES] for lab in LABELS])
-_GUESS_QUARTERS = np.array(
-    [int(4 * score) for lab in LABELS for b in BASES
-     for score in (guess_score(lab, b, SAME, 0) + guess_score(lab, b, SAME, 1),
-                   guess_score(lab, b, DIFF, 0))],
-    dtype=np.int8,
-)
-
-
 @dataclass(frozen=True, eq=False)
 class _Rounds:
     """A batch's rounds as columns indexed by round id.
@@ -307,19 +270,19 @@ def _rate(count: int, n: int) -> tuple[Optional[float], Optional[float]]:
     return rate, _binomial_se(rate, n)
 
 
-def _detection_stats(compared: list[int], mismatched: list[int]) -> DetectionStats:
-    same_rate, same_se = _rate(mismatched[0], compared[0])
-    diff_rate, diff_se = _rate(mismatched[1], compared[1])
-    return DetectionStats(
-        same_bases_compared=compared[0],
-        same_bases_mismatches=mismatched[0],
-        same_bases_rate=same_rate,
-        same_bases_se=same_se,
-        diff_bases_compared=compared[1],
-        diff_bases_mismatches=mismatched[1],
-        diff_bases_rate=diff_rate,
-        diff_bases_se=diff_se,
-    )
+def _detection(eve_bases: np.ndarray, mismatch: np.ndarray) -> DetectionStats:
+    """The detection strata of the compared rounds: ``eve_bases`` holds
+    Eve's two basis codes per round (shape (2, n)) and ``mismatch`` whether
+    the parties' outcomes differ."""
+    equal = eve_bases[0] == eve_bases[1]
+    strata = {}
+    for name, stratum in (("same_bases", equal), ("diff_bases", ~equal)):
+        compared = int(np.count_nonzero(stratum))
+        mismatches = int(np.count_nonzero(mismatch & stratum))
+        rate, se = _rate(mismatches, compared)
+        strata.update({f"{name}_compared": compared, f"{name}_mismatches": mismatches,
+                       f"{name}_rate": rate, f"{name}_se": se})
+    return DetectionStats(**strata)
 
 
 def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
@@ -330,8 +293,8 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
     ``eve_trace`` records them. Raises ValueError if any compared round
     lacks a two-basis trace.
     """
-    compared = [0, 0]
-    mismatched = [0, 0]
+    bases = []
+    mismatch = []
     for rec in records:
         if not rec.coincident or not rec.same_basis:
             continue
@@ -341,11 +304,10 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
                 f"round {rec.round_id} lacks a double-intercept trace; "
                 "detection_probability needs a double-intercept batch"
             )
-        stratum = 0 if trace.bases[0] is trace.bases[1] else 1
-        compared[stratum] += 1
-        if rec.alice_outcome is not rec.bob_outcome:
-            mismatched[stratum] += 1
-    return _detection_stats(compared, mismatched)
+        bases.append([BASES.index(b) for b in trace.bases])
+        mismatch.append(rec.alice_outcome is not rec.bob_outcome)
+    return _detection(np.array(bases, dtype=np.int8).reshape(-1, 2).T,
+                      np.array(mismatch, dtype=bool))
 
 
 def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
@@ -495,49 +457,30 @@ def run_batch(config: SimConfig) -> BatchResult:
     in_key[consumed] = False
     key_ids = np.flatnonzero(in_key)
     key_same = same.take(key_ids)
-    key_diff = ~key_same
-    # Alice's rows go in bits 0-1 and Bob's in bits 2-3 of one byte; both
-    # parties' fillers fall on the same slots, so one mask drops them and
-    # leaves the key bits in key order.
-    alice_codes = rounds.alice.take(key_ids)
     bob_codes = rounds.bob.take(key_ids)
-    packed = (_BIT_ROWS.take(2 * alice_codes + key_diff, axis=0)
-              | _BIT_ROWS.take(2 * bob_codes + key_diff, axis=0) << 2).ravel()
-    packed = packed[packed != (_FILLER | _FILLER << 2)]
-    alice_bits = packed & 3
-    bob_bits = packed >> 2
+    alice_bits, bob_bits = key_bits(rounds.alice.take(key_ids), bob_codes, key_same)
 
     coincidences = int(np.count_nonzero(coincident))
     same_n = len(same_ids)
     diff_n = coincidences - same_n
     same_mismatch = rounds.alice[same_ids] != rounds.bob[same_ids]
     mismatches = int(np.count_nonzero(same_mismatch))
-    key_len = len(packed)
+    key_len = len(alice_bits)
     key_errors = int(np.count_nonzero(alice_bits != bob_bits))
 
     info = info_se = accuracy = detection = None
     if config.attack is not None:
         if key_len:
             # Eve's photon-2 outcome decides what she knows of Bob's key.
-            cell = 2 * rounds.eve[-1].take(key_ids) + (bob_codes >> 2)
-            known = _EVE_KNOWS.ravel().take(cell)
-            # A same-basis round weighs 2 bits (4 squared), any other 1.
-            known_rounds = int(np.count_nonzero(known))
-            known_same = int(np.count_nonzero(known & key_same))
+            known_rounds, known_same, quarters = eve_counts(
+                rounds.eve[-1].take(key_ids), bob_codes >> 2, key_same)
             info = (known_rounds + known_same) / key_len
+            # A same-basis round weighs 2 bits (4 squared), any other 1.
             info_se = eve_information_se(known_rounds + known_same, known_rounds + 3 * known_same,
                                          key_len + 2 * int(np.count_nonzero(key_same)), key_len)
-            # One correctly rounded division of exact integers: bit for bit
-            # what eve_guess_accuracy's exact float sum of quarters gives.
-            accuracy = int(_GUESS_QUARTERS.take(2 * cell + key_diff).sum()) / (4 * key_len)
+            accuracy = quarters / (4 * key_len)
         if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
-            eve_bases = rounds.eve[:, same_ids] >> 2
-            equal = eve_bases[0] == eve_bases[1]
-            detection = _detection_stats(
-                [int(np.count_nonzero(equal)), int(np.count_nonzero(~equal))],
-                [int(np.count_nonzero(same_mismatch & equal)),
-                 int(np.count_nonzero(same_mismatch & ~equal))],
-            )
+            detection = _detection(rounds.eve[:, same_ids] >> 2, same_mismatch)
 
     bpc = bpc_se = ratio = ratio_se = None
     if coincidences:

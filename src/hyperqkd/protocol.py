@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .hilbert import BasisType, BellLabel, Photon, build_shared_state, measure_party
+from .hilbert import LABELS, BasisType, BellLabel, Photon, build_shared_state, measure_party
 from .rng import RandomSource
 
 if TYPE_CHECKING:
@@ -63,6 +63,33 @@ _CODE_ONE_BIT = {
     BellLabel.OMEGA_MINUS: 1,
     BellLabel.CHI_PLUS: 1,
 }
+
+
+def encode_same_basis(label: BellLabel) -> tuple[int, int]:
+    """Two-bit code of an outcome when both parties used the same basis."""
+    return _CODE_TWO_BITS[label]
+
+
+def encode_diff_basis(label: BellLabel) -> int:
+    """One-bit code of an outcome when the parties used different bases."""
+    return _CODE_ONE_BIT[label]
+
+
+# A key-bit row holds a round's bits padded to two with _FILLER, which is
+# no bit value and fits in two bits. Row 2 * label code + (0 for a
+# same-basis round, 1 otherwise) of _BIT_ROWS is the label's two-bit code,
+# or its one bit and the filler.
+_FILLER = 2
+_BIT_ROWS = np.array(
+    [row for lab in LABELS
+     for row in (encode_same_basis(lab), (encode_diff_basis(lab), _FILLER))],
+    dtype=np.uint8,
+)
+
+
+def _is_real(value) -> bool:
+    # bool is an int subclass, but True is no efficiency or fraction.
+    return isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,7 +265,7 @@ def run_round(
     it, and ``alice_measures_first`` flips the measurement order; these are
     testing aids and do not change the joint statistics.
     """
-    if not 0.0 < efficiency <= 1.0:
+    if not _is_real(efficiency) or not 0.0 < efficiency <= 1.0:
         raise ConfigurationError(f"efficiency must be in (0, 1], got {efficiency}")
 
     state = build_shared_state()
@@ -285,14 +312,21 @@ def sift(records: Iterable[RoundRecord]) -> SiftGroups:
     return SiftGroups(tuple(same), tuple(diff), tuple(dropped))
 
 
-def encode_same_basis(label: BellLabel) -> tuple[int, int]:
-    """Two-bit code of an outcome when both parties used the same basis."""
-    return _CODE_TWO_BITS[label]
+def key_bits(
+    alice_codes: np.ndarray, bob_codes: np.ndarray, same: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both parties' key bits, in key order, from each key round's label
+    codes (hilbert's LABELS) and same-basis flag.
 
-
-def encode_diff_basis(label: BellLabel) -> int:
-    """One-bit code of an outcome when the parties used different bases."""
-    return _CODE_ONE_BIT[label]
+    Each round picks, per party, its row of _BIT_ROWS. Alice's rows go in
+    bits 0-1 and Bob's in bits 2-3 of one byte; both parties' fillers fall
+    on the same slots, so one mask drops them.
+    """
+    diff = ~same
+    packed = (_BIT_ROWS.take(2 * alice_codes + diff, axis=0)
+              | _BIT_ROWS.take(2 * bob_codes + diff, axis=0) << 2).ravel()
+    packed = packed[packed != (_FILLER | _FILLER << 2)]
+    return packed & 3, packed >> 2
 
 
 def build_keys(
@@ -305,24 +339,17 @@ def build_keys(
     per-round array of ids and one of same-basis flags.
     """
     excluded = frozenset(verify_exclusions)
-    alice_bits: list[int] = []
-    bob_bits: list[int] = []
     ordered = sorted(
         (rec for group in (groups.same_basis, groups.diff_basis) for rec in group
          if rec.round_id not in excluded),
         key=lambda r: r.round_id,
     )
-    for rec in ordered:
-        if rec.alice_basis is rec.bob_basis:
-            alice_bits.extend(_CODE_TWO_BITS[rec.alice_outcome])
-            bob_bits.extend(_CODE_TWO_BITS[rec.bob_outcome])
-        else:
-            alice_bits.append(_CODE_ONE_BIT[rec.alice_outcome])
-            bob_bits.append(_CODE_ONE_BIT[rec.bob_outcome])
+    codes = np.array([(LABELS.index(rec.alice_outcome), LABELS.index(rec.bob_outcome))
+                      for rec in ordered], dtype=np.int8).reshape(-1, 2)
     round_ids = np.array([rec.round_id for rec in ordered], dtype=np.int64)
     same = np.array([rec.alice_basis is rec.bob_basis for rec in ordered], dtype=bool)
-    return (KeyBits(np.array(alice_bits, dtype=np.uint8), round_ids, same),
-            KeyBits(np.array(bob_bits, dtype=np.uint8), round_ids, same))
+    alice_bits, bob_bits = key_bits(codes[:, 0], codes[:, 1], same)
+    return KeyBits(alice_bits, round_ids, same), KeyBits(bob_bits, round_ids, same)
 
 
 def verify_sample(
@@ -336,7 +363,7 @@ def verify_sample(
     ``fraction`` is in [0, 1), the range ``SimConfig`` accepts; at 0 no
     round is compared.
     """
-    if not 0.0 <= fraction < 1.0:
+    if not _is_real(fraction) or not 0.0 <= fraction < 1.0:
         raise ConfigurationError(f"verification fraction must be in [0, 1), got {fraction}")
     same = groups.same_basis
     n = len(same)

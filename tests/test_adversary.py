@@ -1,5 +1,6 @@
 """Tests for the intercept-resend attacks and Eve's information estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,9 +34,11 @@ from hyperqkd import (
     run_round,
     sift,
 )
+import hyperqkd
 from hyperqkd.adversary import guess_score, knows_outcome
 
 import oracle
+import reference
 
 
 def schmidt_singular_values(joint_state):
@@ -260,6 +263,20 @@ class TestEveInformation:
         groups = sift(records)
         _, bob = build_keys(groups)
         assert eve_information(records, bob) == 0.0
+        # Untouched, every key bit is a fair coin to her.
+        assert eve_guess_accuracy(records, bob) == 0.5
+
+    def test_untouched_rounds_among_attacked_ones(self):
+        # Every third record loses its trace: those rounds count as ones Eve
+        # did not touch, in the adapters and in the per-record reference.
+        records, _, bob = _keyed_batch(600, 79, AttackConfig(AttackKind.SINGLE_INTERCEPT))
+        records = [dataclasses.replace(rec, eve_trace=None) if rec.round_id % 3 == 0 else rec
+                   for rec in records]
+        for estimator in ("eve_information", "eve_guess_accuracy"):
+            got = getattr(hyperqkd, estimator)(records, bob)
+            assert got == getattr(reference, estimator)(records, bob)
+        assert 0.0 < eve_information(records, bob) < 0.5
+        assert 0.5 < eve_guess_accuracy(records, bob) < 5.0 / 6.0
 
     def test_empty_key(self):
         records, _, _ = _keyed_batch(10, 72, AttackConfig(AttackKind.SINGLE_INTERCEPT))

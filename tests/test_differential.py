@@ -2,8 +2,11 @@
 
 ``run_batch`` simulates whole blocks of rounds as numpy columns. These
 tests replay the same configurations one round at a time through
-``run_round`` and the scalar ``sift`` -> ``verify_sample`` -> ``build_keys``
--> estimator functions, and require identical records, keys and stats.
+``run_round``, ``sift`` and ``verify_sample``, extract the keys and Eve's
+estimators with the per-record reference of ``reference.py``, and require
+identical records, keys and stats. The public ``build_keys``, Eve
+estimators and ``detection_probability`` run the engine's kernels on the
+records, so they are held to the same reference.
 """
 
 import dataclasses
@@ -14,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hyperqkd
+import reference as ref
 from hyperqkd import (
     EKERT_BITS_PER_PAIR,
     AttackConfig,
@@ -23,17 +28,12 @@ from hyperqkd import (
     EveBasisStrategy,
     RandomSource,
     SimConfig,
-    build_keys,
-    detection_probability,
-    eve_guess_accuracy,
-    eve_information,
     run_batch,
     run_round,
     sift,
     verify_sample,
 )
-from hyperqkd import montecarlo
-from hyperqkd.adversary import knows_outcome
+from hyperqkd import adversary, montecarlo, protocol
 
 ATTACKS = [
     None,
@@ -48,8 +48,26 @@ ATTACKS = [
 ]
 
 
+def estimates(module, records, groups, consumed, attack):
+    """Both keys, Eve's two estimators and the detection strata, by
+    ``module``'s ``build_keys``, ``eve_information``, ``eve_guess_accuracy``
+    and ``detection_probability``."""
+    alice, bob = module.build_keys(groups, consumed)
+    eve = dict(eve_information=None, eve_guess_accuracy=None)
+    detection = None
+    if attack is not None:
+        eve = dict(eve_information=module.eve_information(records, bob),
+                   eve_guess_accuracy=module.eve_guess_accuracy(records, bob))
+        if attack.kind is AttackKind.DOUBLE_INTERCEPT:
+            detection = module.detection_probability(records)
+    return alice, bob, eve, detection
+
+
 def reference(config):
-    """Records, keys and stats of ``config`` from the scalar functions."""
+    """Records, keys and stats of ``config`` from the scalar round, sifting
+    and verification functions and the per-record reference. The public
+    scalar adapters must give the same keys and estimators on the same
+    records."""
     records = [
         run_round(i, config.attack, config.efficiency,
                   RandomSource.for_round(config.seed, i))
@@ -60,14 +78,9 @@ def reference(config):
         groups, config.verify_fraction,
         RandomSource.for_stream(config.seed, montecarlo._VERIFY_STREAM),
     )
-    alice, bob = build_keys(groups, consumed)
-    eve = dict(eve_information=None, eve_information_se=None, eve_guess_accuracy=None)
-    detection = None
-    if config.attack is not None:
-        eve["eve_information"] = eve_information(records, bob)
-        eve["eve_guess_accuracy"] = eve_guess_accuracy(records, bob)
-        if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
-            detection = detection_probability(records)
+    alice, bob, eve, detection = estimates(ref, records, groups, consumed, config.attack)
+    assert estimates(hyperqkd, records, groups, consumed, config.attack) == (
+        alice, bob, eve, detection)
     stats = reference_stats(
         config,
         coincidences=len(groups.same_basis) + len(groups.diff_basis),
@@ -79,6 +92,7 @@ def reference(config):
         key_len=len(alice),
         key_errors=sum(a != b for a, b in zip(alice.bits, bob.bits)),
         detection=detection,
+        eve_information_se=None,
         **eve,
     )
     return tuple(records), alice, bob, stats
@@ -89,22 +103,16 @@ def reference_stats(config, *, coincidences, same_n, mismatches, verification,
                     eve_guess_accuracy, detection):
     """BatchStats from the scalar pipeline's counts, by the estimators'
     definitions."""
-    def rate(count, n):
-        if not n:
-            return None, None
-        p = count / n
-        return p, math.sqrt(p * (1.0 - p) / n)
-
     diff_n = coincidences - same_n
     bpc = bpc_se = ratio = ratio_se = None
     if coincidences:
         bpc = (2 * same_n + diff_n) / coincidences
-        bpc_se = rate(same_n, coincidences)[1]
+        bpc_se = ref.rate(same_n, coincidences)[1]
         ratio = bpc / EKERT_BITS_PER_PAIR
         ratio_se = bpc_se / EKERT_BITS_PER_PAIR
-    coincidence_rate, coincidence_se = rate(coincidences, config.rounds)
-    mism_rate, mism_se = rate(mismatches, same_n)
-    key_err, key_err_se = rate(key_errors, key_len)
+    coincidence_rate, coincidence_se = ref.rate(coincidences, config.rounds)
+    mism_rate, mism_se = ref.rate(mismatches, same_n)
+    key_err, key_err_se = ref.rate(key_errors, key_len)
     return BatchStats(
         rounds=config.rounds,
         coincidences=coincidences,
@@ -139,8 +147,7 @@ def clustered_se(records, key, information):
         widths[rid] = widths.get(rid, 0) + 1
     total = 0.0
     for rid, width in widths.items():
-        rec = by_id[rid]
-        known = knows_outcome(rec.eve_trace.outcomes[-1], rec.bob_basis)
+        known = ref.eve_knows(by_id[rid])
         total += (width * known - information * width) ** 2
     return math.sqrt(total) / len(key)
 
@@ -190,6 +197,29 @@ def assert_matches_reference(config, block=montecarlo._BLOCK_ROUNDS):
             clustered_se(records, bob, stats.eve_information), rel=1e-12, abs=1e-15
         )
     return result
+
+
+def _flip_bit(rows):
+    rows[0, 0] ^= 1  # Phi+'s first same-basis bit
+
+
+def _add_quarter(quarters):
+    quarters[0] += 1  # Eve's Phi+ against a type-I same-basis round
+
+
+@pytest.mark.parametrize("module,table,corrupt", [
+    (protocol, "_BIT_ROWS", _flip_bit),
+    (adversary, "_GUESS_QUARTERS", _add_quarter),
+], ids=["bit-rows", "guess-quarters"])
+def test_reference_catches_a_wrong_table_entry(module, table, corrupt):
+    # The engine and the public adapters share each table, so only the
+    # per-record reference can see a wrong entry.
+    config = SimConfig(rounds=400, seed=11, efficiency=1.0, attack=ATTACKS[1])
+    assert_matches_reference(config)
+    wrong = getattr(module, table).copy()
+    corrupt(wrong)
+    with mock.patch.object(module, table, wrong), pytest.raises(AssertionError):
+        assert_matches_reference(config)
 
 
 def test_empty_key_under_attack():

@@ -126,10 +126,11 @@ class TestRunRound:
             assert rec.alice_outcome.basis is rec.alice_basis
             assert rec.bob_outcome.basis is rec.bob_basis
 
-    def test_invalid_efficiency(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ConfigurationError):
-                run_round(0, None, bad, RandomSource(0))
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, float("nan"), "0.5", True, None])
+    def test_invalid_efficiency(self, bad):
+        # A string, a bool and None are no efficiency, as SimConfig rules.
+        with pytest.raises(ConfigurationError):
+            run_round(0, None, bad, RandomSource(0))
 
     def test_replay_determinism(self):
         a = simulate(500, 27)
@@ -400,11 +401,11 @@ class TestVerifySample:
         for rid, count in hits.items():
             assert abs(count - expected) <= 5 * se
 
-    def test_fraction_out_of_range(self):
+    @pytest.mark.parametrize("bad", [1.0, -0.1, 1.5, float("nan"), "0.5", True, None])
+    def test_fraction_out_of_range(self, bad):
         groups = sift(simulate(100, 42))
-        for bad in (1.0, -0.1, 1.5, float("nan")):
-            with pytest.raises(ConfigurationError):
-                verify_sample(groups, bad, RandomSource(0))
+        with pytest.raises(ConfigurationError):
+            verify_sample(groups, bad, RandomSource(0))
 
     def test_fraction_zero_compares_nothing(self):
         # [0, 1), the range SimConfig accepts; at 0 no uniform is drawn.
