@@ -275,14 +275,12 @@ def _detection(eve_bases: np.ndarray, mismatch: np.ndarray) -> DetectionStats:
     Eve's two basis codes per round (shape (2, n)) and ``mismatch`` whether
     the parties' outcomes differ."""
     equal = eve_bases[0] == eve_bases[1]
-    strata = {}
-    for name, stratum in (("same_bases", equal), ("diff_bases", ~equal)):
-        compared = int(np.count_nonzero(stratum))
-        mismatches = int(np.count_nonzero(mismatch & stratum))
-        rate, se = _rate(mismatches, compared)
-        strata.update({f"{name}_compared": compared, f"{name}_mismatches": mismatches,
-                       f"{name}_rate": rate, f"{name}_se": se})
-    return DetectionStats(**strata)
+    same_n = int(np.count_nonzero(equal))
+    same_m = int(np.count_nonzero(mismatch & equal))
+    diff_n = len(equal) - same_n
+    diff_m = int(np.count_nonzero(mismatch)) - same_m
+    return DetectionStats(same_n, same_m, *_rate(same_m, same_n),
+                          diff_n, diff_m, *_rate(diff_m, diff_n))
 
 
 def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
