@@ -15,6 +15,11 @@ A uniform is the top 53 bits of a draw ``x`` times 2**-53, so a comparison
 with a uniform can be made on ``x`` itself: ``uniform < 1/2`` is
 ``x >> 63 == 0``, ``uniform < k/4`` is ``x >> 62 < k``, and
 ``uniform < p`` is ``x < below_threshold(p)``.
+
+A decision that reads only a draw's top bits does not need the mix's last
+step ``z ^ (z >> 31)``: it leaves the top 31 bits of ``z`` as they are. So
+the first ``top`` draws of :func:`round_draws` skip it and equal the scalar
+stream's draws in their top 31 bits only; every later draw is exact.
 """
 
 from __future__ import annotations
@@ -80,24 +85,35 @@ def below_threshold(p: float) -> int:
     return math.ceil(float(p) * 2.0**53) << 11
 
 
-def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`mix64` over a uint64 array, in place; ``tmp`` is scratch of the
-    same shape. Array arithmetic wraps modulo 2**64."""
+def _mix64_top_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`mix64` over a uint64 array without its last step, in place:
+    each result's top 31 bits are :func:`mix64`'s. ``tmp`` is scratch of
+    the same shape. Array arithmetic wraps modulo 2**64."""
     z ^= np.right_shift(z, 30, out=tmp)
     z *= np.uint64(_MIX1)
     z ^= np.right_shift(z, 27, out=tmp)
     z *= np.uint64(_MIX2)
+    return z
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`mix64` over a uint64 array, in place; ``tmp`` is scratch of the
+    same shape."""
+    _mix64_top_inplace(z, tmp)
     z ^= np.right_shift(z, 31, out=tmp)
     return z
 
 
-def round_draws(master_seed: int, round_ids: np.ndarray, count: int) -> Iterator[np.ndarray]:
+def round_draws(
+    master_seed: int, round_ids: np.ndarray, count: int, top: int = 0
+) -> Iterator[np.ndarray]:
     """The first ``count`` raw draws of each round's stream, one array per draw.
 
     The ``j``-th array yielded holds, at position ``k``, the ``j``-th
     ``RandomSource.for_round(master_seed, round_ids[k]).next_u64()`` as
-    uint64. Every draw is computed in place into the same buffer, so an
-    array is valid only until the next one is asked for.
+    uint64; the first ``top`` arrays hold it in their top 31 bits only (see
+    the module docstring). Every draw is computed in place into the same
+    buffer, so an array is valid only until the next one is asked for.
     """
     states = np.array(round_ids, dtype=np.uint64)
     out = np.empty_like(states)
@@ -109,7 +125,7 @@ def round_draws(master_seed: int, round_ids: np.ndarray, count: int) -> Iterator
         # The offset is reduced as a Python int: numpy scalar arithmetic
         # would warn on the wrap-around that array arithmetic does silently.
         np.add(states, np.uint64(((j + 1) * _GAMMA) & _MASK64), out=out)
-        yield _mix64_inplace(out, tmp)
+        yield (_mix64_top_inplace if j < top else _mix64_inplace)(out, tmp)
 
 
 def stream_uniforms(master_seed: int, stream_label: int, count: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 ``run_batch`` computes each round's raw 64-bit draws in blocks and decides
 bases, measurement outcomes and detections on the integers, while the
 scalar ``run_round`` compares ``RandomSource.uniform()`` with 1/2 and the
-efficiency. These tests pin the block draws to the scalar stream and each
-integer rule to its float comparison, on the words where they could part.
+efficiency. These tests pin the block draws to the scalar stream (the
+decision draws, which skip the mix's last step, in their top 31 bits) and
+each integer rule to its float comparison, on the words where they could
+part.
 """
 
 import math
@@ -41,6 +43,27 @@ def test_block_draws_equal_scalar_stream(seed, round_ids, count):
         want = [rand.next_u64() for _ in range(count)]
         assert [int(block[k]) for block in blocks] == want
     assert all(block.dtype == np.uint64 for block in blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=U64,
+    round_ids=st.lists(U64, min_size=1, max_size=20),
+    top=st.integers(0, 12),
+    full=st.integers(0, 3),
+)
+def test_top_draws_equal_scalar_stream_in_their_top_31_bits(seed, round_ids, top, full):
+    # The engine's decision draws skip the mix's last step; its detection
+    # draws, after them, do not.
+    ids = np.array(round_ids, dtype=np.uint64)
+    blocks = [d.copy() for d in round_draws(seed, ids, top + full, top=top)]
+    assert len(blocks) == top + full
+    for k, rid in enumerate(round_ids):
+        rand = RandomSource.for_round(seed, rid)
+        want = [rand.next_u64() for _ in range(top + full)]
+        got = [int(block[k]) for block in blocks]
+        assert [x >> 33 for x in got[:top]] == [x >> 33 for x in want[:top]]
+        assert got[top:] == want[top:]
 
 
 def test_stream_uniforms_equal_scalar_stream():
