@@ -21,9 +21,10 @@ key, read what Eve saw in each key round
 (:attr:`hyperqkd.protocol.KeyBits.rounds`) from its record
 (:attr:`hyperqkd.protocol.RoundRecord.eve_trace`, None when she did not
 touch it) and gather her photon-2 label codes and the receiver's basis codes
-for :func:`eve_counts`, the kernel the batch engine runs on its columns: a
-same-basis round carries two key bits and any other round one. Both are None
-for an empty key.
+for :func:`eve_counts`, the kernel the batch engine runs once per batch on
+its round patterns, each weighted by its count of key rounds: a same-basis
+round carries two key bits and any other round one. Both are None for an
+empty key.
 """
 
 from __future__ import annotations
@@ -211,20 +212,21 @@ _GUESS_QUARTERS = np.array(
 
 
 def eve_counts(
-    eve_codes: np.ndarray, basis_codes: np.ndarray, same: np.ndarray
+    eve_codes: np.ndarray, basis_codes: np.ndarray, same: np.ndarray, counts: np.ndarray | int
 ) -> tuple[int, int, int]:
     """Eve's tallies over key rounds: the rounds whose receiver outcome she
     knows, the same-basis rounds among them, and her guess scores for all
     their key bits summed in quarters.
 
-    Per key round, ``eve_codes`` holds her photon-2 label code (hilbert's
-    LABELS; _UNTOUCHED for a round she did not touch), ``basis_codes`` the
-    receiver's basis code and ``same`` the same-basis flag.
+    Per row, ``eve_codes`` holds her photon-2 label code (hilbert's LABELS;
+    _UNTOUCHED for a round she did not touch), ``basis_codes`` the
+    receiver's basis code, ``same`` the same-basis flag and ``counts`` how
+    many key rounds the row stands for (1 for a row per round).
     """
     cell = 2 * eve_codes + basis_codes
     known = _EVE_KNOWS.take(cell)
-    quarters = int(_GUESS_QUARTERS.take(2 * cell + ~same).sum())
-    return int(np.count_nonzero(known)), int(np.count_nonzero(known & same)), quarters
+    quarters = _GUESS_QUARTERS.take(2 * cell + ~same)
+    return tuple(int((counts * tally).sum()) for tally in (known, known & same, quarters))
 
 
 def _key_rounds(records: Iterable[RoundRecord], key: KeyBits) -> tuple[int, int, int]:
@@ -247,7 +249,7 @@ def _key_rounds(records: Iterable[RoundRecord], key: KeyBits) -> tuple[int, int,
         codes.append((_UNTOUCHED if trace is None else LABELS.index(trace.outcomes[-1]),
                       BASES.index(rec.bob_basis)))
     codes = np.array(codes, dtype=np.int8).reshape(-1, 2)
-    return eve_counts(codes[:, 0], codes[:, 1], same)
+    return eve_counts(codes[:, 0], codes[:, 1], same, 1)
 
 
 def eve_information(records: Iterable[RoundRecord], key: KeyBits) -> Optional[float]:

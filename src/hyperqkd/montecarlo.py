@@ -2,29 +2,40 @@
 
 A batch runs independent rounds whose randomness is derived per round from
 the master seed, so results are bit-identical for a given configuration.
-Rounds are simulated in fixed blocks of 16 384 as numpy columns (each
-party's and each of Eve's measurements as one label code, and the
-detections), computing each round's raw 64-bit draws in the documented
-order and reading every decision off them as an integer. A basis is decided
-by the draw's top bit and a measurement outcome by its top two bits, so the
-top bits of a round's basis and measurement draws, concatenated in draw
-order, index one column of a composed round table: at most 12 bits, one
-table per attack shape, built once from the closed state set's fixed tables
-in :mod:`hyperqkd.hilbert`. A detection is a comparison of the full draw
-with the efficiency's threshold. Every record equals what the scalar
-reference :func:`hyperqkd.protocol.run_round` gives for the same round.
-Sifting and verification are array operations on those columns; the
-verification picks are :func:`hyperqkd.protocol.partial_shuffle`, which
-``verify_sample`` also calls. Key extraction, Eve's two estimators and the
-detection strata each have one kernel over label codes, run once per batch
-on the key rounds' columns: :func:`hyperqkd.protocol.key_bits`,
-:func:`hyperqkd.adversary.eve_counts` and :func:`_detection`. The scalar
+Rounds are simulated in fixed blocks of 16 384, computing each round's raw
+64-bit draws in the documented order and reading every decision off them
+as an integer. A basis is decided by the draw's top bit and a measurement
+outcome by its top two bits, so those draws skip SplitMix64's last step,
+which leaves the top bits as they are. The top bits of a round's basis and
+measurement draws, concatenated in draw order, make its pattern: at most
+12 bits, the index of one column of a composed round table that holds
+every label code of the round, Eve's included. There is one table per
+attack shape, built once from the closed state set's fixed tables in
+:mod:`hyperqkd.hilbert`. A detection is a comparison of the full draw with
+the efficiency's threshold. Each round is held as one uint16 code, its
+pattern and its two detection bits, and :meth:`_Rounds.records` rebuilds
+from the codes exactly the records the scalar reference
+:func:`hyperqkd.protocol.run_round` gives for the same rounds.
+
+Per attack shape, small per-pattern tables say what a coincident round of
+each pattern gives: same or different bases, a mismatch, both parties'
+packed key bits (:func:`hyperqkd.protocol.key_rows`) and their differing
+bits. Every counter is the histogram of the batch's patterns, less that of
+the rounds verification consumed, dotted with one of them; Eve's two
+estimators and the detection strata come from the kernels
+:func:`hyperqkd.adversary.eve_counts` and :func:`_detection`, run once on
+the pattern columns with the histogram as each row's count. Per round are
+left only the ids of the same-basis rounds, from which
+:func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample`` also
+calls) picks the verified ones, the key rounds' ids and one gather of their
+packed key rows, unpacked by :func:`hyperqkd.protocol.key_bits`. The scalar
 ``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
-:func:`detection_probability` gather the same codes from round records
-(what Eve saw from each record's ``eve_trace``) and call the same kernels.
-Eve's guess accuracy is an integer count of quarters divided once by
-4 * key length. Each key is built, as every :class:`KeyBits` is, from its
-bits and its rounds' ids and same-basis flags.
+:func:`detection_probability` gather label codes from round records (what
+Eve saw from each record's ``eve_trace``) and call the same kernels, the
+counting ones with a count of 1 per record. Eve's guess accuracy is an
+integer count of quarters divided once by 4 * key length. Each key is
+built, as every :class:`KeyBits` is, from its bits and its rounds' ids and
+same-basis flags.
 At a ``verify_fraction`` of 0 no round is compared and every coincidence
 stays in the key.
 Estimators report binomial standard errors, except Eve's information,
@@ -65,6 +76,7 @@ from .protocol import (  # noqa: F401
     _is_real,
     build_keys,
     key_bits,
+    key_rows,
     partial_shuffle,
     run_round,
     sift,
@@ -193,31 +205,30 @@ _BLOCK_ROUNDS = 16_384
 
 @dataclass(frozen=True, eq=False)
 class _Rounds:
-    """A batch's rounds as columns indexed by round id.
+    """A batch's rounds as one uint16 code per round, indexed by round id.
 
-    ``alice`` and ``bob`` hold each party's measurement as its label code
-    (int8), which carries the basis as ``code >> 2``; a party's outcome is
-    measured whether or not it is detected. ``eve`` holds Eve's label codes,
-    one row per photon she measured in measurement order, and is None
-    without an attack.
+    A round's code is its pattern, the column of ``attack``'s round table
+    that its decision draws select (:func:`_round_table`; at most 12 bits),
+    shifted left by two, OR'd with Alice's detection in bit 1 and Bob's in
+    bit 0. The pattern fixes every label code of the round, Eve's included;
+    a party's outcome is measured whether or not it is detected.
     """
 
-    alice: np.ndarray
-    bob: np.ndarray
-    alice_detected: np.ndarray
-    bob_detected: np.ndarray
-    eve: Optional[np.ndarray]
+    codes: np.ndarray
+    attack: Optional[AttackConfig]
 
     def records(self) -> tuple[RoundRecord, ...]:
         """The rounds as the RoundRecords that ``run_round`` returns."""
-        cols = [c.tolist() for c in (self.alice, self.bob, self.alice_detected, self.bob_detected)]
-        if self.eve is None:
-            traces = [None] * len(cols[0])
+        labels = _round_table(self.attack).take(self.codes >> 2, axis=1)
+        alice, bob = labels[-2:].tolist()
+        detected = [(self.codes & bit).astype(bool).tolist() for bit in (2, 1)]
+        if self.attack is None:
+            traces = [None] * len(self.codes)
         else:
             traces = [
                 EveRecord(rid, tuple(BASES[c >> 2] for c in codes),
                           tuple(LABELS[c] for c in codes))
-                for rid, codes in enumerate(self.eve.T.tolist())
+                for rid, codes in enumerate(labels[:-2].T.tolist())
             ]
         return tuple(
             RoundRecord(
@@ -230,7 +241,7 @@ class _Rounds:
                 bob_detected=bd,
                 eve_trace=trace,
             )
-            for rid, (a, b, ad, bd, trace) in enumerate(zip(*cols, traces))
+            for rid, (a, b, ad, bd, trace) in enumerate(zip(alice, bob, *detected, traces))
         )
 
 
@@ -270,15 +281,18 @@ def _rate(count: int, n: int) -> tuple[Optional[float], Optional[float]]:
     return rate, _binomial_se(rate, n)
 
 
-def _detection(eve_bases: np.ndarray, mismatch: np.ndarray) -> DetectionStats:
-    """The detection strata of the compared rounds: ``eve_bases`` holds
-    Eve's two basis codes per round (shape (2, n)) and ``mismatch`` whether
-    the parties' outcomes differ."""
+def _detection(
+    eve_bases: np.ndarray, mismatch: np.ndarray, counts: np.ndarray | int
+) -> DetectionStats:
+    """The detection strata of the compared rounds: per row, ``eve_bases``
+    holds Eve's two basis codes (shape (2, n)), ``mismatch`` whether the
+    parties' outcomes differ and ``counts`` how many compared rounds the
+    row stands for (1 for a row per round)."""
     equal = eve_bases[0] == eve_bases[1]
-    same_n = int(np.count_nonzero(equal))
-    same_m = int(np.count_nonzero(mismatch & equal))
-    diff_n = len(equal) - same_n
-    diff_m = int(np.count_nonzero(mismatch)) - same_m
+    same_n, same_m, diff_n, diff_m = (
+        int((counts * rows).sum())
+        for rows in (equal, mismatch & equal, ~equal, mismatch & ~equal)
+    )
     return DetectionStats(same_n, same_m, *_rate(same_m, same_n),
                           diff_n, diff_m, *_rate(diff_m, diff_n))
 
@@ -305,7 +319,7 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
         bases.append([BASES.index(b) for b in trace.bases])
         mismatch.append(rec.alice_outcome is not rec.bob_outcome)
     return _detection(np.array(bases, dtype=np.int8).reshape(-1, 2).T,
-                      np.array(mismatch, dtype=bool))
+                      np.array(mismatch, dtype=bool), 1)
 
 
 def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
@@ -365,59 +379,73 @@ def _round_table(attack: Optional[AttackConfig]) -> np.ndarray:
     return table
 
 
+@dataclass(frozen=True)
+class _Patterns:
+    """What each round pattern of one attack shape (a column of its round
+    table) gives when the round is coincident: whether the parties' bases
+    are equal (bool), whether their label codes differ (bool), both
+    parties' packed key-bit row (:func:`key_rows`' two bytes, held as one
+    uint16 so a gather moves each row at once) and the number of key bits
+    in which the two differ (int8)."""
+
+    same: np.ndarray
+    mismatch: np.ndarray
+    key_rows: np.ndarray
+    key_errors: np.ndarray
+
+
+@cache
+def _patterns(attack: Optional[AttackConfig]) -> _Patterns:
+    """The pattern tables of ``attack``'s shape, built once from its round
+    table and :func:`key_rows`."""
+    alice, bob = _round_table(attack)[-2:]
+    same = (alice >> 2) == (bob >> 2)
+    rows = key_rows(alice, bob, same)
+    tables = _Patterns(
+        same=same,
+        mismatch=alice != bob,
+        key_rows=rows.view(np.uint16).ravel(),
+        # A filler slot holds the filler for both parties, so it never differs.
+        key_errors=np.count_nonzero(rows & 3 != rows >> 2, axis=1).astype(np.int8),
+    )
+    for arr in (tables.same, tables.mismatch, tables.key_rows, tables.key_errors):
+        arr.flags.writeable = False
+    return tables
+
+
 def _simulate(config: SimConfig) -> _Rounds:
     """Every round of the batch, block by block, in run_round's draw order.
 
-    A round's label codes are one column of its attack's round table, at the
-    index its decision draws' top bits make. At efficiency 1 every detection
-    succeeds, so those draws are not computed.
+    A round's pattern is its decision draws' top bits, concatenated; each
+    detection is one more bit. At efficiency 1 every detection succeeds,
+    so those draws are not computed.
     """
     n = config.rounds
-    attack = config.attack
-    widths = _draw_widths(attack)
-    table = _round_table(attack)
-    eve_photons = len(table) - 2
+    widths = _draw_widths(config.attack)
     detect = config.efficiency < 1.0
-    cols = _Rounds(
-        *(np.empty(n, dtype=np.int8) for _ in range(2)),
-        *(np.empty(n, dtype=bool) if detect else np.ones(n, dtype=bool) for _ in range(2)),
-        np.empty((eve_photons, n), dtype=np.int8) if eve_photons else None,
-    )
-    outs = (*(cols.eve if eve_photons else ()), cols.alice, cols.bob)
+    codes = np.empty(n, dtype=np.uint16)
     threshold = np.uint64(below_threshold(config.efficiency)) if detect else None
     for lo in range(0, n, _BLOCK_ROUNDS):
         hi = min(lo + _BLOCK_ROUNDS, n)
-        x = round_draws(config.seed, np.arange(lo, hi, dtype=np.uint64), len(widths) + 2 * detect)
-        index = next(x) >> (64 - widths[0])
+        x = round_draws(config.seed, np.arange(lo, hi, dtype=np.uint64),
+                        len(widths) + 2 * detect, top=len(widths))
+        code = next(x) >> (64 - widths[0])
         for width in widths[1:]:
-            index <<= width
+            code <<= width
             # A draw's buffer is rewritten by the next draw, so it can be
             # shifted in place.
             draw = next(x)
             draw >>= 64 - width
-            index |= draw
-        index = index.view(np.int64)
-        # Every index is in range; "clip" lets take write straight into out.
-        for row, out in zip(table, outs):
-            row.take(index, out=out[lo:hi], mode="clip")
+            code |= draw
         if detect:
-            np.less(next(x), threshold, out=cols.alice_detected[lo:hi])
-            np.less(next(x), threshold, out=cols.bob_detected[lo:hi])
-    return cols
-
-
-def _verify(
-    config: SimConfig, rounds: _Rounds, same_ids: np.ndarray
-) -> tuple[VerificationReport, np.ndarray]:
-    """``verify_sample`` on the same-basis rounds: the report and the
-    round ids it consumed."""
-    n = len(same_ids)
-    k = math.ceil(config.verify_fraction * n)
-    if k == 0:
-        return VerificationReport(0, 0, None), same_ids[:0]
-    chosen = same_ids[partial_shuffle(n, stream_uniforms(config.seed, _VERIFY_STREAM, k))]
-    mismatches = int(np.count_nonzero(rounds.alice[chosen] != rounds.bob[chosen]))
-    return VerificationReport(k, mismatches, mismatches / k), chosen
+            for _ in range(2):
+                code <<= 1
+                code |= next(x) < threshold
+        else:
+            code <<= 2
+            code |= 3
+        codes[lo:hi] = code
+    return _Rounds(codes, config.attack)
 
 
 def eve_information_se(known_bits: int, known_sq: int, width_sq: int, key_len: int) -> float:
@@ -446,39 +474,51 @@ def run_batch(config: SimConfig) -> BatchResult:
     """
     config.validate()
     rounds = _simulate(config)
-    coincident = rounds.alice_detected & rounds.bob_detected
-    same = coincident & ((rounds.alice >> 2) == (rounds.bob >> 2))
-    same_ids = np.flatnonzero(same)
-    verification, consumed = _verify(config, rounds, same_ids)
-
-    in_key = coincident.copy()
-    in_key[consumed] = False
+    tables = _patterns(config.attack)
+    codes = rounds.codes
+    size = len(tables.same)
+    # Every count is a histogram of patterns dotted with a pattern table.
+    # Each gather below converts its indices to intp, so the per-round
+    # temporaries are made inside expressions and freed at once.
+    coincident = np.bincount(codes, minlength=4 * size)[3::4]
+    same_n = int(coincident @ tables.same)
+    k = math.ceil(config.verify_fraction * same_n)
+    # Coincident rounds, until verification takes its picks out of the key.
+    in_key = (codes & 3) == 3
+    same = tables.same.take(codes >> 2)
+    same &= in_key
+    checked_ids = np.flatnonzero(same).take(
+        partial_shuffle(same_n, stream_uniforms(config.seed, _VERIFY_STREAM, k)))
+    in_key[checked_ids] = False
     key_ids = np.flatnonzero(in_key)
     key_same = same.take(key_ids)
-    bob_codes = rounds.bob.take(key_ids)
-    alice_bits, bob_bits = key_bits(rounds.alice.take(key_ids), bob_codes, key_same)
-
-    coincidences = int(np.count_nonzero(coincident))
-    same_n = len(same_ids)
+    alice_bits, bob_bits = key_bits(tables.key_rows.take(codes.take(key_ids) >> 2).view(np.uint8))
+    checked = np.bincount(codes.take(checked_ids) >> 2, minlength=size)
+    keyed = coincident - checked
+    coincidences = int(coincident.sum())
     diff_n = coincidences - same_n
-    same_mismatch = rounds.alice[same_ids] != rounds.bob[same_ids]
-    mismatches = int(np.count_nonzero(same_mismatch))
+    same_mismatch = tables.same & tables.mismatch
+    mismatches = int(coincident @ same_mismatch)
+    checked_mismatches = int(checked @ same_mismatch)
+    verification = (VerificationReport(k, checked_mismatches, checked_mismatches / k) if k
+                    else VerificationReport(0, 0, None))
     key_len = len(alice_bits)
-    key_errors = int(np.count_nonzero(alice_bits != bob_bits))
+    key_errors = int(keyed @ tables.key_errors)
 
     info = info_se = accuracy = detection = None
     if config.attack is not None:
+        table = _round_table(config.attack)
         if key_len:
             # Eve's photon-2 outcome decides what she knows of Bob's key.
             known_rounds, known_same, quarters = eve_counts(
-                rounds.eve[-1].take(key_ids), bob_codes >> 2, key_same)
+                table[-3], table[-1] >> 2, tables.same, keyed)
             info = (known_rounds + known_same) / key_len
             # A same-basis round weighs 2 bits (4 squared), any other 1.
             info_se = eve_information_se(known_rounds + known_same, known_rounds + 3 * known_same,
-                                         key_len + 2 * int(np.count_nonzero(key_same)), key_len)
+                                         key_len + 2 * (same_n - k), key_len)
             accuracy = quarters / (4 * key_len)
         if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
-            detection = _detection(rounds.eve[:, same_ids] >> 2, same_mismatch)
+            detection = _detection(table[:2] >> 2, tables.mismatch, coincident * tables.same)
 
     bpc = bpc_se = ratio = ratio_se = None
     if coincidences:

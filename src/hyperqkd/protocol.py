@@ -312,20 +312,26 @@ def sift(records: Iterable[RoundRecord]) -> SiftGroups:
     return SiftGroups(tuple(same), tuple(diff), tuple(dropped))
 
 
-def key_bits(
-    alice_codes: np.ndarray, bob_codes: np.ndarray, same: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both parties' key bits, in key order, from each key round's label
-    codes (hilbert's LABELS) and same-basis flag.
+def key_rows(alice_codes: np.ndarray, bob_codes: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Both parties' key-bit rows, one packed pair of bytes per round, from
+    each round's label codes (hilbert's LABELS) and same-basis flag.
 
     Each round picks, per party, its row of _BIT_ROWS. Alice's rows go in
-    bits 0-1 and Bob's in bits 2-3 of one byte; both parties' fillers fall
-    on the same slots, so one mask drops them.
+    bits 0-1 and Bob's in bits 2-3 of each byte; both parties' fillers fall
+    on the same slots, so :func:`key_bits` drops them with one mask.
     """
     diff = ~same
-    packed = (_BIT_ROWS.take(2 * alice_codes + diff, axis=0)
-              | _BIT_ROWS.take(2 * bob_codes + diff, axis=0) << 2).ravel()
-    packed = packed[packed != (_FILLER | _FILLER << 2)]
+    return (_BIT_ROWS.take(2 * alice_codes + diff, axis=0)
+            | _BIT_ROWS.take(2 * bob_codes + diff, axis=0) << 2)
+
+
+def key_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both parties' key bits, in key order, from the key rounds' packed
+    rows (:func:`key_rows`), as uint8 bytes in round order."""
+    packed = rows.ravel()
+    # compress is several times faster than a boolean index on this
+    # irregular mask (numpy 2.4).
+    packed = np.compress(packed != (_FILLER | _FILLER << 2), packed)
     return packed & 3, packed >> 2
 
 
@@ -348,7 +354,7 @@ def build_keys(
                       for rec in ordered], dtype=np.int8).reshape(-1, 2)
     round_ids = np.array([rec.round_id for rec in ordered], dtype=np.int64)
     same = np.array([rec.alice_basis is rec.bob_basis for rec in ordered], dtype=bool)
-    alice_bits, bob_bits = key_bits(codes[:, 0], codes[:, 1], same)
+    alice_bits, bob_bits = key_bits(key_rows(codes[:, 0], codes[:, 1], same))
     return KeyBits(alice_bits, round_ids, same), KeyBits(bob_bits, round_ids, same)
 
 

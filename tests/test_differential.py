@@ -212,14 +212,25 @@ def _add_quarter(quarters):
     (adversary, "_GUESS_QUARTERS", _add_quarter),
 ], ids=["bit-rows", "guess-quarters"])
 def test_reference_catches_a_wrong_table_entry(module, table, corrupt):
-    # The engine and the public adapters share each table, so only the
-    # per-record reference can see a wrong entry.
+    # run_batch reads the key rows from per-pattern tables cached from the
+    # module tables, so the cache is rebuilt under the patch: the wrong
+    # entry must change the batch's own result, not only the adapters'.
     config = SimConfig(rounds=400, seed=11, efficiency=1.0, attack=ATTACKS[1])
     assert_matches_reference(config)
+    _, alice, bob, stats = reference(config)
     wrong = getattr(module, table).copy()
     corrupt(wrong)
-    with mock.patch.object(module, table, wrong), pytest.raises(AssertionError):
-        assert_matches_reference(config)
+    montecarlo._patterns.cache_clear()
+    try:
+        with mock.patch.object(module, table, wrong):
+            result = run_batch(config)
+            with pytest.raises(AssertionError):
+                assert_matches_reference(config)
+    finally:
+        montecarlo._patterns.cache_clear()
+    got = (result.alice_key, result.bob_key,
+           dataclasses.replace(result.stats, eve_information_se=None))
+    assert got != (alice, bob, stats)
 
 
 def test_empty_key_under_attack():
@@ -251,10 +262,11 @@ def test_key_of_different_basis_rounds_only():
     assert {tag for _, tag in result.bob_key.provenance} == {"diff"}
 
 
-@pytest.mark.parametrize("attack", ATTACKS[4:], ids=str)
-def test_double_intercept_across_blocks(attack):
+@pytest.mark.parametrize("attack", ATTACKS, ids=str)
+def test_every_scenario_across_blocks(attack):
+    # 300 rounds are two whole blocks of 128 and part of a third.
     assert_matches_reference(
-        SimConfig(rounds=300, seed=5, efficiency=0.9, attack=attack), block=128
+        SimConfig(rounds=300, seed=5, efficiency=0.5, attack=attack), block=128
     )
 
 

@@ -1,4 +1,4 @@
-"""The batch engine's two lookup kernels against references outside them.
+"""The batch engine's lookup kernels against references outside them.
 
 ``protocol.partial_shuffle`` gives the verification picks of a partial
 Fisher-Yates shuffle as array operations; :func:`reference_picks` is the
@@ -6,7 +6,11 @@ shuffle as a loop, one swap per step, holding only the slots it moved.
 ``montecarlo._round_table`` holds every round of an attack shape as one
 column; each column is checked against the scalar ``run_round`` fed draws
 that carry that column's bit pattern, so the table is not checked by the
-chain that built it.
+chain that built it. ``montecarlo._patterns`` holds what each column gives
+a coincident round (sifting, mismatch, key bits); each entry, and what
+``eve_counts`` and ``_detection`` make of the column, is checked against the
+per-record reference of ``reference.py`` on the column's round under all
+four detection states.
 """
 
 import math
@@ -14,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from hyperqkd import (
     AttackConfig,
     AttackKind,
@@ -25,8 +30,9 @@ from hyperqkd import (
     verify_sample,
 )
 from hyperqkd import montecarlo
+from hyperqkd.adversary import eve_counts
 from hyperqkd.hilbert import LABELS
-from hyperqkd.protocol import partial_shuffle
+from hyperqkd.protocol import key_bits, partial_shuffle
 
 
 def reference_picks(n, uniforms):
@@ -137,3 +143,42 @@ def test_round_table_equals_run_round(attack, widths):
         eve = () if rec.eve_trace is None else rec.eve_trace.outcomes
         want = [LABELS.index(lab) for lab in (*eve, rec.alice_outcome, rec.bob_outcome)]
         assert table[:, pattern].tolist() == want, pattern
+
+
+@pytest.mark.parametrize("attack, widths", SHAPES, ids=[shape_id(a) for a, _ in SHAPES])
+def test_pattern_tables_equal_reference(attack, widths):
+    tables = montecarlo._patterns(attack)
+    table = montecarlo._round_table(attack)
+    size = 2 ** sum(widths)
+    for arr, dtype in ((tables.same, bool), (tables.mismatch, bool),
+                       (tables.key_rows, np.uint16), (tables.key_errors, np.int8)):
+        assert arr.dtype == dtype and arr.shape == (size,) and not arr.flags.writeable
+    # Every pattern with each of the four detection states: code 4 * pattern
+    # + 2 * Alice's detection + Bob's.
+    codes = np.arange(4 * size, dtype=np.uint16)
+    records = montecarlo._Rounds(codes, attack).records()
+    for code, rec in enumerate(records):
+        p = code >> 2
+        assert (rec.alice_detected, rec.bob_detected) == (bool(code & 2), bool(code & 1))
+        groups = sift([rec])
+        alice, bob = ref.build_keys(groups)
+        # Only a coincident round, code & 3 == 3, reaches the tables.
+        assert rec.coincident == (code & 3 == 3)
+        if not rec.coincident:
+            assert groups.discarded == (rec,) and not len(alice)
+            continue
+        assert tables.same[p] == rec.same_basis
+        assert tables.mismatch[p] == (rec.alice_outcome is not rec.bob_outcome)
+        got = key_bits(tables.key_rows[p:p + 1].view(np.uint8))
+        assert [b.tolist() for b in got] == [list(alice.bits), list(bob.bits)]
+        assert tables.key_errors[p] == sum(a != b for a, b in zip(alice.bits, bob.bits))
+        if attack is None:
+            continue
+        row = slice(p, p + 1)
+        known = ref.eve_knows(rec)
+        quarters = round(4 * len(bob) * ref.eve_guess_accuracy([rec], bob))
+        assert eve_counts(table[-3, row], table[-1, row] >> 2, tables.same[row], 1) == (
+            known, known and rec.same_basis, quarters)
+        if attack.kind is AttackKind.DOUBLE_INTERCEPT and rec.same_basis:
+            assert montecarlo._detection(table[:2, row] >> 2, tables.mismatch[row], 1) == (
+                ref.detection_probability([rec]))
