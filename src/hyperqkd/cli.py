@@ -371,9 +371,12 @@ def _write_file(path: str, text: str) -> None:
 
     The text goes to a temporary file beside the target, which then
     replaces it, so a failed write leaves an earlier report as it was and
-    removes the temporary file. A path that exists and is not a regular
-    file (``/dev/stdout``, a FIFO) is written in place: a device node must
-    never be replaced.
+    removes the temporary file. The temporary file is new, under a random
+    name, and created only if nothing (not even a symlink) holds that
+    name, so no other writer's file and no link's target is written; its
+    mode follows the umask, as the report's would. A path that exists and
+    is not a regular file (``/dev/stdout``, a FIFO) is written in place: a
+    device node must never be replaced.
     """
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
@@ -385,9 +388,15 @@ def _write_file(path: str, text: str) -> None:
         return
     # Through a symlink, replace the file it names, not the link.
     path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    while True:
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        break
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except OSError:

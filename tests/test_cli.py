@@ -399,6 +399,30 @@ class TestExitCodes:
         assert out.read_text() == "earlier report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    def test_symlink_at_a_temporary_name_is_not_followed(self, tmp_path):
+        import os
+        import stat
+
+        # The temporary name the writer once used, planted as a link to a
+        # file the report must not touch.
+        out = tmp_path / "report.json"
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep me\n")
+        planted = tmp_path / f"report.json.{os.getpid()}.tmp"
+        planted.symlink_to(victim)
+        code = main(["--rounds", "100", "--out", str(out), "--deterministic-output"])
+        assert code == 0
+        assert victim.read_text() == "keep me\n"
+        assert planted.is_symlink() and planted.resolve() == victim
+        assert not out.is_symlink()
+        assert json.loads(out.read_text())["stats"]["rounds"] == 100
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [out.name, victim.name, planted.name])
+        # The report's mode follows the umask, as a plain open would give it.
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
     def test_fifo_written_in_place(self, tmp_path):
         import os
         import stat
