@@ -392,9 +392,9 @@ def _write_file(path: str, text: str) -> None:
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
         except FileExistsError:
-            continue
-        break
+            pass
     try:
         with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
