@@ -21,10 +21,11 @@ key, read what Eve saw in each key round
 (:attr:`hyperqkd.protocol.KeyBits.rounds`) from its record
 (:attr:`hyperqkd.protocol.RoundRecord.eve_trace`, None when she did not
 touch it) and gather her photon-2 label codes and the receiver's basis codes
-for :func:`eve_counts`, the kernel the batch engine runs once per batch on
-its round patterns, each weighted by its count of key rounds: a same-basis
-round carries two key bits and any other round one. Both are None for an
-empty key.
+for :func:`eve_tallies`, the kernel the batch engine runs once per attack
+shape on its round patterns; :func:`eve_counts` sums the tallies, each row
+weighted by its count of key rounds (1 per record here). A same-basis round
+carries two key bits and any other round one. Both are None for an empty
+key.
 """
 
 from __future__ import annotations
@@ -211,26 +212,31 @@ _GUESS_QUARTERS = np.array(
 )
 
 
-def eve_counts(
-    eve_codes: np.ndarray, basis_codes: np.ndarray, same: np.ndarray, counts: np.ndarray | int
-) -> tuple[int, int, int]:
-    """Eve's tallies over key rounds: the rounds whose receiver outcome she
-    knows, the same-basis rounds among them, and her guess scores for all
-    their key bits summed in quarters.
+def eve_tallies(
+    eve_codes: np.ndarray, basis_codes: np.ndarray, same: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eve's tallies of each key round: whether she knows the receiver's
+    outcome (bool), whether it is a same-basis round she knows (bool), and
+    her guess scores for its key bits summed in quarters (int8).
 
     Per row, ``eve_codes`` holds her photon-2 label code (hilbert's LABELS;
     _UNTOUCHED for a round she did not touch), ``basis_codes`` the
-    receiver's basis code, ``same`` the same-basis flag and ``counts`` how
-    many key rounds the row stands for (1 for a row per round).
+    receiver's basis code and ``same`` the same-basis flag.
     """
     cell = 2 * eve_codes + basis_codes
     known = _EVE_KNOWS.take(cell)
-    quarters = _GUESS_QUARTERS.take(2 * cell + ~same)
-    return tuple(int((counts * tally).sum()) for tally in (known, known & same, quarters))
+    return known, known & same, _GUESS_QUARTERS.take(2 * cell + ~same)
 
 
-def _key_rounds(records: Iterable[RoundRecord], key: KeyBits) -> tuple[int, int, int]:
-    """:func:`eve_counts` over the rounds of the receiver's ``key``, reading
+def eve_counts(tallies: tuple[np.ndarray, ...], counts: np.ndarray | int) -> tuple[int, ...]:
+    """Each of :func:`eve_tallies`' tallies summed over its rows, each row
+    weighted by how many key rounds it stands for (``counts``; 1 for a row
+    per round)."""
+    return tuple(int((counts * tally).sum()) for tally in tallies)
+
+
+def _key_rounds(records: Iterable[RoundRecord], key: KeyBits) -> tuple[int, ...]:
+    """Eve's tallies summed over the rounds of the receiver's ``key``, reading
     what Eve saw in each round from its record.
 
     Raises ValueError if a key round has no record, or if its same-basis
@@ -249,7 +255,7 @@ def _key_rounds(records: Iterable[RoundRecord], key: KeyBits) -> tuple[int, int,
         codes.append((_UNTOUCHED if trace is None else LABELS.index(trace.outcomes[-1]),
                       BASES.index(rec.bob_basis)))
     codes = np.array(codes, dtype=np.int8).reshape(-1, 2)
-    return eve_counts(codes[:, 0], codes[:, 1], same, 1)
+    return eve_counts(eve_tallies(codes[:, 0], codes[:, 1], same), 1)
 
 
 def eve_information(records: Iterable[RoundRecord], key: KeyBits) -> Optional[float]:

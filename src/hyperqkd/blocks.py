@@ -1,0 +1,149 @@
+"""The batch engine's block loops, each in buffers allocated once per call.
+
+:func:`draw_codes` computes a batch's rounds block by block, each round's
+raw 64-bit draws in the documented order, and reads every decision off
+them as an integer: a basis or a measurement outcome off a draw's top bits,
+a detection off a comparison of the whole draw with the efficiency's
+threshold. Each round becomes one uint16 code (see
+:class:`hyperqkd.montecarlo._Rounds`), and each block's codes are counted
+into the batch's histogram of codes. :func:`extract_keys` then takes the
+verified rounds out of the key and gathers the key rounds' flags and packed
+key rows from one pattern table, block by block; :func:`key_bits` unpacks
+each block's rows.
+
+Every block reuses its call's buffers: the draws' states, draws and scratch
+(:func:`hyperqkd.rng.round_draws` fills buffers its caller owns), the
+block's codes or patterns and its flags. A block indexes with its codes or
+patterns widened to uint64 and viewed as int64, numpy's index type, so no
+gather or histogram converts its indices. Beyond what a call returns, its
+memory is these buffers and temporaries of one block, whatever the number
+of rounds.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from .protocol import key_bits
+from .rng import below_threshold, round_draws
+
+
+def draw_codes(
+    seed: int, rounds: int, efficiency: float, widths: tuple[int, ...], block: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every round's code (uint16), in round order, and the histogram of the
+    codes (int64, one bin per code), from blocks of ``block`` rounds.
+
+    ``widths`` gives how many top bits of each decision draw the round reads,
+    in draw order; their top bits, concatenated with the first draw's the
+    most significant, make the round's pattern, which goes above its two
+    detection bits. At efficiency 1 every detection succeeds, so those draws
+    are not computed.
+    """
+    detect = efficiency < 1.0
+    threshold = np.uint64(below_threshold(efficiency)) if detect else None
+    codes = np.empty(rounds, dtype=np.uint16)
+    block = min(block, rounds)
+    ids = np.arange(block, dtype=np.uint64)
+    c, *buffers = np.empty((4, block), dtype=np.uint64)
+    for lo in range(0, rounds, block):
+        if rounds - lo < block:
+            # The last block is short: so are its views of the buffers.
+            ids, c, *buffers = (b[:rounds - lo] for b in (ids, c, *buffers))
+        x = round_draws(seed, ids, len(widths) + 2 * detect, top=len(widths), buffers=buffers)
+        np.right_shift(next(x), 64 - widths[0], out=c)
+        for width in widths[1:]:
+            c <<= width
+            # A draw's buffer is rewritten by the next draw, so it can be
+            # shifted in place.
+            draw = next(x)
+            draw >>= 64 - width
+            c |= draw
+        if detect:
+            for _ in range(2):
+                c <<= 1
+                draw = next(x)
+                c |= np.less(draw, threshold, out=draw)
+        else:
+            c <<= 2
+            c |= 3
+        codes[lo:lo + len(c)] = c
+        block_counts = np.bincount(c.view(np.int64), minlength=4 << sum(widths))
+        if lo:
+            counts += block_counts
+        else:
+            counts = block_counts
+        ids += np.uint64(block)
+    return codes, counts
+
+
+def same_basis(code: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Whether the parties of each round chose equal bases, written to
+    ``out`` (bool) and read off the rounds' codes (uint16 or uint64;
+    ``scratch`` has their dtype and length).
+
+    Alice's and Bob's basis draws are the last one-bit fields of every
+    pattern (:func:`hyperqkd.montecarlo._draw_widths`), above the two
+    two-bit measurement fields and the two detection bits: their bits are
+    bits 7 and 6 of the code.
+    """
+    np.right_shift(code, 1, out=scratch)
+    scratch ^= code
+    scratch &= 1 << 6
+    return np.equal(scratch, 0, out=out)
+
+
+def extract_keys(
+    codes: np.ndarray, picks: np.ndarray, key_rows: np.ndarray,
+    rounds: int, width: int, both: bool, block: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """The key of a batch, from blocks of ``block`` of its ``codes``:
+    whether each round is a key round (bool, one per round), the key rounds'
+    same-basis flags, Alice's key bits, Bob's (None unless ``both``) and the
+    patterns of the rounds verification checked.
+
+    ``picks`` ranks the checked rounds among the coincident same-basis
+    rounds, ascending; every other coincident round is a key round.
+    ``key_rows`` holds each pattern's packed key row (two bytes held as one
+    uint16). The key has ``rounds`` rounds and ``width`` bits, so every
+    result but the first is filled in place, a block at a time.
+    """
+    in_key = np.empty(len(codes), dtype=bool)
+    same = np.empty(rounds, dtype=bool)
+    alice = np.empty(width, dtype=np.uint8)
+    bob = np.empty(width, dtype=np.uint8) if both else None
+    checked = np.empty(len(picks), dtype=np.int64)
+    block = min(block, len(codes))
+    patterns = np.empty(block, dtype=np.uint64)
+    scratch = np.empty(block, dtype=np.uint16)
+    same_flags = np.empty(block, dtype=bool)
+    ranked = done = at = bit = 0
+    for lo in range(0, len(codes), block):
+        hi = min(lo + block, len(codes))
+        c, key = codes[lo:hi], in_key[lo:hi]
+        t, sb = scratch[:hi - lo], same_flags[:hi - lo]
+        # Coincident: both detection bits set.
+        np.bitwise_and(c, 3, out=t)
+        np.equal(t, 3, out=key)
+        same_basis(c, sb, t)
+        sb &= key
+        # The picks that rank among this block's coincident same-basis rounds.
+        rank_end = ranked + int(np.count_nonzero(sb))
+        end = done + int(np.searchsorted(picks[done:], rank_end))
+        if end > done:
+            hit = np.flatnonzero(sb).take(picks[done:end] - ranked)
+            key[hit] = False
+            checked[done:end] = c.take(hit) >> 2
+        ranked, done = rank_end, end
+        local = np.flatnonzero(key)
+        stop = at + len(local)
+        sb.take(local, out=same[at:stop])
+        p = np.right_shift(c, 2, out=patterns[:hi - lo])
+        a, b = key_bits(key_rows.take(p.view(np.int64)).take(local).view(np.uint8))
+        alice[bit:bit + len(a)] = a
+        if both:
+            bob[bit:bit + len(b)] = b
+        at, bit = stop, bit + len(a)
+    return in_key, same, alice, bob, checked

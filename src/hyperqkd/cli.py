@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -310,18 +309,23 @@ def build_report(
     checks: Optional[list[dict]],
 ) -> dict:
     """Assemble the report document (a JSON-ready dict)."""
-    alice = result.alice_key.as_string()
-    bob = result.bob_key.as_string()
+    alice, bob = result.alice_key, result.bob_key
+    alice_sha256 = alice.sha256()
+    # A batch whose keys agree gives both parties one key object; keys
+    # whose digests agree are compared in full.
+    bob_sha256 = alice_sha256 if bob is alice else bob.sha256()
+    equal = bob is alice or (bob_sha256 == alice_sha256
+                             and bob.as_string() == alice.as_string())
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if not options.deterministic_output:
         doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     doc["config"] = _config_echo(config)
     doc["stats"] = result.stats.to_dict()
     doc["keys"] = {
-        "length": len(result.alice_key),
-        "alice_sha256": hashlib.sha256(alice.encode()).hexdigest(),
-        "bob_sha256": hashlib.sha256(bob.encode()).hexdigest(),
-        "equal": alice == bob,
+        "length": len(alice),
+        "alice_sha256": alice_sha256,
+        "bob_sha256": bob_sha256,
+        "equal": equal,
     }
     if checks is not None:
         doc["checks"] = checks

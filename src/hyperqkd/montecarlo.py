@@ -2,40 +2,47 @@
 
 A batch runs independent rounds whose randomness is derived per round from
 the master seed, so results are bit-identical for a given configuration.
-Rounds are simulated in fixed blocks of 16 384, computing each round's raw
-64-bit draws in the documented order and reading every decision off them
-as an integer. A basis is decided by the draw's top bit and a measurement
-outcome by its top two bits, so those draws skip SplitMix64's last step,
-which leaves the top bits as they are. The top bits of a round's basis and
-measurement draws, concatenated in draw order, make its pattern: at most
-12 bits, the index of one column of a composed round table that holds
-every label code of the round, Eve's included. There is one table per
-attack shape, built once from the closed state set's fixed tables in
-:mod:`hyperqkd.hilbert`. A detection is a comparison of the full draw with
-the efficiency's threshold. Each round is held as one uint16 code, its
-pattern and its two detection bits, and :meth:`_Rounds.records` rebuilds
-from the codes exactly the records the scalar reference
+Rounds are simulated in fixed blocks of 16 384 (:mod:`hyperqkd.blocks`),
+computing each round's raw 64-bit draws in the documented order and reading
+every decision off them as an integer. A basis is decided by the draw's top
+bit and a measurement outcome by its top two bits, so those draws skip
+SplitMix64's last step, which leaves the top bits as they are. The top bits
+of a round's basis and measurement draws, concatenated in draw order, make
+its pattern: at most 12 bits, the index of one column of a composed round
+table that holds every label code of the round, Eve's included. There is
+one table per attack shape, built once from the closed state set's fixed
+tables in :mod:`hyperqkd.hilbert`. A detection is a comparison of the full
+draw with the efficiency's threshold. Each round is held as one uint16
+code, its pattern and its two detection bits, and :meth:`_Rounds.records`
+rebuilds from the codes exactly the records the scalar reference
 :func:`hyperqkd.protocol.run_round` gives for the same rounds.
 
 Per attack shape, small per-pattern tables say what a coincident round of
 each pattern gives: same or different bases, a mismatch, both parties'
-packed key bits (:func:`hyperqkd.protocol.key_rows`) and their differing
-bits. Every counter is the histogram of the batch's patterns, less that of
-the rounds verification consumed, dotted with one of them; Eve's two
-estimators and the detection strata come from the kernels
-:func:`hyperqkd.adversary.eve_counts` and :func:`_detection`, run once on
-the pattern columns with the histogram as each row's count. Per round are
-left only the ids of the same-basis rounds, from which
-:func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample`` also
-calls) picks the verified ones, the key rounds' ids and one gather of their
-packed key rows, unpacked by :func:`hyperqkd.protocol.key_bits`. The scalar
-``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
+packed key bits (:func:`hyperqkd.protocol.key_rows`), their differing bits,
+Eve's tallies (:func:`hyperqkd.adversary.eve_tallies`) and whether her two
+bases were equal. Every counter is the histogram of the batch's codes,
+summed block by block, less that of the rounds verification consumed,
+dotted with one of them; Eve's two estimators and the detection strata are
+the count-weighted sums :func:`hyperqkd.adversary.eve_counts` and
+:func:`_detection` of the tally columns, with the histogram as each row's
+count. :func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample``
+also calls) picks the verified rounds by their rank among the coincident
+same-basis rounds. A second pass over the codes, block by block, reads
+each round's coincidence and same-basis flag off its code, takes the
+picked rounds out of the key, and gathers the key rounds' flags and packed
+key rows, unpacked by :func:`hyperqkd.protocol.key_bits` into the keys.
+Each pass allocates its block buffers once per call, so beyond its results
+a batch works in memory of one block; the key rounds' ids, the one result
+of 8 bytes per round, are read off their flags after both passes. The
+scalar ``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
 :func:`detection_probability` gather label codes from round records (what
 Eve saw from each record's ``eve_trace``) and call the same kernels, the
 counting ones with a count of 1 per record. Eve's guess accuracy is an
-integer count of quarters divided once by 4 * key length. Each key is
+integer count of quarters divided once by 4 * key length. Alice's key is
 built, as every :class:`KeyBits` is, from its bits and its rounds' ids and
-same-basis flags.
+same-basis flags; Bob's holds the same rounds (:meth:`KeyBits.with_bits`),
+and is Alice's key itself when no key bit differs.
 At a ``verify_fraction`` of 0 no round is compared and every coincidence
 stays in the key.
 Estimators report binomial standard errors, except Eve's information,
@@ -66,7 +73,9 @@ from .adversary import (  # noqa: F401
     eve_counts,
     eve_guess_accuracy,
     eve_information,
+    eve_tallies,
 )
+from .blocks import draw_codes, extract_keys
 from .errors import ConfigurationError
 from .hilbert import BASES, LABELS, OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, Photon, outcome_slots
 from .protocol import (  # noqa: F401
@@ -75,14 +84,13 @@ from .protocol import (  # noqa: F401
     VerificationReport,
     _is_real,
     build_keys,
-    key_bits,
     key_rows,
     partial_shuffle,
     run_round,
     sift,
     verify_sample,
 )
-from .rng import below_threshold, round_draws, stream_uniforms
+from .rng import stream_uniforms
 
 #: Key bits per detected pair in the three-bases entangled-qubit baseline.
 EKERT_BITS_PER_PAIR = 2.0 / 9.0
@@ -197,10 +205,12 @@ _FIELD_NAMES = {
 }
 
 
-# Rounds per block of the columnar engine: large enough that numpy's per-call
-# overhead is small, small enough that a block's uint64 draws and indices
-# (128 KiB each) stay in a core's L2 cache. 16 384 was the fastest of 4 096
-# to 65 536 in a sweep of _simulate at 10**5 rounds on 2 vCPUs.
+# Rounds per block of the columnar engine. A larger block pays numpy's
+# per-call overhead less often, but its buffers are the batch's working
+# memory. In a sweep of run_batch at 10**5 rounds on 2 vCPUs, 16 384 took 4 %
+# less time than 8 192 and 5 % more than 32 768, whose buffers (1.25 MiB)
+# would double a 10**5-round call's transient memory; at 16 384 it is about
+# 0.2 MB beyond the result, under tracemalloc.
 _BLOCK_ROUNDS = 16_384
 
 @dataclass(frozen=True, eq=False)
@@ -282,13 +292,12 @@ def _rate(count: int, n: int) -> tuple[Optional[float], Optional[float]]:
 
 
 def _detection(
-    eve_bases: np.ndarray, mismatch: np.ndarray, counts: np.ndarray | int
+    equal: np.ndarray, mismatch: np.ndarray, counts: np.ndarray | int
 ) -> DetectionStats:
-    """The detection strata of the compared rounds: per row, ``eve_bases``
-    holds Eve's two basis codes (shape (2, n)), ``mismatch`` whether the
-    parties' outcomes differ and ``counts`` how many compared rounds the
-    row stands for (1 for a row per round)."""
-    equal = eve_bases[0] == eve_bases[1]
+    """The detection strata of the compared rounds: per row, ``equal`` holds
+    whether Eve's two bases were equal, ``mismatch`` whether the parties'
+    outcomes differ and ``counts`` how many compared rounds the row stands
+    for (1 for a row per round)."""
     same_n, same_m, diff_n, diff_m = (
         int((counts * rows).sum())
         for rows in (equal, mismatch & equal, ~equal, mismatch & ~equal)
@@ -305,7 +314,7 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
     ``eve_trace`` records them. Raises ValueError if any compared round
     lacks a two-basis trace.
     """
-    bases = []
+    equal = []
     mismatch = []
     for rec in records:
         if not rec.coincident or not rec.same_basis:
@@ -316,10 +325,9 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
                 f"round {rec.round_id} lacks a double-intercept trace; "
                 "detection_probability needs a double-intercept batch"
             )
-        bases.append([BASES.index(b) for b in trace.bases])
+        equal.append(trace.bases[0] is trace.bases[1])
         mismatch.append(rec.alice_outcome is not rec.bob_outcome)
-    return _detection(np.array(bases, dtype=np.int8).reshape(-1, 2).T,
-                      np.array(mismatch, dtype=bool), 1)
+    return _detection(np.array(equal, dtype=bool), np.array(mismatch, dtype=bool), 1)
 
 
 def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
@@ -385,67 +393,48 @@ class _Patterns:
     table) gives when the round is coincident: whether the parties' bases
     are equal (bool), whether their label codes differ (bool), both
     parties' packed key-bit row (:func:`key_rows`' two bytes, held as one
-    uint16 so a gather moves each row at once) and the number of key bits
-    in which the two differ (int8)."""
+    uint16 so a gather moves each row at once), the number of key bits in
+    which the two differ (int8), Eve's tallies of the round as a key round
+    (:func:`eve_tallies`: bool, bool and int8; None with no attack) and
+    whether her two bases were equal (bool; None unless she intercepts both
+    photons)."""
 
     same: np.ndarray
     mismatch: np.ndarray
     key_rows: np.ndarray
     key_errors: np.ndarray
+    eve: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    equal_bases: Optional[np.ndarray]
 
 
 @cache
 def _patterns(attack: Optional[AttackConfig]) -> _Patterns:
     """The pattern tables of ``attack``'s shape, built once from its round
-    table and :func:`key_rows`."""
-    alice, bob = _round_table(attack)[-2:]
+    table, :func:`key_rows` and :func:`eve_tallies`."""
+    table = _round_table(attack)
+    alice, bob = table[-2:]
     same = (alice >> 2) == (bob >> 2)
     rows = key_rows(alice, bob, same)
+    eve = equal_bases = None
+    if attack is not None:
+        # Eve's photon-2 outcome decides what she knows of Bob's key.
+        eve = eve_tallies(table[-3], bob >> 2, same)
+        if attack.kind is AttackKind.DOUBLE_INTERCEPT:
+            equal_bases = (table[0] >> 2) == (table[1] >> 2)
     tables = _Patterns(
         same=same,
         mismatch=alice != bob,
         key_rows=rows.view(np.uint16).ravel(),
         # A filler slot holds the filler for both parties, so it never differs.
         key_errors=np.count_nonzero(rows & 3 != rows >> 2, axis=1).astype(np.int8),
+        eve=eve,
+        equal_bases=equal_bases,
     )
-    for arr in (tables.same, tables.mismatch, tables.key_rows, tables.key_errors):
-        arr.flags.writeable = False
+    for arr in (tables.same, tables.mismatch, tables.key_rows, tables.key_errors,
+                *(eve or ()), equal_bases):
+        if arr is not None:
+            arr.flags.writeable = False
     return tables
-
-
-def _simulate(config: SimConfig) -> _Rounds:
-    """Every round of the batch, block by block, in run_round's draw order.
-
-    A round's pattern is its decision draws' top bits, concatenated; each
-    detection is one more bit. At efficiency 1 every detection succeeds,
-    so those draws are not computed.
-    """
-    n = config.rounds
-    widths = _draw_widths(config.attack)
-    detect = config.efficiency < 1.0
-    codes = np.empty(n, dtype=np.uint16)
-    threshold = np.uint64(below_threshold(config.efficiency)) if detect else None
-    for lo in range(0, n, _BLOCK_ROUNDS):
-        hi = min(lo + _BLOCK_ROUNDS, n)
-        x = round_draws(config.seed, np.arange(lo, hi, dtype=np.uint64),
-                        len(widths) + 2 * detect, top=len(widths))
-        code = next(x) >> (64 - widths[0])
-        for width in widths[1:]:
-            code <<= width
-            # A draw's buffer is rewritten by the next draw, so it can be
-            # shifted in place.
-            draw = next(x)
-            draw >>= 64 - width
-            code |= draw
-        if detect:
-            for _ in range(2):
-                code <<= 1
-                code |= next(x) < threshold
-        else:
-            code <<= 2
-            code |= 3
-        codes[lo:hi] = code
-    return _Rounds(codes, config.attack)
 
 
 def eve_information_se(known_bits: int, known_sq: int, width_sq: int, key_len: int) -> float:
@@ -473,52 +462,47 @@ def run_batch(config: SimConfig) -> BatchResult:
     bits consumed by verification show up separately in ``key_length``.
     """
     config.validate()
-    rounds = _simulate(config)
+    codes, counts = draw_codes(config.seed, config.rounds, config.efficiency,
+                               _draw_widths(config.attack), _BLOCK_ROUNDS)
+    rounds = _Rounds(codes, config.attack)
     tables = _patterns(config.attack)
-    codes = rounds.codes
-    size = len(tables.same)
     # Every count is a histogram of patterns dotted with a pattern table.
-    # Each gather below converts its indices to intp, so the per-round
-    # temporaries are made inside expressions and freed at once.
-    coincident = np.bincount(codes, minlength=4 * size)[3::4]
-    same_n = int(coincident @ tables.same)
-    k = math.ceil(config.verify_fraction * same_n)
-    # Coincident rounds, until verification takes its picks out of the key.
-    in_key = (codes & 3) == 3
-    same = tables.same.take(codes >> 2)
-    same &= in_key
-    checked_ids = np.flatnonzero(same).take(
-        partial_shuffle(same_n, stream_uniforms(config.seed, _VERIFY_STREAM, k)))
-    in_key[checked_ids] = False
-    key_ids = np.flatnonzero(in_key)
-    key_same = same.take(key_ids)
-    alice_bits, bob_bits = key_bits(tables.key_rows.take(codes.take(key_ids) >> 2).view(np.uint8))
-    checked = np.bincount(codes.take(checked_ids) >> 2, minlength=size)
-    keyed = coincident - checked
+    coincident = counts[3::4]
     coincidences = int(coincident.sum())
+    same_n = int(coincident @ tables.same)
     diff_n = coincidences - same_n
+    k = math.ceil(config.verify_fraction * same_n)
+    picks = np.sort(partial_shuffle(same_n, stream_uniforms(config.seed, _VERIFY_STREAM, k)))
+    # Each checked round is a same-basis round, of two bits. Bob's bits can
+    # differ from Alice's only if some coincident round's can.
+    key_len = coincidences + same_n - 2 * k
+    in_key, key_same, alice_bits, bob_bits, checked = extract_keys(
+        codes, picks, tables.key_rows, coincidences - k, key_len,
+        bool(coincident @ tables.key_errors), _BLOCK_ROUNDS)
+    # The key ids, 8 bytes per key round, are made after the blocks' buffers
+    # are freed, and the flags they are read off are freed at once.
+    key_ids = np.flatnonzero(in_key)
+    del in_key
+    checked = np.bincount(checked, minlength=len(tables.same))
+    keyed = coincident - checked
     same_mismatch = tables.same & tables.mismatch
     mismatches = int(coincident @ same_mismatch)
     checked_mismatches = int(checked @ same_mismatch)
     verification = (VerificationReport(k, checked_mismatches, checked_mismatches / k) if k
                     else VerificationReport(0, 0, None))
-    key_len = len(alice_bits)
     key_errors = int(keyed @ tables.key_errors)
 
     info = info_se = accuracy = detection = None
     if config.attack is not None:
-        table = _round_table(config.attack)
         if key_len:
-            # Eve's photon-2 outcome decides what she knows of Bob's key.
-            known_rounds, known_same, quarters = eve_counts(
-                table[-3], table[-1] >> 2, tables.same, keyed)
+            known_rounds, known_same, quarters = eve_counts(tables.eve, keyed)
             info = (known_rounds + known_same) / key_len
             # A same-basis round weighs 2 bits (4 squared), any other 1.
             info_se = eve_information_se(known_rounds + known_same, known_rounds + 3 * known_same,
                                          key_len + 2 * (same_n - k), key_len)
             accuracy = quarters / (4 * key_len)
-        if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
-            detection = _detection(table[:2] >> 2, tables.mismatch, coincident * tables.same)
+        if tables.equal_bases is not None:
+            detection = _detection(tables.equal_bases, tables.mismatch, coincident * tables.same)
 
     bpc = bpc_se = ratio = ratio_se = None
     if coincidences:
@@ -556,5 +540,6 @@ def run_batch(config: SimConfig) -> BatchResult:
         detection=detection,
     )
     alice_key = KeyBits(alice_bits, key_ids, key_same)
-    bob_key = KeyBits(bob_bits, key_ids, key_same)
+    # With no bit error, Bob holds Alice's key.
+    bob_key = alice_key.with_bits(bob_bits) if key_errors else alice_key
     return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)

@@ -19,6 +19,7 @@ a forced measurement order (testing aids) skip the corresponding draws.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -138,6 +139,16 @@ class SiftGroups:
     discarded: tuple[RoundRecord, ...]
 
 
+def _as_1d(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a 1-D array of ``dtype``, not copied if it already is one.
+    Raises ValueError unless every value is held exactly."""
+    given = np.asarray(values)
+    arr = given.astype(dtype, copy=False)
+    if arr.ndim != 1 or (arr is not given and not np.array_equal(arr, given)):
+        raise ValueError(f"{name} must be a 1-D array of {np.dtype(dtype)} values")
+    return arr
+
+
 class KeyBits:
     """A party's key material, held as its rounds.
 
@@ -149,9 +160,10 @@ class KeyBits:
     and the ``bits`` tuple are built from them on first access.
 
     Raises ValueError unless each is one-dimensional with values its dtype
-    holds exactly, the bits are 0 or 1, there is one flag per round id, the
-    round ids are strictly increasing, and the bit count is the number of
-    rounds plus the same-basis ones.
+    holds exactly, there is one flag per round id, the round ids are
+    strictly increasing, the bits are 0 or 1, and the bit count is the
+    number of rounds plus the same-basis ones. :meth:`with_bits` gives the
+    other party's key of the same rounds.
     """
 
     __slots__ = ("_bits", "_round_ids", "_same", "_bits_tuple", "_provenance")
@@ -162,30 +174,33 @@ class KeyBits:
         round_ids: Sequence[int] | np.ndarray,
         same: Sequence[bool] | np.ndarray,
     ) -> None:
-        arrays = []
-        for name, values, dtype in (
-            ("bits", bits, np.uint8), ("round_ids", round_ids, np.int64), ("same", same, bool)
-        ):
-            given = np.asarray(values)
-            arr = given.astype(dtype, copy=False)
-            if arr.ndim != 1 or (arr is not given and not np.array_equal(arr, given)):
-                raise ValueError(f"{name} must be a 1-D array of {np.dtype(dtype)} values")
-            arrays.append(arr)
-        bits, round_ids, same = arrays
-        if bits.max(initial=0) > 1:
-            raise ValueError("key bits must be 0 or 1")
+        round_ids = _as_1d("round_ids", round_ids, np.int64)
+        same = _as_1d("same", same, bool)
         if len(round_ids) != len(same):
             raise ValueError("round_ids and same must have equal lengths")
         if np.any(round_ids[1:] <= round_ids[:-1]):
             raise ValueError("round_ids must be strictly increasing")
         # A same-basis round gave two bits, any other round one.
-        width = len(same) + int(np.count_nonzero(same))
+        self._set(bits, round_ids, same, len(same) + int(np.count_nonzero(same)))
+
+    def _set(self, bits, round_ids: np.ndarray, same: np.ndarray, width: int) -> None:
+        bits = _as_1d("bits", bits, np.uint8)
+        if bits.max(initial=0) > 1:
+            raise ValueError("key bits must be 0 or 1")
         if len(bits) != width:
             raise ValueError(f"the key rounds give {width} bits, not {len(bits)}")
-        for arr in arrays:
+        for arr in (bits, round_ids, same):
             arr.flags.writeable = False
-        self._bits, self._round_ids, self._same = arrays
+        self._bits, self._round_ids, self._same = bits, round_ids, same
         self._bits_tuple = self._provenance = None
+
+    def with_bits(self, bits: Sequence[int] | np.ndarray) -> "KeyBits":
+        """The key of this key's rounds that holds ``bits``. Only the bits
+        are checked, as the constructor checks them: the rounds were checked
+        when this key was built, and the two keys share their arrays."""
+        key = KeyBits.__new__(KeyBits)
+        key._set(bits, self._round_ids, self._same, len(self._bits))
+        return key
 
     @property
     def rounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,6 +239,14 @@ class KeyBits:
 
     def as_string(self) -> str:
         return (self._bits + 48).tobytes().decode("ascii")
+
+    def sha256(self) -> str:
+        """The SHA-256 hex digest of :meth:`as_string`'s ASCII bytes, hashed
+        64 KiB at a time so that no copy of the whole key is made."""
+        digest, chunk = hashlib.sha256(), 1 << 16
+        for lo in range(0, len(self._bits), chunk):
+            digest.update(self._bits[lo:lo + chunk] + 48)
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -355,7 +378,8 @@ def build_keys(
     round_ids = np.array([rec.round_id for rec in ordered], dtype=np.int64)
     same = np.array([rec.alice_basis is rec.bob_basis for rec in ordered], dtype=bool)
     alice_bits, bob_bits = key_bits(key_rows(codes[:, 0], codes[:, 1], same))
-    return KeyBits(alice_bits, round_ids, same), KeyBits(bob_bits, round_ids, same)
+    alice = KeyBits(alice_bits, round_ids, same)
+    return alice, alice.with_bits(bob_bits)
 
 
 def verify_sample(
@@ -394,14 +418,18 @@ def partial_shuffle(n: int, uniforms: np.ndarray) -> np.ndarray:
     step ``i``: the target itself, unless an earlier step swapped into it,
     in which case what that step's own slot held before it. Both links, the
     last earlier step into a step's target and the last earlier step into
-    its own slot, are read off one stable sort of the targets, and the
-    second are followed back by pointer jumping.
+    its own slot, are read off the targets' stable order, and the second
+    are followed back by pointer jumping. Raises ValueError unless ``n *
+    k`` is below 2**63, the bound of the sort keys.
     """
     k = len(uniforms)
+    if n * k >= 2**63:
+        raise ValueError(f"partial_shuffle needs n * k < 2**63, got n = {n}, k = {k}")
     step = np.arange(k)
     target = step + np.minimum((uniforms * (n - step)).astype(np.int64), n - step - 1)
-    order = np.argsort(target, kind="stable")
-    ordered = target[order]
+    # The keys target * k + step are distinct and below n * k, and they sort
+    # as (target, step) pairs: one sort gives the targets' stable order.
+    ordered, order = np.divmod(np.sort(target * k + step), k)
     # In the stable order, the steps into one slot follow each other in step
     # order; -1 marks a step with no earlier one into its target.
     into_target = np.full(k, -1)

@@ -25,7 +25,7 @@ stream's draws in their top 31 bits only; every later draw is exact.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,20 +105,25 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def round_draws(
-    master_seed: int, round_ids: np.ndarray, count: int, top: int = 0
+    master_seed: int, round_ids: np.ndarray, count: int, top: int = 0,
+    buffers: Sequence[np.ndarray] | None = None,
 ) -> Iterator[np.ndarray]:
     """The first ``count`` raw draws of each round's stream, one array per draw.
 
     The ``j``-th array yielded holds, at position ``k``, the ``j``-th
     ``RandomSource.for_round(master_seed, round_ids[k]).next_u64()`` as
     uint64; the first ``top`` arrays hold it in their top 31 bits only (see
-    the module docstring). Every draw is computed in place into the same
-    buffer, so an array is valid only until the next one is asked for.
+    the module docstring). ``buffers`` holds three uint64 arrays of
+    ``len(round_ids)`` that the caller owns, for the round states, the draws
+    and scratch; without it they are allocated. Every draw is computed in
+    place into the same buffer, so an array is valid only until the next one
+    is asked for.
     """
-    states = np.array(round_ids, dtype=np.uint64)
-    out = np.empty_like(states)
-    tmp = np.empty_like(states)
-    states = _mix64_inplace(states, tmp)
+    if buffers is None:
+        buffers = np.empty((3, len(round_ids)), dtype=np.uint64)
+    states, out, tmp = buffers
+    states[...] = round_ids
+    _mix64_inplace(states, tmp)
     states ^= np.uint64(master_seed & _MASK64)
     _mix64_inplace(states, tmp)
     for j in range(count):

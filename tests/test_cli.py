@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -9,6 +10,7 @@ import math
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from hyperqkd import AttackKind, EKERT_BITS_PER_PAIR, EveBasisStrategy, SimConfig, run_batch
@@ -139,6 +141,30 @@ class TestReportDocuments:
         assert parsed["config"]["rounds"] == 3000
         assert parsed["schema_version"] == "2"
         assert "generated_at" not in parsed
+
+    def test_key_digests_and_equality(self):
+        config = SimConfig(rounds=3000, seed=5)
+        result = run_batch(config)
+        options = ReportOptions(deterministic_output=True)
+
+        def keys(bob_key):
+            return build_report(dataclasses.replace(result, bob_key=bob_key),
+                                config, options, None)["keys"]
+
+        def digest(key):
+            return hashlib.sha256(key.as_string().encode()).hexdigest()
+
+        alice = result.alice_key
+        assert result.bob_key is alice
+        assert keys(alice) == {"length": len(alice), "alice_sha256": digest(alice),
+                               "bob_sha256": digest(alice), "equal": True}
+        # A second key object with the same bits, and one with another bit.
+        bits = np.array(alice.bits, dtype=np.uint8)
+        assert keys(alice.with_bits(bits.copy()))["equal"] is True
+        bits[-1] ^= 1
+        other = alice.with_bits(bits)
+        assert keys(other) == {"length": len(alice), "alice_sha256": digest(alice),
+                               "bob_sha256": digest(other), "equal": False}
 
     def test_timestamp_present_by_default(self):
         config = SimConfig(rounds=50, seed=5)

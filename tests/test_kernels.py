@@ -7,10 +7,12 @@ shuffle as a loop, one swap per step, holding only the slots it moved.
 column; each column is checked against the scalar ``run_round`` fed draws
 that carry that column's bit pattern, so the table is not checked by the
 chain that built it. ``montecarlo._patterns`` holds what each column gives
-a coincident round (sifting, mismatch, key bits); each entry, and what
-``eve_counts`` and ``_detection`` make of the column, is checked against the
-per-record reference of ``reference.py`` on the column's round under all
-four detection states.
+a coincident round (sifting, mismatch, key bits, Eve's tallies and whether
+her bases were equal); each entry, and what ``eve_tallies``, ``eve_counts``
+and ``_detection`` make of the column, is checked against the per-record
+reference of ``reference.py`` on the column's round under all four
+detection states. The engine reads the same-basis flag off each round's
+code; that rule is checked against the table on every code.
 """
 
 import math
@@ -29,8 +31,8 @@ from hyperqkd import (
     sift,
     verify_sample,
 )
-from hyperqkd import montecarlo
-from hyperqkd.adversary import eve_counts
+from hyperqkd import blocks, montecarlo
+from hyperqkd.adversary import eve_counts, eve_tallies
 from hyperqkd.hilbert import LABELS
 from hyperqkd.protocol import key_bits, partial_shuffle
 
@@ -68,6 +70,17 @@ def test_picks_take_every_edge_target():
     assert partial_shuffle(n, np.zeros(n)).tolist() == list(range(n))
     top = np.full(n, np.nextafter(1.0, 0.0))
     assert partial_shuffle(n, top).tolist() == reference_picks(n, top)
+
+
+def test_picks_bound_their_sort_keys():
+    # The sort keys target * k + step must stay below 2**63.
+    n, k = (2**63 - 1) // 3, 3
+    top = np.full(k, np.nextafter(1.0, 0.0))
+    assert partial_shuffle(n, top).tolist() == reference_picks(n, top)
+    assert partial_shuffle(n, np.zeros(k)).tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        partial_shuffle(2**62, np.zeros(2))
+    assert partial_shuffle(0, np.zeros(0)).tolist() == []
 
 
 def test_verify_sample_picks_from_its_stream_in_order():
@@ -150,8 +163,16 @@ def test_pattern_tables_equal_reference(attack, widths):
     tables = montecarlo._patterns(attack)
     table = montecarlo._round_table(attack)
     size = 2 ** sum(widths)
-    for arr, dtype in ((tables.same, bool), (tables.mismatch, bool),
-                       (tables.key_rows, np.uint16), (tables.key_errors, np.int8)):
+    columns = [(tables.same, bool), (tables.mismatch, bool),
+               (tables.key_rows, np.uint16), (tables.key_errors, np.int8)]
+    assert (tables.eve is None) == (attack is None)
+    if attack is not None:
+        columns += zip(tables.eve, (bool, bool, np.int8))
+    double = attack is not None and attack.kind is AttackKind.DOUBLE_INTERCEPT
+    assert (tables.equal_bases is not None) == double
+    if double:
+        columns.append((tables.equal_bases, bool))
+    for arr, dtype in columns:
         assert arr.dtype == dtype and arr.shape == (size,) and not arr.flags.writeable
     # Every pattern with each of the four detection states: code 4 * pattern
     # + 2 * Alice's detection + Bob's.
@@ -174,11 +195,28 @@ def test_pattern_tables_equal_reference(attack, widths):
         assert tables.key_errors[p] == sum(a != b for a, b in zip(alice.bits, bob.bits))
         if attack is None:
             continue
+        # The per-pattern Eve and detection columns, and what the kernels
+        # make of the round's codes.
         row = slice(p, p + 1)
         known = ref.eve_knows(rec)
         quarters = round(4 * len(bob) * ref.eve_guess_accuracy([rec], bob))
-        assert eve_counts(table[-3, row], table[-1, row] >> 2, tables.same[row], 1) == (
-            known, known and rec.same_basis, quarters)
-        if attack.kind is AttackKind.DOUBLE_INTERCEPT and rec.same_basis:
-            assert montecarlo._detection(table[:2, row] >> 2, tables.mismatch[row], 1) == (
-                ref.detection_probability([rec]))
+        want = (known, known and rec.same_basis, quarters)
+        assert tuple(tally[p] for tally in tables.eve) == want
+        assert eve_counts(eve_tallies(table[-3, row], table[-1, row] >> 2, tables.same[row]),
+                          1) == want
+        if double:
+            assert tables.equal_bases[p] == (
+                rec.eve_trace.bases[0] is rec.eve_trace.bases[1])
+            if rec.same_basis:
+                assert montecarlo._detection(tables.equal_bases[row], tables.mismatch[row],
+                                             1) == ref.detection_probability([rec])
+
+
+@pytest.mark.parametrize("attack, widths", SHAPES, ids=[shape_id(a) for a, _ in SHAPES])
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint16])
+def test_same_basis_bits_equal_the_table(attack, widths, dtype):
+    # Every code: each pattern with each of the four detection states.
+    codes = np.arange(4 << sum(widths), dtype=dtype)
+    got = blocks.same_basis(codes, np.empty(len(codes), dtype=bool),
+                            np.empty_like(codes))
+    assert got.tolist() == montecarlo._patterns(attack).same[codes >> 2].tolist()

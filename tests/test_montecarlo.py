@@ -1,6 +1,8 @@
 """Tests for the batch driver, estimators, and reproducibility contracts."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -230,6 +232,33 @@ class TestRunBatch:
         assert (stats.key_length, quarters) == (45, 168)
         assert (stats.eve_guess_accuracy * n).is_integer()
         assert stats.eve_guess_accuracy == float(Fraction(quarters, n)) == 42 / 45
+
+    def test_transient_memory_is_bounded_by_the_block_buffers(self):
+        # Beyond what its result holds, a batch works in buffers of one
+        # block and one byte per round of key flags: no index copy of the
+        # codes and no whole-batch gather.
+        config = SimConfig(rounds=100_000, seed=1, efficiency=0.9,
+                           attack=AttackConfig(AttackKind.SINGLE_INTERCEPT))
+        run_batch(config)  # builds the attack shape's cached tables
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_batch(config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.stats.key_length > 100_000
+        assert peak - held <= 750_000
+
+    def test_keys_without_errors_are_one_object(self):
+        clean = run_batch(SimConfig(rounds=3000, seed=3, efficiency=0.9))
+        assert clean.stats.key_bit_error_rate == 0.0
+        assert clean.bob_key is clean.alice_key
+        attacked = run_batch(SimConfig(rounds=3000, seed=3,
+                                       attack=AttackConfig(AttackKind.SINGLE_INTERCEPT)))
+        assert attacked.stats.key_bit_error_rate > 0.0
+        assert attacked.bob_key != attacked.alice_key
+        assert all(a is b for a, b in zip(attacked.bob_key.rounds, attacked.alice_key.rounds))
 
 
 class TestDetectionProbability:

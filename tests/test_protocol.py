@@ -1,5 +1,6 @@
 """Tests for the round engine, sifting, encodings, keys, and verification."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -479,6 +480,38 @@ class TestKeyRounds:
     def test_malformed_key_is_rejected(self, bits, round_ids, same, match):
         with pytest.raises(ValueError, match=match):
             KeyBits(bits, round_ids, same)
+
+    @pytest.mark.parametrize(
+        "bits, match",
+        [
+            ([[1, 0, 1]], "bits must be a 1-D"),
+            ([1, 0, 256], "bits must be a 1-D array of uint8"),
+            ([1, 0, 2], "0 or 1"),
+            ([1, 0], "give 3 bits, not 2"),
+            ([1, 0, 1, 1], "give 3 bits, not 4"),
+        ],
+    )
+    def test_other_bits_of_the_same_rounds_are_checked(self, bits, match):
+        key = KeyBits([0, 0, 1], [4, 9], [True, False])
+        with pytest.raises(ValueError, match=match):
+            key.with_bits(bits)
+
+    def test_other_bits_share_the_rounds(self):
+        key = KeyBits([0, 0, 1], np.array([4, 9]), np.array([True, False]))
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        other = key.with_bits(bits)
+        assert all(a is b for a, b in zip(other.rounds, key.rounds))
+        assert other == KeyBits([1, 0, 1], [4, 9], [True, False])
+        assert other.provenance == key.provenance
+        assert other.as_string() == "101"
+        with pytest.raises(ValueError):
+            bits[0] = 0
+
+    @pytest.mark.parametrize("length", [0, 5, 1 << 16, 3 << 16 | 5])
+    def test_sha256_is_the_digest_of_the_string(self, length):
+        bits = np.random.default_rng(length).integers(0, 2, length).astype(np.uint8)
+        key = KeyBits(bits, np.arange(length), np.zeros(length, dtype=bool))
+        assert key.sha256() == hashlib.sha256(key.as_string().encode()).hexdigest()
 
     def test_constructor_keeps_its_arrays_read_only(self):
         bits = np.array([1, 0, 1], dtype=np.uint8)

@@ -66,6 +66,19 @@ def test_top_draws_equal_scalar_stream_in_their_top_31_bits(seed, round_ids, top
         assert got[top:] == want[top:]
 
 
+def test_draws_fill_the_callers_buffers():
+    seed, ids = 2**64 - 1, np.array([0, 7, 2**64 - 1, 12], dtype=np.uint64)
+    want = [d.copy() for d in round_draws(seed, ids, 6, top=4)]
+    buffers = np.full((3, len(ids)), 0xDEAD, dtype=np.uint64)
+    # Twice over the same buffers: nothing is left over from the first use.
+    for _ in range(2):
+        got = []
+        for draw in round_draws(seed, ids, 6, top=4, buffers=buffers):
+            assert np.shares_memory(draw, buffers[1])
+            got.append(draw.copy())
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
 def test_stream_uniforms_equal_scalar_stream():
     rand = RandomSource.for_stream(2**64 - 1, 7)
     assert stream_uniforms(2**64 - 1, 7, 50).tolist() == [rand.uniform() for _ in range(50)]
