@@ -266,8 +266,9 @@ def _lookup_metric(doc: dict, path: str):
     return value
 
 
-def evaluate_checks(result: BatchResult, config: SimConfig) -> list[dict]:
-    """Verdicts comparing this run's estimators with the scenario's expected values.
+def evaluate_checks(stats: dict, config: SimConfig) -> list[dict]:
+    """Verdicts comparing this run's estimators, ``stats`` (its
+    ``BatchStats.to_dict()``), with the scenario's expected values.
 
     A verdict's ``passed`` is None when its estimator is undefined for lack
     of data (``actual`` or the band's SE is None): a short run that never
@@ -277,14 +278,13 @@ def evaluate_checks(result: BatchResult, config: SimConfig) -> list[dict]:
         scenario = ("none", None)
     else:
         scenario = (config.attack.kind.value, config.attack.strategy.value)
-    stats_dict = result.stats.to_dict()
     checks = []
     for metric, expected, null_se in _CHECKS_BY_SCENARIO[scenario]:
-        actual = _lookup_metric(stats_dict, metric)
+        actual = _lookup_metric(stats, metric)
         if null_se is None:
             tolerance = 0.0
         else:
-            se = null_se(stats_dict)
+            se = null_se(stats)
             tolerance = None if se is None else CHECK_Z * se
         if actual is None or tolerance is None:
             passed = None
@@ -307,8 +307,10 @@ def build_report(
     config: SimConfig,
     options: ReportOptions,
     checks: Optional[list[dict]],
+    stats: Optional[dict] = None,
 ) -> dict:
-    """Assemble the report document (a JSON-ready dict)."""
+    """Assemble the report document (a JSON-ready dict). ``stats`` is
+    ``result.stats.to_dict()`` when the caller has built it already."""
     alice, bob = result.alice_key, result.bob_key
     alice_sha256 = alice.sha256()
     # A batch whose keys agree gives both parties one key object; keys
@@ -320,7 +322,7 @@ def build_report(
     if not options.deterministic_output:
         doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     doc["config"] = _config_echo(config)
-    doc["stats"] = result.stats.to_dict()
+    doc["stats"] = result.stats.to_dict() if stats is None else stats
     doc["keys"] = {
         "length": len(alice),
         "alice_sha256": alice_sha256,
@@ -359,9 +361,11 @@ def emit_report(
     config: SimConfig,
     options: ReportOptions,
     checks: Optional[list[dict]],
+    stats: Optional[dict] = None,
 ) -> str:
-    """Render the report and write it to --out or stdout; returns the text."""
-    doc = build_report(result, config, options, checks)
+    """Render the report and write it to --out or stdout; returns the text.
+    ``stats`` is as for :func:`build_report`."""
+    doc = build_report(result, config, options, checks, stats)
     text = render_json(doc) if options.format == "json" else render_csv(doc)
     if options.out is None:
         sys.stdout.write(text)
@@ -418,10 +422,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     result = run_batch(config)
-    checks = evaluate_checks(result, config) if options.check else None
+    # One stats dict serves the checks and the report.
+    stats = result.stats.to_dict()
+    checks = evaluate_checks(stats, config) if options.check else None
 
     try:
-        emit_report(result, config, options, checks)
+        emit_report(result, config, options, checks, stats)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 3

@@ -372,10 +372,22 @@ class TestCheckMode:
         assert main(argv) == 1
         assert "check failed: bits_per_coincidence" in capsys.readouterr().err
 
+    def test_check_builds_one_stats_dict(self, capsys, monkeypatch):
+        # The verdicts and the report read the same dict of the stats.
+        calls = []
+        to_dict = cli.BatchStats.to_dict
+        monkeypatch.setattr(cli.BatchStats, "to_dict",
+                            lambda stats: calls.append(1) or to_dict(stats))
+        assert main(["--rounds", "2000", "--attack", "double", "--check"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        by_metric = {c["metric"]: c["actual"] for c in parsed["checks"]}
+        assert by_metric["bits_per_coincidence"] == parsed["stats"]["bits_per_coincidence"]
+
     def test_check_verdicts_use_scenario_table(self):
         config = SimConfig(rounds=30_000, seed=45)
         result = run_batch(config)
-        checks = evaluate_checks(result, config)
+        checks = evaluate_checks(result.stats.to_dict(), config)
         by_metric = {c["metric"]: c for c in checks}
         assert by_metric["same_basis_mismatch_rate"]["tolerance"] == 0.0
         assert by_metric["same_basis_mismatch_rate"]["passed"]
