@@ -22,8 +22,8 @@ key, read what Eve saw in each key round
 (:attr:`hyperqkd.protocol.RoundRecord.eve_trace`, None when she did not
 touch it) and gather her photon-2 label codes and the receiver's basis codes
 for :func:`eve_tallies`, the kernel the batch engine runs once per attack
-shape on its round patterns; :func:`eve_counts` sums the tallies, each row
-weighted by its count of key rounds (1 per record here). A same-basis round
+shape on its round patterns, and sum its tallies over the key rounds. A
+same-basis round
 carries two key bits and any other round one. Both are None for an empty
 key.
 """
@@ -228,13 +228,6 @@ def eve_tallies(
     return known, known & same, _GUESS_QUARTERS.take(2 * cell + ~same)
 
 
-def eve_counts(tallies: tuple[np.ndarray, ...], counts: np.ndarray | int) -> tuple[int, ...]:
-    """Each of :func:`eve_tallies`' tallies summed over its rows, each row
-    weighted by how many key rounds it stands for (``counts``; 1 for a row
-    per round)."""
-    return tuple(int((counts * tally).sum()) for tally in tallies)
-
-
 def _key_rounds(records: Iterable[RoundRecord], key: KeyBits) -> tuple[int, ...]:
     """Eve's tallies summed over the rounds of the receiver's ``key``, reading
     what Eve saw in each round from its record.
@@ -255,7 +248,7 @@ def _key_rounds(records: Iterable[RoundRecord], key: KeyBits) -> tuple[int, ...]
         codes.append((_UNTOUCHED if trace is None else LABELS.index(trace.outcomes[-1]),
                       BASES.index(rec.bob_basis)))
     codes = np.array(codes, dtype=np.int8).reshape(-1, 2)
-    return eve_counts(eve_tallies(codes[:, 0], codes[:, 1], same), 1)
+    return tuple(int(tally.sum()) for tally in eve_tallies(codes[:, 0], codes[:, 1], same))
 
 
 def eve_information(records: Iterable[RoundRecord], key: KeyBits) -> Optional[float]:

@@ -18,15 +18,15 @@ rebuilds from the codes exactly the records the scalar reference
 :func:`hyperqkd.protocol.run_round` gives for the same rounds.
 
 Per attack shape, small per-pattern tables say what a coincident round of
-each pattern gives: same or different bases, a mismatch, both parties'
-packed key bits (:func:`hyperqkd.protocol.key_rows`), their differing bits,
-Eve's tallies (:func:`hyperqkd.adversary.eve_tallies`) and whether her two
-bases were equal. Every counter is the histogram of the batch's codes,
-summed block by block, less that of the rounds verification consumed,
-dotted with one of them; Eve's two estimators and the detection strata are
-the count-weighted sums :func:`hyperqkd.adversary.eve_counts` and
-:func:`_detection` of the tally columns, with the histogram as each row's
-count. :func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample``
+each pattern gives: both parties' packed key bits
+(:func:`hyperqkd.protocol.key_rows`), and one int64 matrix of what it adds
+to each counter: same bases, a same-basis mismatch, the differing key bits,
+Eve's tallies (:func:`hyperqkd.adversary.eve_tallies`) and the detection
+strata (:func:`_strata`). Every counter of a batch is one of two matrix
+products: the matrix times the histogram of the batch's coincident codes,
+summed block by block, or times that of the rounds verification consumed;
+the key's counters are their difference.
+:func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample``
 also calls) picks the verified rounds by their rank among the coincident
 same-basis rounds. A second pass over the codes, block by block, reads
 each round's coincidence and same-basis flag off its code, takes the
@@ -37,8 +37,8 @@ a batch works in memory of one block; the key rounds' ids, the one result
 of 8 bytes per round, are read off their flags after both passes. The
 scalar ``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
 :func:`detection_probability` gather label codes from round records (what
-Eve saw from each record's ``eve_trace``) and call the same kernels, the
-counting ones with a count of 1 per record. Eve's guess accuracy is an
+Eve saw from each record's ``eve_trace``) and call the same kernels,
+summing the tallies over the records. Eve's guess accuracy is an
 integer count of quarters divided once by 4 * key length. Alice's key is
 built, as every :class:`KeyBits` is, from its bits and its rounds' ids and
 same-basis flags; Bob's holds the same rounds (:meth:`KeyBits.with_bits`),
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -70,7 +70,6 @@ from .adversary import (  # noqa: F401
     AttackKind,
     EveBasisStrategy,
     EveRecord,
-    eve_counts,
     eve_guess_accuracy,
     eve_information,
     eve_tallies,
@@ -291,17 +290,18 @@ def _rate(count: int, n: int) -> tuple[Optional[float], Optional[float]]:
     return rate, _binomial_se(rate, n)
 
 
-def _detection(
-    equal: np.ndarray, mismatch: np.ndarray, counts: np.ndarray | int
-) -> DetectionStats:
-    """The detection strata of the compared rounds: per row, ``equal`` holds
-    whether Eve's two bases were equal, ``mismatch`` whether the parties'
-    outcomes differ and ``counts`` how many compared rounds the row stands
-    for (1 for a row per round)."""
-    same_n, same_m, diff_n, diff_m = (
-        int((counts * rows).sum())
-        for rows in (equal, mismatch & equal, ~equal, mismatch & ~equal)
-    )
+def _strata(equal: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
+    """The detection strata of compared rounds, one bool row each, from
+    whether Eve's two bases were equal and whether the parties' outcomes
+    differ in each: equal bases, equal bases and a mismatch, different
+    bases, different bases and a mismatch."""
+    return np.array([equal, mismatch & equal, ~equal, mismatch & ~equal])
+
+
+def _detection(strata: Sequence[int]) -> DetectionStats:
+    """The detection stats from the compared rounds' count in each of the
+    four :func:`_strata`."""
+    same_n, same_m, diff_n, diff_m = (int(n) for n in strata)
     return DetectionStats(same_n, same_m, *_rate(same_m, same_n),
                           diff_n, diff_m, *_rate(diff_m, diff_n))
 
@@ -327,7 +327,8 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
             )
         equal.append(trace.bases[0] is trace.bases[1])
         mismatch.append(rec.alice_outcome is not rec.bob_outcome)
-    return _detection(np.array(equal, dtype=bool), np.array(mismatch, dtype=bool), 1)
+    return _detection(_strata(np.array(equal, dtype=bool),
+                              np.array(mismatch, dtype=bool)).sum(axis=1))
 
 
 def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
@@ -387,53 +388,50 @@ def _round_table(attack: Optional[AttackConfig]) -> np.ndarray:
     return table
 
 
+# Rows of _Patterns.counters: same bases; same bases and a mismatch; key
+# bit errors; Eve's three tallies (eve_tallies); and a same-basis round's
+# four detection strata (_strata).
+_SAME, _SAME_MISMATCH, _KEY_ERRORS = range(3)
+_EVE = slice(3, 6)
+_STRATA = slice(6, 10)
+
+
 @dataclass(frozen=True)
 class _Patterns:
     """What each round pattern of one attack shape (a column of its round
-    table) gives when the round is coincident: whether the parties' bases
-    are equal (bool), whether their label codes differ (bool), both
-    parties' packed key-bit row (:func:`key_rows`' two bytes, held as one
-    uint16 so a gather moves each row at once), the number of key bits in
-    which the two differ (int8), Eve's tallies of the round as a key round
-    (:func:`eve_tallies`: bool, bool and int8; None with no attack) and
-    whether her two bases were equal (bool; None unless she intercepts both
+    table) gives when the round is coincident: both parties' packed key-bit
+    row (:func:`key_rows`' two bytes, held as one uint16 so a gather moves
+    each row at once), and how much the round adds to each of the batch's
+    counters, one int64 row per counter (``_SAME`` to ``_STRATA``; Eve's
+    rows are 0 with no attack, the strata unless she intercepts both
     photons)."""
 
-    same: np.ndarray
-    mismatch: np.ndarray
     key_rows: np.ndarray
-    key_errors: np.ndarray
-    eve: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    equal_bases: Optional[np.ndarray]
+    counters: np.ndarray
 
 
 @cache
 def _patterns(attack: Optional[AttackConfig]) -> _Patterns:
     """The pattern tables of ``attack``'s shape, built once from its round
-    table, :func:`key_rows` and :func:`eve_tallies`."""
+    table, :func:`key_rows`, :func:`eve_tallies` and :func:`_strata`."""
     table = _round_table(attack)
     alice, bob = table[-2:]
     same = (alice >> 2) == (bob >> 2)
+    mismatch = alice != bob
     rows = key_rows(alice, bob, same)
-    eve = equal_bases = None
+    counters = np.zeros((_STRATA.stop, table.shape[1]), dtype=np.int64)
+    counters[_SAME] = same
+    counters[_SAME_MISMATCH] = same & mismatch
+    # A filler slot holds the filler for both parties, so it never differs.
+    counters[_KEY_ERRORS] = np.count_nonzero(rows & 3 != rows >> 2, axis=1)
     if attack is not None:
         # Eve's photon-2 outcome decides what she knows of Bob's key.
-        eve = eve_tallies(table[-3], bob >> 2, same)
+        counters[_EVE] = eve_tallies(table[-3], bob >> 2, same)
         if attack.kind is AttackKind.DOUBLE_INTERCEPT:
-            equal_bases = (table[0] >> 2) == (table[1] >> 2)
-    tables = _Patterns(
-        same=same,
-        mismatch=alice != bob,
-        key_rows=rows.view(np.uint16).ravel(),
-        # A filler slot holds the filler for both parties, so it never differs.
-        key_errors=np.count_nonzero(rows & 3 != rows >> 2, axis=1).astype(np.int8),
-        eve=eve,
-        equal_bases=equal_bases,
-    )
-    for arr in (tables.same, tables.mismatch, tables.key_rows, tables.key_errors,
-                *(eve or ()), equal_bases):
-        if arr is not None:
-            arr.flags.writeable = False
+            counters[_STRATA] = _strata((table[0] >> 2) == (table[1] >> 2), mismatch) & same
+    tables = _Patterns(key_rows=rows.view(np.uint16).ravel(), counters=counters)
+    for arr in (tables.key_rows, tables.counters):
+        arr.flags.writeable = False
     return tables
 
 
@@ -466,10 +464,12 @@ def run_batch(config: SimConfig) -> BatchResult:
                                _draw_widths(config.attack), _BLOCK_ROUNDS)
     rounds = _Rounds(codes, config.attack)
     tables = _patterns(config.attack)
-    # Every count is a histogram of patterns dotted with a pattern table.
+    # Every counter is a histogram of patterns dotted with a row of
+    # tables.counters.
     coincident = counts[3::4]
+    totals = tables.counters @ coincident
     coincidences = int(coincident.sum())
-    same_n = int(coincident @ tables.same)
+    same_n = int(totals[_SAME])
     diff_n = coincidences - same_n
     k = math.ceil(config.verify_fraction * same_n)
     picks = np.sort(partial_shuffle(same_n, stream_uniforms(config.seed, _VERIFY_STREAM, k)))
@@ -478,31 +478,30 @@ def run_batch(config: SimConfig) -> BatchResult:
     key_len = coincidences + same_n - 2 * k
     in_key, key_same, alice_bits, bob_bits, checked = extract_keys(
         codes, picks, tables.key_rows, coincidences - k, key_len,
-        bool(coincident @ tables.key_errors), _BLOCK_ROUNDS)
+        bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
     # The key ids, 8 bytes per key round, are made after the blocks' buffers
     # are freed, and the flags they are read off are freed at once.
     key_ids = np.flatnonzero(in_key)
     del in_key
-    checked = np.bincount(checked, minlength=len(tables.same))
-    keyed = coincident - checked
-    same_mismatch = tables.same & tables.mismatch
-    mismatches = int(coincident @ same_mismatch)
-    checked_mismatches = int(checked @ same_mismatch)
+    removed = tables.counters @ np.bincount(checked, minlength=len(coincident))
+    keyed = (totals - removed).tolist()
+    mismatches = int(totals[_SAME_MISMATCH])
+    checked_mismatches = int(removed[_SAME_MISMATCH])
     verification = (VerificationReport(k, checked_mismatches, checked_mismatches / k) if k
                     else VerificationReport(0, 0, None))
-    key_errors = int(keyed @ tables.key_errors)
+    key_errors = keyed[_KEY_ERRORS]
 
     info = info_se = accuracy = detection = None
     if config.attack is not None:
         if key_len:
-            known_rounds, known_same, quarters = eve_counts(tables.eve, keyed)
+            known_rounds, known_same, quarters = keyed[_EVE]
             info = (known_rounds + known_same) / key_len
             # A same-basis round weighs 2 bits (4 squared), any other 1.
             info_se = eve_information_se(known_rounds + known_same, known_rounds + 3 * known_same,
                                          key_len + 2 * (same_n - k), key_len)
             accuracy = quarters / (4 * key_len)
-        if tables.equal_bases is not None:
-            detection = _detection(tables.equal_bases, tables.mismatch, coincident * tables.same)
+        if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
+            detection = _detection(totals[_STRATA])
 
     bpc = bpc_se = ratio = ratio_se = None
     if coincidences:

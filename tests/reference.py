@@ -2,7 +2,7 @@
 detection strata.
 
 The package computes each of these with one kernel over label codes
-(``protocol.key_bits``, ``adversary.eve_counts``, ``montecarlo._detection``),
+(``protocol.key_bits``, ``adversary.eve_tallies``, ``montecarlo._strata``),
 which both the batch engine and the public scalar functions call. These are
 the same quantities by their definitions, one record at a time, on the
 oracle's literal tables (``CODE1``, ``CODE2``, ``support``,

@@ -7,10 +7,10 @@ shuffle as a loop, one swap per step, holding only the slots it moved.
 column; each column is checked against the scalar ``run_round`` fed draws
 that carry that column's bit pattern, so the table is not checked by the
 chain that built it. ``montecarlo._patterns`` holds what each column gives
-a coincident round (sifting, mismatch, key bits, Eve's tallies and whether
-her bases were equal); each entry, and what ``eve_tallies``, ``eve_counts``
-and ``_detection`` make of the column, is checked against the per-record
-reference of ``reference.py`` on the column's round under all four
+a coincident round (its key bits, and what it adds to each counter:
+sifting, mismatch, key bit errors, Eve's tallies and the detection strata);
+each entry, and the detection stats ``_detection`` makes of the column, is
+checked against the per-record reference of ``reference.py`` on the column's round under all four
 detection states. The engine reads the same-basis flag off each round's
 code; that rule is checked against the table on every code.
 """
@@ -32,7 +32,6 @@ from hyperqkd import (
     verify_sample,
 )
 from hyperqkd import blocks, montecarlo
-from hyperqkd.adversary import eve_counts, eve_tallies
 from hyperqkd.hilbert import LABELS
 from hyperqkd.protocol import key_bits, partial_shuffle
 
@@ -161,19 +160,11 @@ def test_round_table_equals_run_round(attack, widths):
 @pytest.mark.parametrize("attack, widths", SHAPES, ids=[shape_id(a) for a, _ in SHAPES])
 def test_pattern_tables_equal_reference(attack, widths):
     tables = montecarlo._patterns(attack)
-    table = montecarlo._round_table(attack)
     size = 2 ** sum(widths)
-    columns = [(tables.same, bool), (tables.mismatch, bool),
-               (tables.key_rows, np.uint16), (tables.key_errors, np.int8)]
-    assert (tables.eve is None) == (attack is None)
-    if attack is not None:
-        columns += zip(tables.eve, (bool, bool, np.int8))
+    assert tables.key_rows.dtype == np.uint16 and tables.key_rows.shape == (size,)
+    assert tables.counters.dtype == np.int64 and tables.counters.shape == (10, size)
+    assert not tables.key_rows.flags.writeable and not tables.counters.flags.writeable
     double = attack is not None and attack.kind is AttackKind.DOUBLE_INTERCEPT
-    assert (tables.equal_bases is not None) == double
-    if double:
-        columns.append((tables.equal_bases, bool))
-    for arr, dtype in columns:
-        assert arr.dtype == dtype and arr.shape == (size,) and not arr.flags.writeable
     # Every pattern with each of the four detection states: code 4 * pattern
     # + 2 * Alice's detection + Bob's.
     codes = np.arange(4 * size, dtype=np.uint16)
@@ -188,28 +179,26 @@ def test_pattern_tables_equal_reference(attack, widths):
         if not rec.coincident:
             assert groups.discarded == (rec,) and not len(alice)
             continue
-        assert tables.same[p] == rec.same_basis
-        assert tables.mismatch[p] == (rec.alice_outcome is not rec.bob_outcome)
         got = key_bits(tables.key_rows[p:p + 1].view(np.uint8))
         assert [b.tolist() for b in got] == [list(alice.bits), list(bob.bits)]
-        assert tables.key_errors[p] == sum(a != b for a, b in zip(alice.bits, bob.bits))
+        # The counters the round adds to, each from the per-record reference.
+        mismatch = rec.alice_outcome is not rec.bob_outcome
+        want = [rec.same_basis, rec.same_basis and mismatch,
+                sum(a != b for a, b in zip(alice.bits, bob.bits))]
         if attack is None:
-            continue
-        # The per-pattern Eve and detection columns, and what the kernels
-        # make of the round's codes.
-        row = slice(p, p + 1)
-        known = ref.eve_knows(rec)
-        quarters = round(4 * len(bob) * ref.eve_guess_accuracy([rec], bob))
-        want = (known, known and rec.same_basis, quarters)
-        assert tuple(tally[p] for tally in tables.eve) == want
-        assert eve_counts(eve_tallies(table[-3, row], table[-1, row] >> 2, tables.same[row]),
-                          1) == want
-        if double:
-            assert tables.equal_bases[p] == (
-                rec.eve_trace.bases[0] is rec.eve_trace.bases[1])
-            if rec.same_basis:
-                assert montecarlo._detection(tables.equal_bases[row], tables.mismatch[row],
-                                             1) == ref.detection_probability([rec])
+            want += [0, 0, 0]
+        else:
+            known = ref.eve_knows(rec)
+            quarters = round(4 * len(bob) * ref.eve_guess_accuracy([rec], bob))
+            want += [known, known and rec.same_basis, quarters]
+        if double and rec.same_basis:
+            det = ref.detection_probability([rec])
+            want += [det.same_bases_compared, det.same_bases_mismatches,
+                     det.diff_bases_compared, det.diff_bases_mismatches]
+            assert montecarlo._detection(tables.counters[montecarlo._STRATA, p]) == det
+        else:
+            want += [0, 0, 0, 0]
+        assert tables.counters[:, p].tolist() == [int(n) for n in want], p
 
 
 @pytest.mark.parametrize("attack, widths", SHAPES, ids=[shape_id(a) for a, _ in SHAPES])
@@ -219,4 +208,5 @@ def test_same_basis_bits_equal_the_table(attack, widths, dtype):
     codes = np.arange(4 << sum(widths), dtype=dtype)
     got = blocks.same_basis(codes, np.empty(len(codes), dtype=bool),
                             np.empty_like(codes))
-    assert got.tolist() == montecarlo._patterns(attack).same[codes >> 2].tolist()
+    same = montecarlo._patterns(attack).counters[montecarlo._SAME]
+    assert got.tolist() == same[codes >> 2].astype(bool).tolist()
