@@ -56,7 +56,7 @@ from .protocol import (
     encode_diff_basis,
     encode_same_basis,
 )
-from .rng import RandomSource
+from .rng import DecisionWord, RandomSource
 
 
 class AttackKind(Enum):
@@ -112,8 +112,9 @@ class AttackConfig:
                 "FIXED_DIFFERENT requires the double intercept"
             )
 
-    def bases_for_round(self, rand: RandomSource) -> tuple[BasisType, ...]:
-        """Eve's basis (single) or per-photon bases (double) for one round."""
+    def bases_for_round(self, rand: RandomSource | DecisionWord) -> tuple[BasisType, ...]:
+        """Eve's basis (single) or per-photon bases (double) for one round;
+        a random strategy reads one bit of ``rand`` per basis."""
         if self.kind is AttackKind.SINGLE_INTERCEPT:
             if self.strategy is EveBasisStrategy.RANDOM_PER_ROUND:
                 return (choose_basis(rand),)
@@ -124,8 +125,10 @@ class AttackConfig:
             return (self.fixed_basis, self.fixed_basis)
         return (self.fixed_basis, self.fixed_basis.other)
 
-    def apply(self, state, round_id: int, rand: RandomSource):
-        """Intercept the in-flight photons; returns (resent state, EveRecord)."""
+    def apply(self, state, round_id: int, rand: RandomSource | DecisionWord):
+        """Intercept the in-flight photons; returns (resent state, EveRecord).
+        Eve's random bases, then her measurements, read their bits of
+        ``rand`` (see :func:`hyperqkd.hilbert.measure_party`)."""
         bases = self.bases_for_round(rand)
         if self.kind is AttackKind.SINGLE_INTERCEPT:
             return eve_single_intercept(state, bases[0], rand, round_id=round_id)
@@ -133,7 +136,7 @@ class AttackConfig:
 
 
 def eve_single_intercept(
-    state, basis: BasisType, rand: RandomSource, round_id: int = 0
+    state, basis: BasisType, rand: RandomSource | DecisionWord, round_id: int = 0
 ):
     """Eve measures photon 2 and resends the observed eigenstate to Bob.
 
@@ -146,7 +149,8 @@ def eve_single_intercept(
 
 
 def eve_double_intercept(
-    state, basis1: BasisType, basis2: BasisType, rand: RandomSource, round_id: int = 0
+    state, basis1: BasisType, basis2: BasisType, rand: RandomSource | DecisionWord,
+    round_id: int = 0,
 ):
     """Eve measures photon 1 then photon 2 and resends both eigenstates.
 

@@ -1,10 +1,12 @@
 """The batch engine's block loops, each in buffers allocated once per call.
 
 :func:`draw_codes` computes a batch's rounds block by block, each round's
-raw 64-bit draws in the documented order, and reads every decision off
-them as an integer: a basis or a measurement outcome off a draw's top bits,
-a detection off a comparison of the whole draw with the efficiency's
-threshold. Each round becomes one uint16 code (see
+raw 64-bit draws in the stream layout of :mod:`hyperqkd.rng`, and reads
+every decision off them as an integer: all of the round's bases and
+measurement outcomes, its pattern, off the top bits of its decision word
+(draw 0) with one shift, and each detection off a comparison of a whole
+draw (1 for Alice, 2 for Bob) with the efficiency's threshold. Each round
+becomes one uint16 code (see
 :class:`hyperqkd.montecarlo._Rounds`), and each block's codes are counted
 into the batch's histogram of codes. :func:`extract_keys` then takes the
 verified rounds out of the key and gathers the key rounds' flags and packed
@@ -31,16 +33,14 @@ from .rng import below_threshold, round_draws
 
 
 def draw_codes(
-    seed: int, rounds: int, efficiency: float, widths: tuple[int, ...], block: int
+    seed: int, rounds: int, efficiency: float, bits: int, block: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every round's code (uint16), in round order, and the histogram of the
     codes (int64, one bin per code), from blocks of ``block`` rounds.
 
-    ``widths`` gives how many top bits of each decision draw the round reads,
-    in draw order; their top bits, concatenated with the first draw's the
-    most significant, make the round's pattern, which goes above its two
-    detection bits. At efficiency 1 every detection succeeds, so those draws
-    are not computed.
+    A round's pattern is the top ``bits`` bits of its decision word; it goes
+    above the round's two detection bits. At efficiency 1 every detection
+    succeeds, so those draws are not computed.
     """
     detect = efficiency < 1.0
     threshold = np.uint64(below_threshold(efficiency)) if detect else None
@@ -52,25 +52,21 @@ def draw_codes(
         if rounds - lo < block:
             # The last block is short: so are its views of the buffers.
             ids, c, *buffers = (b[:rounds - lo] for b in (ids, c, *buffers))
-        x = round_draws(seed, ids, len(widths) + 2 * detect, top=len(widths), buffers=buffers)
-        np.right_shift(next(x), 64 - widths[0], out=c)
-        for width in widths[1:]:
-            c <<= width
-            # A draw's buffer is rewritten by the next draw, so it can be
-            # shifted in place.
-            draw = next(x)
-            draw >>= 64 - width
-            c |= draw
+        x = round_draws(seed, ids, 1 + 2 * detect, top=1, buffers=buffers)
         if detect:
+            np.right_shift(next(x), 64 - bits, out=c)
             for _ in range(2):
                 c <<= 1
+                # A draw's buffer is rewritten by the next draw, so it can
+                # be compared in place.
                 draw = next(x)
                 c |= np.less(draw, threshold, out=draw)
         else:
-            c <<= 2
+            # The pattern and two more bits, which both detections set.
+            np.right_shift(next(x), 62 - bits, out=c)
             c |= 3
         codes[lo:lo + len(c)] = c
-        block_counts = np.bincount(c.view(np.int64), minlength=4 << sum(widths))
+        block_counts = np.bincount(c.view(np.int64), minlength=4 << bits)
         if lo:
             counts += block_counts
         else:
@@ -84,7 +80,7 @@ def same_basis(code: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.nda
     ``out`` (bool) and read off the rounds' codes (uint16 or uint64;
     ``scratch`` has their dtype and length).
 
-    Alice's and Bob's basis draws are the last one-bit fields of every
+    Alice's and Bob's bases are the last one-bit fields of every
     pattern (:func:`hyperqkd.montecarlo._draw_widths`), above the two
     two-bit measurement fields and the two detection bits: their bits are
     bits 7 and 6 of the code.

@@ -18,17 +18,19 @@ supported. In the component order above all eight Bell vectors are real:
     type-II:  chi+- = [H(a+b) +- V(a-b)]/2, omega+- = [V(a+b) +- H(a-b)]/2
 
 Measurement sampling walks the cumulative distribution over the four
-labels of a basis in their fixed declaration order and consumes exactly
-one draw, which makes every run bit-reproducible per seed.
+labels of a basis in their fixed declaration order. A closed-set state
+(below) reads two bits of its random source, any other state one uniform,
+which makes every run bit-reproducible per seed.
 
 A protocol round only reaches a closed set of 65 states: the shared state
 and, up to a global phase, the 64 products of two Bell vectors. On them
 every Born probability is 0, 1/4, 1/2 or 1, so the fixed tables
 :data:`OUTCOME_LABEL` and :data:`OUTCOME_POST`, built once at import from
-the Bell-overlap matrix, give each measurement's outcome from the top two
-bits of its raw 64-bit draw alone (exact sampling from dyadic laws, Knuth
-and Yao 1976). :func:`measure_party` samples these states from the same
-tables as the batch engine, and :func:`measure_single` a lone Bell vector
+the Bell-overlap matrix, give each measurement's outcome from two fair
+bits alone (exact sampling from dyadic laws, Knuth and Yao 1976): the top
+two of a raw 64-bit draw, or the next two of a round's decision word.
+:func:`measure_party` samples these states from the same tables as the
+batch engine, and :func:`measure_single` a lone Bell vector
 as photon 2 of a closed-set product. Any other state (only a caller
 outside the protocol makes one) is validated and measured from its
 computed probabilities on every call. The same exact overlaps, as
@@ -47,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotNormalizedError
-from .rng import RandomSource
+from .rng import DecisionWord, RandomSource
 
 #: Tolerance for exact-algebra assertions; every amplitude in this module is a
 #: dyadic rational times a power of sqrt(2), so double precision is exact to
@@ -356,18 +358,20 @@ def expand_in_basis(
 
 
 def measure_party(
-    state: np.ndarray, photon: Photon, basis: BasisType, rand: RandomSource
+    state: np.ndarray, photon: Photon, basis: BasisType, rand: RandomSource | DecisionWord
 ) -> MeasurementResult:
     """Bell-basis measurement of one photon of a joint state, with collapse.
 
     The outcome is sampled with Born probabilities; the post state is the
     normalized projection of ``state`` onto the outcome's Bell vector on
     the measured photon (the partner photon keeps its conditional state).
-    Consumes exactly one draw. A state equal in every entry to one of the
-    closed set, as this module returns it, is sampled from the fixed tables
-    with exact probabilities and collapses to a closed-set state; any other
-    state is sampled from its computed probabilities. Post states may be
-    shared, read-only arrays.
+    A state equal in every entry to one of the closed set, as this module
+    returns it, is sampled from the fixed tables with exact probabilities
+    from two bits of ``rand`` (``bits(2)``: the top two of a RandomSource's
+    next draw, or a DecisionWord's next two) and collapses to a closed-set
+    state. Any other state is sampled from its computed probabilities with
+    one uniform, so ``rand`` must then be a RandomSource; it consumes one
+    draw. Post states may be shared, read-only arrays.
     """
     state = np.asarray(state, dtype=np.complex128)
     sid = _STATE_IDS.get(_lookup_key(state)) if state.shape == (16,) else None
@@ -378,7 +382,7 @@ def measure_party(
             label=_BASIS_LABELS[basis][idx], probability=probs[idx], post_state=posts[idx]
         )
     row = _row(sid, photon, BASES.index(basis))
-    slot = 4 * row + (rand.next_u64() >> 62)
+    slot = 4 * row + rand.bits(2)
     idx = OUTCOME_LABEL.item(slot)
     return MeasurementResult(
         label=_BASIS_LABELS[basis][idx],
@@ -388,15 +392,15 @@ def measure_party(
 
 
 def measure_single(
-    state: np.ndarray, basis: BasisType, rand: RandomSource
+    state: np.ndarray, basis: BasisType, rand: RandomSource | DecisionWord
 ) -> MeasurementResult:
     """Bell-basis measurement of a lone photon; the post state is the eigenstate.
 
-    Consumes exactly one draw. A state equal in every entry to a Bell
-    vector, as :func:`bell_vector` returns it, is measured as photon 2 of
-    the closed-set product of Phi+ with it, from the fixed tables with
-    exact probabilities; any other state is sampled from its computed
-    probabilities.
+    A state equal in every entry to a Bell vector, as :func:`bell_vector`
+    returns it, is measured as photon 2 of the closed-set product of Phi+
+    with it, from the fixed tables with exact probabilities and two bits of
+    ``rand``, as in :func:`measure_party`; any other state is sampled from
+    its computed probabilities with one uniform of a RandomSource.
     """
     state = np.asarray(state, dtype=np.complex128)
     code = _BELL_CODES.get(_lookup_key(state)) if state.shape == (4,) else None

@@ -3,16 +3,18 @@
 A batch runs independent rounds whose randomness is derived per round from
 the master seed, so results are bit-identical for a given configuration.
 Rounds are simulated in fixed blocks of 16 384 (:mod:`hyperqkd.blocks`),
-computing each round's raw 64-bit draws in the documented order and reading
-every decision off them as an integer. A basis is decided by the draw's top
-bit and a measurement outcome by its top two bits, so those draws skip
-SplitMix64's last step, which leaves the top bits as they are. The top bits
-of a round's basis and measurement draws, concatenated in draw order, make
-its pattern: at most 12 bits, the index of one column of a composed round
-table that holds every label code of the round, Eve's included. There is
-one table per attack shape, built once from the closed state set's fixed
-tables in :mod:`hyperqkd.hilbert`. A detection is a comparison of the full
-draw with the efficiency's threshold. Each round is held as one uint16
+computing each round's raw 64-bit draws in the stream layout of
+:mod:`hyperqkd.rng` and reading every decision off them as an integer.
+Draw 0 is the round's decision word: each basis reads one bit of it and
+each measurement outcome two, from the top down in ``run_round``'s order,
+so that draw skips SplitMix64's last step, which leaves the top bits as
+they are. The word's top bits, at most 12, are the round's pattern: the
+index of one column of a composed round table that holds every label code
+of the round, Eve's included. There is one table per attack shape, built
+once from the closed state set's fixed tables in :mod:`hyperqkd.hilbert`.
+Draws 1 and 2 decide Alice's and Bob's detections, each a comparison of
+the full draw with the efficiency's threshold; at efficiency 1 they are
+not computed. Each round is held as one uint16
 code, its pattern and its two detection bits, and :meth:`_Rounds.records`
 rebuilds from the codes exactly the records the scalar reference
 :func:`hyperqkd.protocol.run_round` gives for the same rounds.
@@ -217,7 +219,7 @@ class _Rounds:
     """A batch's rounds as one uint16 code per round, indexed by round id.
 
     A round's code is its pattern, the column of ``attack``'s round table
-    that its decision draws select (:func:`_round_table`; at most 12 bits),
+    that its decision word selects (:func:`_round_table`; at most 12 bits),
     shifted left by two, OR'd with Alice's detection in bit 1 and Bob's in
     bit 0. The pattern fixes every label code of the round, Eve's included;
     a party's outcome is measured whether or not it is detected.
@@ -332,9 +334,9 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
 
 
 def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
-    """How many top bits of each of a round's decision draws ``run_round``
-    reads, in its draw order: one for a basis, two for a measurement. The
-    detection draws after them are compared in full."""
+    """How many bits of a round's decision word each of its decisions
+    reads, in ``run_round``'s order: one for a basis, two for a measurement.
+    Their sum is the width of the round's pattern."""
     if attack is None:
         eve = ()
     else:
@@ -348,9 +350,9 @@ def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
 def _round_table(attack: Optional[AttackConfig]) -> np.ndarray:
     """Every round of ``attack``'s shape as one table of label codes.
 
-    Column ``p`` is the round whose decision draws carry the bit pattern
-    ``p``: the top bits of the draws (see :func:`_draw_widths`) concatenated
-    in draw order, the first draw's the most significant. Its rows are Eve's
+    Column ``p`` is the round whose decision word starts with the bits of
+    ``p``: each decision's bits (see :func:`_draw_widths`) in order, the
+    first decision's the most significant. Its rows are Eve's
     codes in measurement order, then Alice's and Bob's. The table is built
     once per attack, by running every pattern through the closed set's
     measurement chain (``outcome_slots``, ``OUTCOME_LABEL`` and
@@ -379,7 +381,7 @@ def _round_table(attack: Optional[AttackConfig]) -> np.ndarray:
         if attack.strategy is EveBasisStrategy.RANDOM_PER_ROUND:
             bases = [(next(x) >> 63).astype(np.int8) for _ in photons]
         else:
-            # Fixed strategies take no draw, so there is no stream to pass.
+            # Fixed strategies read no bits, so there is no stream to pass.
             bases = [BASES.index(b) for b in attack.bases_for_round(None)]
         measure(photons, bases)
     measure((Photon.ONE, Photon.TWO), [(next(x) >> 63).astype(np.int8) for _ in range(2)])
@@ -461,7 +463,7 @@ def run_batch(config: SimConfig) -> BatchResult:
     """
     config.validate()
     codes, counts = draw_codes(config.seed, config.rounds, config.efficiency,
-                               _draw_widths(config.attack), _BLOCK_ROUNDS)
+                               sum(_draw_widths(config.attack)), _BLOCK_ROUNDS)
     rounds = _Rounds(codes, config.attack)
     tables = _patterns(config.attack)
     # Every counter is a histogram of patterns dotted with a row of

@@ -10,11 +10,14 @@ group (1 key bit per round); a random sample of same-basis rounds is
 compared in public to estimate the mismatch rate and is removed from the
 key material.
 
-Per-round uniform draws happen in a fixed documented order so runs replay
-bit-exactly from a seed: eavesdropper basis draw(s) (if random), her
-measurement draw(s), Alice's basis, Bob's basis, Alice's measurement,
-Bob's measurement, Alice's detection, Bob's detection. Forced bases and
-a forced measurement order (testing aids) skip the corresponding draws.
+A round reads its stream in a fixed documented layout so runs replay
+bit-exactly from a seed. Its first draw is its decision word
+(:class:`hyperqkd.rng.DecisionWord`), whose top bits the fair decisions
+read in this order, one bit for a basis and two for a measurement:
+eavesdropper basis (or bases, if random), her measurement(s), Alice's
+basis, Bob's basis, Alice's measurement, Bob's measurement. The next two
+draws decide Alice's and Bob's detections. Forced bases and a forced
+measurement order (testing aids) skip or reorder the corresponding bits.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hilbert import LABELS, BasisType, BellLabel, Photon, build_shared_state, measure_party
-from .rng import RandomSource
+from .rng import DecisionWord, RandomSource
 
 if TYPE_CHECKING:
     from .adversary import AttackConfig, EveRecord
@@ -266,9 +269,10 @@ class VerificationReport:
         return self.mismatch_rate is None
 
 
-def choose_basis(rand: RandomSource) -> BasisType:
-    """Fair choice between the two complementary bases; one uniform draw."""
-    return BasisType.TYPE_I if rand.uniform() < 0.5 else BasisType.TYPE_II
+def choose_basis(rand: RandomSource | DecisionWord) -> BasisType:
+    """Fair choice between the two complementary bases, from one bit of
+    ``rand`` (``bits(1)``): type-I on 0."""
+    return BasisType.TYPE_II if rand.bits(1) else BasisType.TYPE_I
 
 
 def run_round(
@@ -283,28 +287,30 @@ def run_round(
 ) -> RoundRecord:
     """Execute one protocol round.
 
-    ``rand`` must be the round's own stream (see ``RandomSource.for_round``).
-    ``alice_basis``/``bob_basis`` force a party's basis instead of drawing
-    it, and ``alice_measures_first`` flips the measurement order; these are
-    testing aids and do not change the joint statistics.
+    ``rand`` must be the round's own stream (see ``RandomSource.for_round``);
+    the round reads three draws of it, in the layout of the module
+    docstring. ``alice_basis``/``bob_basis`` force a party's basis instead
+    of drawing it, and ``alice_measures_first`` flips the measurement order;
+    these are testing aids and do not change the joint statistics.
     """
     if not _is_real(efficiency) or not 0.0 < efficiency <= 1.0:
         raise ConfigurationError(f"efficiency must be in (0, 1], got {efficiency}")
 
+    word = DecisionWord(rand.next_u64())
     state = build_shared_state()
     trace = None
     if attack is not None:
-        state, trace = attack.apply(state, round_id, rand)
+        state, trace = attack.apply(state, round_id, word)
 
-    a_basis = alice_basis if alice_basis is not None else choose_basis(rand)
-    b_basis = bob_basis if bob_basis is not None else choose_basis(rand)
+    a_basis = alice_basis if alice_basis is not None else choose_basis(word)
+    b_basis = bob_basis if bob_basis is not None else choose_basis(word)
 
     if alice_measures_first:
-        res_a = measure_party(state, Photon.ONE, a_basis, rand)
-        res_b = measure_party(res_a.post_state, Photon.TWO, b_basis, rand)
+        res_a = measure_party(state, Photon.ONE, a_basis, word)
+        res_b = measure_party(res_a.post_state, Photon.TWO, b_basis, word)
     else:
-        res_b = measure_party(state, Photon.TWO, b_basis, rand)
-        res_a = measure_party(res_b.post_state, Photon.ONE, a_basis, rand)
+        res_b = measure_party(state, Photon.TWO, b_basis, word)
+        res_a = measure_party(res_b.post_state, Photon.ONE, a_basis, word)
 
     a_detected = rand.uniform() < efficiency
     b_detected = rand.uniform() < efficiency

@@ -11,15 +11,20 @@ SplitMix64 is counter-based: draw ``j`` of a stream whose seed state is
 bit-identical to the scalar :class:`RandomSource` they share constants with
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 
-A uniform is the top 53 bits of a draw ``x`` times 2**-53, so a comparison
-with a uniform can be made on ``x`` itself: ``uniform < 1/2`` is
-``x >> 63 == 0``, ``uniform < k/4`` is ``x >> 62 < k``, and
-``uniform < p`` is ``x < below_threshold(p)``.
+A protocol round's stream has at most three draws. Draw 0 is its decision
+word: every fair decision of the round (a basis is one bit, a measurement
+outcome two) reads the word's next top bits, the first decision the most
+significant, so the round's at most 12 decision bits are
+``word >> (64 - bits)`` (:class:`DecisionWord`). Draws 1 and 2 decide
+Alice's and Bob's detections: a uniform is the top 53 bits of a draw ``x``
+times 2**-53, so ``uniform < p`` is ``x < below_threshold(p)``, a
+comparison made on ``x`` itself. Reading bits off one word is exact, because
+every probability of a decision is a multiple of 1/4 (Knuth and Yao 1976).
 
-A decision that reads only a draw's top bits does not need the mix's last
-step ``z ^ (z >> 31)``: it leaves the top 31 bits of ``z`` as they are. So
-the first ``top`` draws of :func:`round_draws` skip it and equal the scalar
-stream's draws in their top 31 bits only; every later draw is exact.
+A decision word is read only in its top bits, and the mix's last step
+``z ^ (z >> 31)`` leaves the top 31 bits of ``z`` as they are. So the first
+``top`` draws of :func:`round_draws` skip it and equal the scalar stream's
+draws in their top 31 bits only; every later draw is exact.
 """
 
 from __future__ import annotations
@@ -73,6 +78,32 @@ class RandomSource:
     def uniform(self) -> float:
         """Next double in [0, 1), consuming exactly one 64-bit step."""
         return (self.next_u64() >> 11) * _INV_2_53
+
+    def bits(self, width: int) -> int:
+        """The top ``width`` bits (1 to 64) of the next draw, as an integer."""
+        return self.next_u64() >> (64 - width)
+
+
+class DecisionWord:
+    """One 64-bit draw handed out a few bits at a time, most significant first.
+
+    A round's decisions read its decision word through :meth:`bits`, as
+    they would read a :class:`RandomSource`'s draws, one draw each.
+    """
+
+    __slots__ = ("_word", "_left")
+
+    def __init__(self, word: int) -> None:
+        self._word = word & _MASK64
+        self._left = 64
+
+    def bits(self, width: int) -> int:
+        """The word's next ``width`` bits, as an integer; ValueError once
+        fewer than ``width`` are left."""
+        if not 0 < width <= self._left:
+            raise ValueError(f"{width} bits asked of a word with {self._left} left")
+        self._left -= width
+        return self._word >> self._left & ((1 << width) - 1)
 
 
 def below_threshold(p: float) -> int:

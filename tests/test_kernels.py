@@ -4,9 +4,10 @@
 Fisher-Yates shuffle as array operations; :func:`reference_picks` is the
 shuffle as a loop, one swap per step, holding only the slots it moved.
 ``montecarlo._round_table`` holds every round of an attack shape as one
-column; each column is checked against the scalar ``run_round`` fed draws
-that carry that column's bit pattern, so the table is not checked by the
-chain that built it. ``montecarlo._patterns`` holds what each column gives
+column; each column is checked against the scalar ``run_round`` fed a
+decision word whose top bits are that column's bit pattern, so the table
+is not checked by the chain that built it, and on random words, which no
+bit below the pattern may change. ``montecarlo._patterns`` holds what each column gives
 a coincident round (its key bits, and what it adds to each counter:
 sifting, mismatch, key bit errors, Eve's tallies and the detection strata);
 each entry, and the detection stats ``_detection`` makes of the column, is
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from hyperqkd import (
@@ -111,9 +113,9 @@ class GivenDraws:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-# Every attack shape and the top bits run_round reads of each decision draw,
-# in draw order: Eve's basis draws (random strategy only), her measurement
-# draws, Alice's and Bob's bases, Alice's and Bob's measurements.
+# Every attack shape and the bits run_round reads of its decision word for
+# each decision, in order: Eve's bases (random strategy only), her
+# measurements, Alice's and Bob's bases, Alice's and Bob's measurements.
 PARTIES = (1, 1, 2, 2)
 SHAPES = [
     (None, PARTIES),
@@ -133,28 +135,38 @@ def shape_id(attack):
     return f"{attack.kind.value}-{attack.strategy.value}-{attack.fixed_basis.value}"
 
 
+def round_labels(attack, word):
+    """The label codes of the scalar round whose decision word is ``word``
+    and whose two detections both succeed: Eve's, Alice's, Bob's."""
+    rand = GivenDraws([word, 0, 0])
+    rec = run_round(0, attack, 0.5, rand)
+    assert rand.used == 3 and rec.coincident
+    eve = () if rec.eve_trace is None else rec.eve_trace.outcomes
+    return [LABELS.index(lab) for lab in (*eve, rec.alice_outcome, rec.bob_outcome)]
+
+
 @pytest.mark.parametrize("attack, widths", SHAPES, ids=[shape_id(a) for a, _ in SHAPES])
 def test_round_table_equals_run_round(attack, widths):
     table = montecarlo._round_table(attack)
     eve_rows = 0 if attack is None else 1 if attack.kind is AttackKind.SINGLE_INTERCEPT else 2
+    bits = sum(widths)
+    assert montecarlo._draw_widths(attack) == widths
     assert table.dtype == np.int8
-    assert table.shape == (eve_rows + 2, 2 ** sum(widths))
+    assert table.shape == (eve_rows + 2, 2 ** bits)
     assert not table.flags.writeable
-    junk = np.random.default_rng(len(widths))
-    for pattern in range(2 ** sum(widths)):
-        # Each draw carries its field of the pattern in its top bits and
-        # random bits below them, which no decision may read.
-        draws, shift = [], sum(widths)
-        for width in widths:
-            shift -= width
-            low = int(junk.integers(0, 2 ** (64 - width), dtype=np.uint64))
-            draws.append((pattern >> shift & (1 << width) - 1) << (64 - width) | low)
-        rand = GivenDraws(draws + [0, 0])  # two detection draws, both succeed
-        rec = run_round(0, attack, 1.0, rand)
-        assert rand.used == len(draws) + 2
-        eve = () if rec.eve_trace is None else rec.eve_trace.outcomes
-        want = [LABELS.index(lab) for lab in (*eve, rec.alice_outcome, rec.bob_outcome)]
-        assert table[:, pattern].tolist() == want, pattern
+    for pattern in range(2 ** bits):
+        # The pattern is the top bits of the round's decision word.
+        assert table[:, pattern].tolist() == round_labels(attack, pattern << (64 - bits)), pattern
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=10))
+def test_run_round_reads_the_top_bits_of_its_decision_word(words):
+    # No decision reads a bit of the word below the pattern.
+    for attack, widths in SHAPES:
+        table = montecarlo._round_table(attack)
+        for word in words:
+            assert round_labels(attack, word) == table[:, word >> (64 - sum(widths))].tolist()
 
 
 @pytest.mark.parametrize("attack, widths", SHAPES, ids=[shape_id(a) for a, _ in SHAPES])

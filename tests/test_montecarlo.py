@@ -19,6 +19,7 @@ from hyperqkd import (
     ekert_ratio,
     run_batch,
 )
+from hyperqkd import montecarlo
 
 import oracle
 
@@ -269,7 +270,16 @@ class TestDetectionProbability:
         exact = oracle.double_same_basis_mismatch(True)
         assert det.diff_bases_rate is None
         assert det.diff_bases_compared == 0
-        assert abs(det.same_bases_rate - exact) <= 3 * det.same_bases_se
+        assert det.same_bases_compared == result.stats.same_basis_count
+        # The engine's exact law: every pattern of the shape is equally
+        # likely, so the stratum's expected rate is a ratio of pattern
+        # counts (test_code_law.py tests the histogram against that law).
+        strata = montecarlo._patterns(attack).counters[montecarlo._STRATA]
+        compared, mismatches, diff_compared, _ = strata.sum(axis=1).tolist()
+        assert diff_compared == 0
+        # The oracle sums floats; the table's ratio is the exact 1/4.
+        assert Fraction(mismatches, compared) == Fraction(1, 4)
+        assert abs(mismatches / compared - exact) <= 1e-12
         # the public verification subsample sees the same rate
         assert abs(result.stats.verification.mismatch_rate - exact) <= 0.05
 

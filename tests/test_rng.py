@@ -1,12 +1,13 @@
 """The counter-based draws and the integer rules that read decisions off them.
 
 ``run_batch`` computes each round's raw 64-bit draws in blocks and decides
-bases, measurement outcomes and detections on the integers, while the
-scalar ``run_round`` compares ``RandomSource.uniform()`` with 1/2 and the
-efficiency. These tests pin the block draws to the scalar stream (the
-decision draws, which skip the mix's last step, in their top 31 bits) and
-each integer rule to its float comparison, on the words where they could
-part.
+bases, measurement outcomes and detections on the integers. The scalar
+``run_round`` reads its bases and outcomes off a ``DecisionWord`` and
+compares ``RandomSource.uniform()`` with the efficiency. These tests pin
+the block draws to the scalar stream (the decision word, which skips the
+mix's last step, in its top 31 bits), the bits a ``DecisionWord`` and
+``RandomSource.bits`` hand out, and each integer rule to its float
+comparison, on the words where they could part.
 """
 
 import math
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperqkd.rng import RandomSource, below_threshold, round_draws, stream_uniforms
+from hyperqkd.rng import (
+    DecisionWord, RandomSource, below_threshold, round_draws, stream_uniforms,
+)
 
 U64 = st.integers(0, 2**64 - 1)
 # Probabilities in (0, 1], from the smallest subnormal up.
@@ -77,6 +80,40 @@ def test_draws_fill_the_callers_buffers():
             assert np.shares_memory(draw, buffers[1])
             got.append(draw.copy())
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(word=U64, widths=st.lists(st.integers(1, 4), max_size=24))
+def test_decision_word_hands_out_its_bits_most_significant_first(word, widths):
+    decisions = DecisionWord(word)
+    used = read = 0
+    for width in widths:
+        if used + width > 64:
+            with pytest.raises(ValueError):
+                decisions.bits(width)
+            break
+        got = decisions.bits(width)
+        assert 0 <= got < 2**width
+        used += width
+        read = read << width | got
+    # The bits read, concatenated in order, are the word's top bits.
+    assert read == word >> (64 - used)
+
+
+def test_decision_word_rejects_widths_it_cannot_give():
+    decisions = DecisionWord(2**64 - 1)
+    with pytest.raises(ValueError):
+        decisions.bits(0)
+    assert decisions.bits(64) == 2**64 - 1
+    with pytest.raises(ValueError):
+        decisions.bits(1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 12, 64])
+def test_random_source_bits_are_the_top_bits_of_one_draw(width):
+    rand, plain = RandomSource.for_round(9, 4), RandomSource.for_round(9, 4)
+    for _ in range(5):
+        assert rand.bits(width) == plain.next_u64() >> (64 - width)
 
 
 def test_stream_uniforms_equal_scalar_stream():
