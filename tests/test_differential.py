@@ -255,7 +255,7 @@ def test_key_of_different_basis_rounds_only():
     # Verification consumes both same-basis rounds, so every key row is one
     # bit and a filler.
     result = assert_matches_reference(
-        SimConfig(rounds=8, seed=3, efficiency=1.0, attack=ATTACKS[1], verify_fraction=0.6)
+        SimConfig(rounds=8, seed=11, efficiency=1.0, attack=ATTACKS[1], verify_fraction=0.6)
     )
     assert result.stats.same_basis_count == 2
     assert len(result.bob_key) == 6

@@ -11,15 +11,19 @@ regenerated for report schema "2", which drops two fields that held no
 information, the config echo of a flag that changed no result and
 ``stats.same_basis_compared``: parsed, each new report equals the one
 pinned before, with ``schema_version`` changed and those two fields (in
-CSV, their columns) removed. Any change to a report's bytes, in the
-statistics, the keys or the rendering, fails here. The cases are the
-six scenarios at efficiency 1.0 and 0.5, in JSON and CSV, at 2 000
-rounds, and one 70 000-round and one 10**6-round call per attack kind at
-efficiency 0.9. The 70 000-round calls cross a 65 536-round block, the
-engine's block size when they were pinned. The 10**6-round calls were
-generated before the engine read whole rounds off one composed table in
-16 384-round blocks, on the commit before that change; each crosses 62 of
-those blocks and makes about 40 000 verification picks. All use seed 1.
+CSV, their columns) removed. All 30 were regenerated again for version
+0.3.0, whose stream layout reads every fair decision of a round off one
+decision word: before the digests were taken, each 2 000- and
+70 000-round batch was replayed through the scalar ``run_round``,
+``sift``, ``verify_sample`` and the per-record reference of
+``reference.py`` and gave the same records, keys and stats, and every
+round of each 10**6-round batch gave the scalar round's record. Any
+change to a report's bytes, in the statistics, the keys or the
+rendering, fails here. The cases are the six scenarios at efficiency 1.0
+and 0.5, in JSON and CSV, at 2 000 rounds, and one 70 000-round and one
+10**6-round call per attack kind at efficiency 0.9. The 70 000-round
+calls cross four 16 384-round blocks, and each 10**6-round call crosses
+62 of them and makes about 40 000 verification picks. All use seed 1.
 """
 
 import hashlib
@@ -36,65 +40,65 @@ from hyperqkd.cli import main
 # (attack, eve bases, efficiency, format, rounds) -> SHA-256 of the report.
 DIGESTS = {
     ("none", None, 1.0, "json", 2000):
-        "efefddb39b1a679a68c323c1abb0b54da9374d2aabbb17bc138268503f026081",
+        "6ad981f8c1569d141b2afae461e7f807e457bffaa47d2fa4e1a27466709e06e3",
     ("none", None, 1.0, "csv", 2000):
-        "299a7a905f9565a6bc79a51af6b18251ac87b125a981b6fe7f8a163278c1d5e1",
+        "e342bf39d4b9020b18d12a89c35b492cde4d1bb1a7ce3187601e8f8ad16ef7c7",
     ("none", None, 0.5, "json", 2000):
-        "8a8229735f2cc341f376c8327e354d787875d389bc5c4304e0f403b4a81ae351",
+        "d2b7df4b51eaa59d9c5432afcba43d8084912a06c312018dcacc373f5d828a27",
     ("none", None, 0.5, "csv", 2000):
-        "9869dece6a8ccd54ca64a6eab5123a94d02c3901c8f07edb78a9c6dd8696e014",
+        "cb6fcbd8c26c2846d12c9778e2f3ff4579af3909281384131df46afb769c1faa",
     ("single", "random", 1.0, "json", 2000):
-        "a855d2620a8ca03ad302e89612cf45619f4a188b7f40c41f465f460d34c720d7",
+        "8db3d96ea6e47942b4ecdc8a0f0177afae961657587f2f0fd05801f221416cb3",
     ("single", "random", 1.0, "csv", 2000):
-        "680da8dbbf869f6d19bdead3f00005eb294a37440fe0180c607a0d7f6bd78663",
+        "410000ed50ccae4dc9f6228f5ed71bce02175c1a9ce845fb96c8975647eb78af",
     ("single", "random", 0.5, "json", 2000):
-        "268ea17b7c135bb0d452d1675a1ac0436208b80aacf7bbc28c10147561e94b28",
+        "1d0f1d93eb52be81781bb60624d374a52ff914c4d7f9be1b9a8b84f1ba4943a4",
     ("single", "random", 0.5, "csv", 2000):
-        "9c6b82df651200f429300e7d771578875ea8cf30e46f7c127e08807fca4d04d2",
+        "e19538a6ff18271bac8cb2da2f4d36fe985e20c72e855f65cbc81314516a4770",
     ("single", "same", 1.0, "json", 2000):
-        "b4fce8c141ba5db587aff4d96af7f6da563a63903b1b7916d52e1508878c585b",
+        "114a798e5ff67979dbcb420e579045f200e4dd7bf7287af2316054a4a2fd71dd",
     ("single", "same", 1.0, "csv", 2000):
-        "e9d49095390d349c2b9c97c747677573161a84a7631f86df4ec8cf90f39d94d6",
+        "041bb7941297e1c942889439b4f819459e6ba061d0c223410c8dff4408be6a82",
     ("single", "same", 0.5, "json", 2000):
-        "6db0b286f6e568ffa11cedc8fc01e5e1d3269e0c3c818b45de23c85563f38a1f",
+        "fd76e2de02438626d7ed570985bb7b4904f07e2a3d20f6fd7b3894da9bc6fb53",
     ("single", "same", 0.5, "csv", 2000):
-        "0207d6fa655cad42bb4835d10bb9f7ac664514e1a700ebe45fdfd721bb06c3ce",
+        "36647013ed00cb9b6ba8fe1c1345ba2d7684705b3074f1c04cf639b79275586f",
     ("double", "random", 1.0, "json", 2000):
-        "cacee5affe2718545b13d03474c62ddb9051092ee602e0237753f544c303c738",
+        "6c878e4e71c7313439961a2edefcf7a4702112f29fd131335d19b3ce223a274f",
     ("double", "random", 1.0, "csv", 2000):
-        "d498aa21c7c78a101c3be9d692cfd85265ae524afd7b084c0d6725a25848d4fa",
+        "8bf85bd3013a6296a36d4f3a4ab229e945ee2b7fed59698677e8902e7c12f331",
     ("double", "random", 0.5, "json", 2000):
-        "59e6a9023e2eeab6fdab4258bc33d5937b03e09a9fc0a27e1fdbec1cee5e0b6e",
+        "bbc43851bec0a16846b46151e23d27f944ec30e3955251ac55c605b77b563e0a",
     ("double", "random", 0.5, "csv", 2000):
-        "d65b7fb121738051f215c475a4d8f5616efe10d64f7ed6712ce3209535495f85",
+        "25d9fa5475276fd22f28a4ec5dbd2f241d95fb94652c1288a30389401b56d80e",
     ("double", "same", 1.0, "json", 2000):
-        "0ac339afc684d5d4d86645379d968c51206f99b7e99c33aba58f7911e8c2e929",
+        "0e64f510ba36085f29cf9c4b42b83ed0f48591e0ab348d8a8875252aab7b79d1",
     ("double", "same", 1.0, "csv", 2000):
-        "76f7058a30f9fd76081e109d75a6b07b2a0f11ea879b08d69704e5463ce7b528",
+        "30a62301c8722900b0889778b079ba6c6c5c38e0c07916e7cd7294c0e2226239",
     ("double", "same", 0.5, "json", 2000):
-        "7f3022d29b5df32d5e680830043603ec6a009e607f982ce3e0e29cc5d033ccb9",
+        "7be20e83194304e94b16d3046f2c9095996e0fcd10176e2f5b9ae0a3a156df87",
     ("double", "same", 0.5, "csv", 2000):
-        "3c0259e06929c82737dbcde81c170e1211e8997e5ecb70365f39d562267093b4",
+        "af2068d5a8094c18c1bce38e52d04466d14926d693dac42d299241b8287a1202",
     ("double", "different", 1.0, "json", 2000):
-        "761ebf8630dc8fa2bee25615b4043c2153ee57ced21abae17eba0182ff9cb48b",
+        "f787c16d24eca34b50153defba866a77cd60281ab6ad5f71342d9c13bd9edb31",
     ("double", "different", 1.0, "csv", 2000):
-        "c0a317f95fa49b594be8cced9549c6cace1dd9394cb79e078eca7e2e628943f6",
+        "db14f5d736dd3dafc759505943adcf73dee3de31162da2f2245f1c3c79666cb4",
     ("double", "different", 0.5, "json", 2000):
-        "4e80853197ab739151a42c5a8b534adacff05fce12c311d276a253064548d53b",
+        "f7439c9c8f1f1722edead281f5c4ac369f4817545d93440e98d05983bd64f546",
     ("double", "different", 0.5, "csv", 2000):
-        "901e5e97dd6071ab49a31c549365eb79e3a11dca7f0b4354fa45ac5e58775912",
+        "6c0562f66fe5e8b9d2468c46eb6838efabac5a529ae7033033dbe91e656e82f0",
     ("none", None, 0.9, "json", 70000):
-        "3e9815c779b30537f160721104b4637cdcf29987fa78eb9697ce129649dd6b92",
+        "003397c52408e1fdad89f8a897d1318661e9d7bf29b0bbe6d472e50ad8331a60",
     ("single", None, 0.9, "json", 70000):
-        "c9c5f1aa053854836fc55177b46d771b09c4a081ba2e9c02e1c92fd5f4f56003",
+        "d5e0da94e8afecec2b3fd6bc8490acea2497636c03c035f8c7e9241875585479",
     ("double", None, 0.9, "json", 70000):
-        "4a1583282fe60b7ebb2f55c995d2c24730c89cc3216bd2fe83b6d16a3e3b8182",
+        "3625c6c86725ca0ffcb7453babced64d90b864de934d043354be7788045fa535",
     ("none", None, 0.9, "json", 1000000):
-        "5b9a993e6da306bcfd867031e19d5a44ed0d4d9f82383c8462b181f3f46c210a",
+        "ead4975afa28b7a6d9156fd14d0fcb53d5baf90922636e38f9abbc3e85e11740",
     ("single", None, 0.9, "json", 1000000):
-        "bd4441b4343c09aa15ae28b1ce9af296917f7e384910d2606632f4dd48eb6525",
+        "ad7a228d5f723dc32dce8f381770c5bfd2f0fd75cb0e3aa15ba4eb7aeed5c1b8",
     ("double", None, 0.9, "json", 1000000):
-        "d9e07e7b8da66d443db6f9b4b269fe7bf4aa5a4870ba6d418e0dc0a0fe27f460",
+        "68a44c3d11242081fc2fae61ee5c561351e5da8c53c08f5b542626b9201dd1c4",
 }
 
 
