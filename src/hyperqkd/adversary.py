@@ -23,9 +23,8 @@ key, read what Eve saw in each key round
 touch it) and gather her photon-2 label codes and the receiver's basis codes
 for :func:`eve_tallies`, the kernel the batch engine runs once per attack
 shape on its round patterns, and sum its tallies over the key rounds. A
-same-basis round
-carries two key bits and any other round one. Both are None for an empty
-key.
+same-basis round carries two key bits and any other round one. Both are
+None for an empty key.
 """
 
 from __future__ import annotations

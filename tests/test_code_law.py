@@ -32,8 +32,8 @@ from test_kernels import SHAPES, shape_id
 P_FLOOR = 1e-6
 # Rounds per pattern: the rarest bin expects 4096 * (1 - 0.9)**2 > 40
 # rounds. At 5 per bin G's law has a heavier tail than chi-square even with
-# Williams' correction: on ideal multinomial counts, 8 % of p-values fell
-# below 0.05.
+# Williams' correction: on ideal multinomial counts over 4 096 bins, 33 of
+# 400 p-values fell below 0.05.
 ROUNDS_PER_PATTERN = 4096
 EFFICIENCIES = (1.0, 0.9)
 CASES = [(attack, eta) for attack, _ in SHAPES for eta in EFFICIENCIES]

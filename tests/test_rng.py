@@ -56,8 +56,8 @@ def test_block_draws_equal_scalar_stream(seed, round_ids, count):
     full=st.integers(0, 3),
 )
 def test_top_draws_equal_scalar_stream_in_their_top_31_bits(seed, round_ids, top, full):
-    # The engine's decision draws skip the mix's last step; its detection
-    # draws, after them, do not.
+    # The engine's decision word skips the mix's last step; its detection
+    # draws, after it, do not.
     ids = np.array(round_ids, dtype=np.uint64)
     blocks = [d.copy() for d in round_draws(seed, ids, top + full, top=top)]
     assert len(blocks) == top + full
