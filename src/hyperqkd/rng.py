@@ -5,13 +5,20 @@ depends only on (master seed, round id) and never on how rounds are
 grouped or ordered. The generator is SplitMix64: constant-time seeding,
 full 64-bit avalanche, and identical output on every platform.
 
-SplitMix64 is counter-based: draw ``j`` of a stream whose seed state is
-``s`` is ``mix64(s + (j + 1) * GAMMA)``. :func:`round_draws` and
-:func:`stream_uniforms` use that to compute many draws at once with numpy,
-bit-identical to the scalar :class:`RandomSource` they share constants with
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+SplitMix64 is counter-based: output ``n`` (from 1) of the stream whose seed
+state is ``s`` is ``mix64(s + n * GAMMA)``. A batch's rounds share one such
+stream, seeded with ``mix64(master_seed)``: round ``i`` owns its outputs
+``3i + 1`` to ``3i + 3`` (:data:`DRAWS_PER_ROUND`), so its state, from which
+:meth:`RandomSource.for_round` starts, is ``mix64(master_seed) + 3i * GAMMA``
+and its draw ``j`` is ``mix64(mix64(master_seed) + (3i + j + 1) * GAMMA)``.
+GAMMA is odd, so the ``n * GAMMA`` differ for every ``n`` below 2**64 and no
+two draws of a batch of fewer than 2**64 / 3 rounds share a state.
+:func:`round_draws` and :func:`stream_uniforms` use the counter to compute
+many draws at once with numpy, bit-identical to the scalar
+:class:`RandomSource` they share constants with (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011).
 
-A protocol round's stream has at most three draws. Draw 0 is its decision
+A protocol round reads its three draws. Draw 0 is its decision
 word: every fair decision of the round (a basis is one bit, a measurement
 outcome two) reads the word's next top bits, the first decision the most
 significant, so the round's at most 12 decision bits are
@@ -40,6 +47,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 
+#: Draws of the batch stream that each round owns (see the module docstring).
+DRAWS_PER_ROUND = 3
+
 
 def mix64(value: int) -> int:
     """64-bit finalizer with full avalanche (SplitMix64 mixing function)."""
@@ -53,7 +63,8 @@ class RandomSource:
     """Deterministic uniform generator over [0, 1).
 
     Instances are cheap to create; simulation code makes one per round via
-    :meth:`for_round` so that no round's draws depend on any other round.
+    :meth:`for_round`, which starts at the round's own draws of the batch
+    stream, so no round's draws depend on any other round.
     """
 
     __slots__ = ("_state",)
@@ -63,8 +74,10 @@ class RandomSource:
 
     @classmethod
     def for_round(cls, master_seed: int, round_id: int) -> "RandomSource":
-        """Derive the independent stream for one round of a batch."""
-        return cls(mix64((master_seed & _MASK64) ^ mix64(round_id)))
+        """The batch stream of ``master_seed`` positioned at round
+        ``round_id``'s :data:`DRAWS_PER_ROUND` draws; a further draw would
+        be the next round's."""
+        return cls(mix64(master_seed) + DRAWS_PER_ROUND * round_id * _GAMMA)
 
     @classmethod
     def for_stream(cls, master_seed: int, stream_label: int) -> "RandomSource":
@@ -144,23 +157,32 @@ def round_draws(
     The ``j``-th array yielded holds, at position ``k``, the ``j``-th
     ``RandomSource.for_round(master_seed, round_ids[k]).next_u64()`` as
     uint64; the first ``top`` arrays hold it in their top 31 bits only (see
-    the module docstring). ``buffers`` holds three uint64 arrays of
-    ``len(round_ids)`` that the caller owns, for the round states, the draws
-    and scratch; without it they are allocated. Every draw is computed in
-    place into the same buffer, so an array is valid only until the next one
-    is asked for.
+    the module docstring). ``round_ids`` is uint64. ``buffers`` holds three
+    uint64 arrays of ``len(round_ids)`` that the caller owns, for the round
+    states, the draws and scratch; without it they are allocated. Every draw
+    is computed in place into the same buffer, so an array is valid only
+    until the next one is asked for. A round has :data:`DRAWS_PER_ROUND`
+    draws: a larger ``count`` raises ValueError, since the next draw is the
+    next round's.
     """
+    if count > DRAWS_PER_ROUND:
+        raise ValueError(f"a round has {DRAWS_PER_ROUND} draws, not {count}")
     if buffers is None:
         buffers = np.empty((3, len(round_ids)), dtype=np.uint64)
     states, out, tmp = buffers
-    states[...] = round_ids
-    _mix64_inplace(states, tmp)
-    states ^= np.uint64(master_seed & _MASK64)
-    _mix64_inplace(states, tmp)
+    # Array arithmetic wraps modulo 2**64; the constants are reduced as
+    # Python ints, as numpy scalar arithmetic would warn on the wrap-around.
+    np.multiply(round_ids, np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64), out=states)
+    states += np.uint64(mix64(master_seed))
+    return _draws(states, out, tmp, count, top)
+
+
+def _draws(
+    states: np.ndarray, out: np.ndarray, tmp: np.ndarray, count: int, top: int
+) -> Iterator[np.ndarray]:
+    """The draws of :func:`round_draws` from the rounds' ``states``."""
     for j in range(count):
-        # The offset is reduced as a Python int: numpy scalar arithmetic
-        # would warn on the wrap-around that array arithmetic does silently.
-        np.add(states, np.uint64(((j + 1) * _GAMMA) & _MASK64), out=out)
+        np.add(states, np.uint64((j + 1) * _GAMMA & _MASK64), out=out)
         yield (_mix64_top_inplace if j < top else _mix64_inplace)(out, tmp)
 
 

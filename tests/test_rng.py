@@ -4,10 +4,11 @@
 bases, measurement outcomes and detections on the integers. The scalar
 ``run_round`` reads its bases and outcomes off a ``DecisionWord`` and
 compares ``RandomSource.uniform()`` with the efficiency. These tests pin
-the block draws to the scalar stream (the decision word, which skips the
-mix's last step, in its top 31 bits), the bits a ``DecisionWord`` and
-``RandomSource.bits`` hand out, and each integer rule to its float
-comparison, on the words where they could part.
+the scalar stream to SplitMix64's published outputs and each round to its
+three outputs of one batch stream, the block draws to the scalar stream
+(the decision word, which skips the mix's last step, in its top 31 bits),
+the bits a ``DecisionWord`` and ``RandomSource.bits`` hand out, and each
+integer rule to its float comparison, on the words where they could part.
 """
 
 import math
@@ -17,9 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperqkd.protocol import run_round
 from hyperqkd.rng import (
-    DecisionWord, RandomSource, below_threshold, round_draws, stream_uniforms,
+    DRAWS_PER_ROUND, DecisionWord, RandomSource, below_threshold, mix64, round_draws,
+    stream_uniforms,
 )
+
+from test_kernels import SHAPES, shape_id
 
 U64 = st.integers(0, 2**64 - 1)
 # Probabilities in (0, 1], from the smallest subnormal up.
@@ -32,11 +37,54 @@ def uniform_of(word):
     return RandomSource.uniform(SimpleNamespace(next_u64=lambda: word))
 
 
+def test_random_source_gives_splitmix64s_published_outputs():
+    # The first outputs of SplitMix64 seeded with 1234567, as published
+    # with the generator's reference code.
+    rand = RandomSource(1234567)
+    assert [rand.next_u64() for _ in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821,
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=U64, rounds=st.integers(1, 40))
+def test_round_i_owns_outputs_3i_plus_1_to_3i_plus_3_of_one_batch_stream(seed, rounds):
+    batch = RandomSource(mix64(seed))
+    stream = [batch.next_u64() for _ in range(DRAWS_PER_ROUND * rounds)]
+    ids = np.arange(rounds, dtype=np.uint64)
+    blocks = [d.copy() for d in round_draws(seed, ids, DRAWS_PER_ROUND)]
+    for i in range(rounds):
+        rand = RandomSource.for_round(seed, i)
+        want = stream[DRAWS_PER_ROUND * i:DRAWS_PER_ROUND * (i + 1)]
+        assert [rand.next_u64() for _ in range(DRAWS_PER_ROUND)] == want
+        assert [int(block[i]) for block in blocks] == want
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.9])
+@pytest.mark.parametrize("attack", [a for a, _ in SHAPES], ids=shape_id)
+def test_run_round_reads_exactly_its_rounds_draws(attack, efficiency):
+    # A round that read a fourth draw would leave its stream inside the next
+    # round's draws, and one that read two would leave it short of them. The
+    # mix is a bijection, so equal next draws are equal states.
+    for seed, i in [(0, 0), (5, 1), (2**64 - 1, 2**40), (17, 2**64 - 1)]:
+        rand = RandomSource.for_round(seed, i)
+        run_round(i, attack, efficiency, rand)
+        assert rand.next_u64() == RandomSource.for_round(seed, i + 1).next_u64()
+
+
+def test_round_draws_reject_a_fourth_draw():
+    ids = np.arange(4, dtype=np.uint64)
+    with pytest.raises(ValueError):
+        round_draws(1, ids, DRAWS_PER_ROUND + 1)
+    assert len(list(round_draws(1, ids, DRAWS_PER_ROUND))) == DRAWS_PER_ROUND
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=U64,
     round_ids=st.lists(U64, min_size=1, max_size=20),
-    count=st.integers(1, 12),
+    count=st.integers(1, DRAWS_PER_ROUND),
 )
 def test_block_draws_equal_scalar_stream(seed, round_ids, count):
     blocks = [d.copy() for d in round_draws(seed, np.array(round_ids, dtype=np.uint64), count)]
@@ -52,12 +100,13 @@ def test_block_draws_equal_scalar_stream(seed, round_ids, count):
 @given(
     seed=U64,
     round_ids=st.lists(U64, min_size=1, max_size=20),
-    top=st.integers(0, 12),
-    full=st.integers(0, 3),
+    top_full=st.integers(0, DRAWS_PER_ROUND).flatmap(
+        lambda top: st.tuples(st.just(top), st.integers(0, DRAWS_PER_ROUND - top))),
 )
-def test_top_draws_equal_scalar_stream_in_their_top_31_bits(seed, round_ids, top, full):
+def test_top_draws_equal_scalar_stream_in_their_top_31_bits(seed, round_ids, top_full):
     # The engine's decision word skips the mix's last step; its detection
     # draws, after it, do not.
+    top, full = top_full
     ids = np.array(round_ids, dtype=np.uint64)
     blocks = [d.copy() for d in round_draws(seed, ids, top + full, top=top)]
     assert len(blocks) == top + full
@@ -71,12 +120,12 @@ def test_top_draws_equal_scalar_stream_in_their_top_31_bits(seed, round_ids, top
 
 def test_draws_fill_the_callers_buffers():
     seed, ids = 2**64 - 1, np.array([0, 7, 2**64 - 1, 12], dtype=np.uint64)
-    want = [d.copy() for d in round_draws(seed, ids, 6, top=4)]
+    want = [d.copy() for d in round_draws(seed, ids, 3, top=1)]
     buffers = np.full((3, len(ids)), 0xDEAD, dtype=np.uint64)
     # Twice over the same buffers: nothing is left over from the first use.
     for _ in range(2):
         got = []
-        for draw in round_draws(seed, ids, 6, top=4, buffers=buffers):
+        for draw in round_draws(seed, ids, 3, top=1, buffers=buffers):
             assert np.shares_memory(draw, buffers[1])
             got.append(draw.copy())
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
