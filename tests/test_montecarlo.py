@@ -212,7 +212,7 @@ class TestRunBatch:
 
     def test_guess_accuracy_is_an_exact_count(self):
         # hyperqkd --rounds 37 --seed 18446744073709551615 --attack single
-        # --eve-bases same: 47 key bits, guessed right 164 quarters of the time.
+        # --eve-bases same: 47 key bits, guessed right 172 quarters of the time.
         result = run_batch(SimConfig(
             rounds=37, seed=2**64 - 1,
             attack=AttackConfig(AttackKind.SINGLE_INTERCEPT, EveBasisStrategy.FIXED_SAME),
@@ -230,9 +230,9 @@ class TestRunBatch:
             )
             quarters += round(4 * score)
         n = 4 * stats.key_length
-        assert (stats.key_length, quarters) == (47, 164)
+        assert (stats.key_length, quarters) == (47, 172)
         assert (stats.eve_guess_accuracy * n).is_integer()
-        assert stats.eve_guess_accuracy == float(Fraction(quarters, n)) == 41 / 47
+        assert stats.eve_guess_accuracy == float(Fraction(quarters, n)) == 43 / 47
 
     def test_transient_memory_is_bounded_by_the_block_buffers(self):
         # Beyond what its result holds, a batch works in buffers of one
