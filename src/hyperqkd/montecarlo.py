@@ -295,15 +295,17 @@ def _rate(count: int, n: int) -> tuple[Optional[float], Optional[float]]:
 def _strata(equal: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
     """The detection strata of compared rounds, one bool row each, from
     whether Eve's two bases were equal and whether the parties' outcomes
-    differ in each: equal bases, equal bases and a mismatch, different
-    bases, different bases and a mismatch."""
-    return np.array([equal, mismatch & equal, ~equal, mismatch & ~equal])
+    differ in each: equal bases, and equal bases and a mismatch. The rounds
+    of different bases are the rest (see :func:`_detection`)."""
+    return np.array([equal, mismatch & equal])
 
 
-def _detection(strata: Sequence[int]) -> DetectionStats:
-    """The detection stats from the compared rounds' count in each of the
-    four :func:`_strata`."""
-    same_n, same_m, diff_n, diff_m = (int(n) for n in strata)
+def _detection(compared: int, mismatches: int, strata: Sequence[int]) -> DetectionStats:
+    """The detection stats from the number of compared rounds, their
+    mismatches and their count in each of the two :func:`_strata`; every
+    other compared round had Eve's bases different."""
+    same_n, same_m = (int(n) for n in strata)
+    diff_n, diff_m = int(compared) - same_n, int(mismatches) - same_m
     return DetectionStats(same_n, same_m, *_rate(same_m, same_n),
                           diff_n, diff_m, *_rate(diff_m, diff_n))
 
@@ -329,8 +331,9 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
             )
         equal.append(trace.bases[0] is trace.bases[1])
         mismatch.append(rec.alice_outcome is not rec.bob_outcome)
-    return _detection(_strata(np.array(equal, dtype=bool),
-                              np.array(mismatch, dtype=bool)).sum(axis=1))
+    mismatch = np.array(mismatch, dtype=bool)
+    return _detection(len(equal), np.count_nonzero(mismatch),
+                      _strata(np.array(equal, dtype=bool), mismatch).sum(axis=1))
 
 
 def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
@@ -392,10 +395,10 @@ def _round_table(attack: Optional[AttackConfig]) -> np.ndarray:
 
 # Rows of _Patterns.counters: same bases; same bases and a mismatch; key
 # bit errors; Eve's three tallies (eve_tallies); and a same-basis round's
-# four detection strata (_strata).
+# two detection strata (_strata).
 _SAME, _SAME_MISMATCH, _KEY_ERRORS = range(3)
 _EVE = slice(3, 6)
-_STRATA = slice(6, 10)
+_STRATA = slice(6, 8)
 
 
 @dataclass(frozen=True)
@@ -503,7 +506,7 @@ def run_batch(config: SimConfig) -> BatchResult:
                                          key_len + 2 * (same_n - k), key_len)
             accuracy = quarters / (4 * key_len)
         if config.attack.kind is AttackKind.DOUBLE_INTERCEPT:
-            detection = _detection(totals[_STRATA])
+            detection = _detection(same_n, mismatches, totals[_STRATA])
 
     bpc = bpc_se = ratio = ratio_se = None
     if coincidences:

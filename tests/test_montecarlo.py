@@ -274,9 +274,9 @@ class TestDetectionProbability:
         # The engine's exact law: every pattern of the shape is equally
         # likely, so the stratum's expected rate is a ratio of pattern
         # counts (test_code_law.py tests the histogram against that law).
-        strata = montecarlo._patterns(attack).counters[montecarlo._STRATA]
-        compared, mismatches, diff_compared, _ = strata.sum(axis=1).tolist()
-        assert diff_compared == 0
+        counters = montecarlo._patterns(attack).counters.sum(axis=1)
+        compared, mismatches = counters[montecarlo._STRATA].tolist()
+        assert compared == counters[montecarlo._SAME]
         # The oracle sums floats; the table's ratio is the exact 1/4.
         assert Fraction(mismatches, compared) == Fraction(1, 4)
         assert abs(mismatches / compared - exact) <= 1e-12
