@@ -1,10 +1,12 @@
 """Batch simulation driver and the estimators for the protocol's headline numbers.
 
-A batch runs independent rounds whose randomness is derived per round from
-the master seed, so results are bit-identical for a given configuration.
-Rounds are simulated in fixed blocks of 16 384 (:mod:`hyperqkd.blocks`),
-computing each round's raw 64-bit draws in the stream layout of
-:mod:`hyperqkd.rng` and reading every decision off them as an integer.
+A batch runs independent rounds, each a pure function of the master seed
+and its round id, so results are bit-identical for a given configuration:
+round ``i`` reads outputs ``3i + 1`` to ``3i + 3`` of one SplitMix64 stream
+seeded from the master seed (:mod:`hyperqkd.rng`), and no two draws of a
+batch share a state. Rounds are simulated in fixed blocks of 16 384
+(:mod:`hyperqkd.blocks`), computing each round's raw 64-bit draws in that
+layout and reading every decision off them as an integer.
 Draw 0 is the round's decision word: each basis reads one bit of it and
 each measurement outcome two, from the top down in ``run_round``'s order,
 so that draw skips SplitMix64's last step, which leaves the top bits as
@@ -96,7 +98,10 @@ from .rng import stream_uniforms
 #: Key bits per detected pair in the three-bases entangled-qubit baseline.
 EKERT_BITS_PER_PAIR = 2.0 / 9.0
 
-# Stream tag for the verification sampler, distinct from every round id.
+# Stream tag for the verification sampler. Its stream is seeded apart from
+# the rounds' batch stream, so its k draws overlap the 3 * rounds round
+# states only if its seed lands within about 3 * rounds + k steps of the
+# batch stream's: with probability about 3 * rounds / 2**64 for a batch.
 _VERIFY_STREAM = 0x7665726966790001
 
 
