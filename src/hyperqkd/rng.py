@@ -162,8 +162,8 @@ def round_draws(
     states, the draws and scratch; without it they are allocated. Every draw
     is computed in place into the same buffer, so an array is valid only
     until the next one is asked for. A round has :data:`DRAWS_PER_ROUND`
-    draws: a larger ``count`` raises ValueError, since the next draw is the
-    next round's.
+    draws: with a larger ``count`` the first draw asked for raises
+    ValueError, since the next draw is the next round's.
     """
     if count > DRAWS_PER_ROUND:
         raise ValueError(f"a round has {DRAWS_PER_ROUND} draws, not {count}")
@@ -174,13 +174,6 @@ def round_draws(
     # Python ints, as numpy scalar arithmetic would warn on the wrap-around.
     np.multiply(round_ids, np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64), out=states)
     states += np.uint64(mix64(master_seed))
-    return _draws(states, out, tmp, count, top)
-
-
-def _draws(
-    states: np.ndarray, out: np.ndarray, tmp: np.ndarray, count: int, top: int
-) -> Iterator[np.ndarray]:
-    """The draws of :func:`round_draws` from the rounds' ``states``."""
     for j in range(count):
         np.add(states, np.uint64((j + 1) * _GAMMA & _MASK64), out=out)
         yield (_mix64_top_inplace if j < top else _mix64_inplace)(out, tmp)

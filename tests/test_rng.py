@@ -76,7 +76,7 @@ def test_run_round_reads_exactly_its_rounds_draws(attack, efficiency):
 def test_round_draws_reject_a_fourth_draw():
     ids = np.arange(4, dtype=np.uint64)
     with pytest.raises(ValueError):
-        round_draws(1, ids, DRAWS_PER_ROUND + 1)
+        next(round_draws(1, ids, DRAWS_PER_ROUND + 1))
     assert len(list(round_draws(1, ids, DRAWS_PER_ROUND))) == DRAWS_PER_ROUND
 
 
