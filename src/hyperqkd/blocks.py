@@ -4,8 +4,10 @@
 raw 64-bit draws in the stream layout of :mod:`hyperqkd.rng`, and reads
 every decision off them as an integer: all of the round's bases and
 measurement outcomes, its pattern, off the top bits of its decision word
-(draw 0) with one shift, and each detection off a comparison of a whole
-draw (1 for Alice, 2 for Bob) with the efficiency's threshold. Each round
+(draw 0) with one shift, and each detection off a comparison of the
+party's field of the word's low 52 bits with the efficiency's threshold;
+the party's own draw (1 for Alice, 2 for Bob) is computed only for a round
+whose field ties with the threshold, about once in 2**26. Each round
 becomes one uint16 code (see
 :class:`hyperqkd.montecarlo._Rounds`), and each block's codes are counted
 into the batch's histogram of codes. :func:`extract_keys` then takes the
@@ -29,7 +31,9 @@ from typing import Optional
 import numpy as np
 
 from .protocol import key_bits
-from .rng import below_threshold, round_draws
+from .rng import (
+    _FIELD_MASK, DETECTION_BITS, detection_threshold, detection_uniform, round_draws,
+)
 
 
 def draw_codes(
@@ -39,31 +43,43 @@ def draw_codes(
     codes (int64, one bin per code), from blocks of ``block`` rounds.
 
     A round's pattern is the top ``bits`` bits of its decision word; it goes
-    above the round's two detection bits. At efficiency 1 every detection
-    succeeds, so those draws are not computed.
+    above the round's two detection bits. Below efficiency 1 each detection
+    compares the party's field of the word with the field the threshold
+    ties with, and only a tied round computes the party's own draw; at
+    efficiency 1 every detection succeeds and only the word's top bits are
+    computed.
     """
     detect = efficiency < 1.0
-    threshold = np.uint64(below_threshold(efficiency)) if detect else None
+    bound, tie = detection_threshold(efficiency)
+    tie = np.uint64(tie)
     codes = np.empty(rounds, dtype=np.uint16)
     block = min(block, rounds)
     ids = np.arange(block, dtype=np.uint64)
     c, *buffers = np.empty((4, block), dtype=np.uint64)
+    tied = np.empty(block, dtype=bool)
     for lo in range(0, rounds, block):
         if rounds - lo < block:
             # The last block is short: so are its views of the buffers.
-            ids, c, *buffers = (b[:rounds - lo] for b in (ids, c, *buffers))
-        x = round_draws(seed, ids, 1 + 2 * detect, top=1, buffers=buffers)
+            ids, c, tied, *buffers = (b[:rounds - lo] for b in (ids, c, tied, *buffers))
+        word = next(round_draws(seed, ids, 1, top=1 - detect, buffers=buffers))
         if detect:
-            np.right_shift(next(x), 64 - bits, out=c)
-            for _ in range(2):
+            np.right_shift(word, 64 - bits, out=c)
+            # The draw's scratch buffer is free once the draw is made, and
+            # the word once its pattern and Alice's field are read.
+            alice = np.right_shift(word, DETECTION_BITS, out=buffers[2])
+            alice &= _FIELD_MASK
+            bob = np.bitwise_and(word, _FIELD_MASK, out=word)
+            for j, field in enumerate((alice, bob), 1):
                 c <<= 1
-                # A draw's buffer is rewritten by the next draw, so it can
-                # be compared in place.
-                draw = next(x)
-                c |= np.less(draw, threshold, out=draw)
+                if np.equal(field, tie, out=tied).any():
+                    # The party's own draw decides a tie.
+                    at = np.flatnonzero(tied)
+                    *_, draw = round_draws(seed, ids[at], j + 1)
+                    c[at] |= detection_uniform(field[at], draw) < bound
+                c |= np.less(field, tie, out=field)
         else:
             # The pattern and two more bits, which both detections set.
-            np.right_shift(next(x), 62 - bits, out=c)
+            np.right_shift(word, 62 - bits, out=c)
             c |= 3
         codes[lo:lo + len(c)] = c
         block_counts = np.bincount(c.view(np.int64), minlength=4 << bits)

@@ -8,15 +8,17 @@ batch share a state. Rounds are simulated in fixed blocks of 16 384
 (:mod:`hyperqkd.blocks`), computing each round's raw 64-bit draws in that
 layout and reading every decision off them as an integer.
 Draw 0 is the round's decision word: each basis reads one bit of it and
-each measurement outcome two, from the top down in ``run_round``'s order,
-so that draw skips SplitMix64's last step, which leaves the top bits as
-they are. The word's top bits, at most 12, are the round's pattern: the
+each measurement outcome two, from the top down in ``run_round``'s order.
+The word's top bits, at most 12, are the round's pattern: the
 index of one column of a composed round table that holds every label code
 of the round, Eve's included. There is one table per attack shape, built
 once from the closed state set's fixed tables in :mod:`hyperqkd.hilbert`.
-Draws 1 and 2 decide Alice's and Bob's detections, each a comparison of
-the full draw with the efficiency's threshold; at efficiency 1 they are
-not computed. Each round is held as one uint16
+The word's low 52 bits hold Alice's and Bob's 26-bit detection fields,
+each compared with the efficiency's threshold; draws 1 and 2 decide a
+detection only when the party's field ties with it, and only those rounds
+compute them. At efficiency 1 every detection succeeds, so the word is
+read only in its top bits and skips SplitMix64's last step, which leaves
+them as they are. Each round is held as one uint16
 code, its pattern and its two detection bits, and :meth:`_Rounds.records`
 rebuilds from the codes exactly the records the scalar reference
 :func:`hyperqkd.protocol.run_round` gives for the same rounds.

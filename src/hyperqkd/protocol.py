@@ -15,8 +15,11 @@ bit-exactly from a seed. Its first draw is its decision word
 (:class:`hyperqkd.rng.DecisionWord`), whose top bits the fair decisions
 read in this order, one bit for a basis and two for a measurement:
 eavesdropper basis (or bases, if random), her measurement(s), Alice's
-basis, Bob's basis, Alice's measurement, Bob's measurement. The next two
-draws decide Alice's and Bob's detections. Forced bases and a forced
+basis, Bob's basis, Alice's measurement, Bob's measurement. The word's
+low 52 bits hold Alice's and Bob's detection fields, and each party's
+detection compares its field, above the top bits of the round's next draw
+(Alice's) or the one after it (Bob's), with the efficiency's threshold
+(:func:`hyperqkd.rng.detection_uniform`). Forced bases and a forced
 measurement order (testing aids) skip or reorder the corresponding bits.
 """
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hilbert import LABELS, BasisType, BellLabel, Photon, build_shared_state, measure_party
-from .rng import DecisionWord, RandomSource
+from .rng import DecisionWord, RandomSource, detection_threshold, detection_uniform
 
 if TYPE_CHECKING:
     from .adversary import AttackConfig, EveRecord
@@ -289,7 +292,9 @@ def run_round(
 
     ``rand`` must be the round's own stream (see ``RandomSource.for_round``);
     the round reads three draws of it, in the layout of the module
-    docstring. ``alice_basis``/``bob_basis`` force a party's basis instead
+    docstring: its decision word, then Alice's and Bob's draws, which
+    decide a detection only when the party's field ties with the
+    threshold, but are read whatever the fields. ``alice_basis``/``bob_basis`` force a party's basis instead
     of drawing it, and ``alice_measures_first`` flips the measurement order;
     these are testing aids and do not change the joint statistics.
     """
@@ -312,8 +317,10 @@ def run_round(
         res_b = measure_party(state, Photon.TWO, b_basis, word)
         res_a = measure_party(res_b.post_state, Photon.ONE, a_basis, word)
 
-    a_detected = rand.uniform() < efficiency
-    b_detected = rand.uniform() < efficiency
+    bound, _ = detection_threshold(efficiency)
+    a_field, b_field = word.detection_fields()
+    a_detected = detection_uniform(a_field, rand.next_u64()) < bound
+    b_detected = detection_uniform(b_field, rand.next_u64()) < bound
     return RoundRecord(
         round_id=round_id,
         alice_basis=a_basis,

@@ -18,20 +18,31 @@ many draws at once with numpy, bit-identical to the scalar
 :class:`RandomSource` they share constants with (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011).
 
-A protocol round reads its three draws. Draw 0 is its decision
-word: every fair decision of the round (a basis is one bit, a measurement
-outcome two) reads the word's next top bits, the first decision the most
-significant, so the round's at most 12 decision bits are
-``word >> (64 - bits)`` (:class:`DecisionWord`). Draws 1 and 2 decide
-Alice's and Bob's detections: a uniform is the top 53 bits of a draw ``x``
-times 2**-53, so ``uniform < p`` is ``x < below_threshold(p)``, a
-comparison made on ``x`` itself. Reading bits off one word is exact, because
-every probability of a decision is a multiple of 1/4 (Knuth and Yao 1976).
+A protocol round reads its three draws. Draw 0 is its decision word: every
+fair decision of the round (a basis is one bit, a measurement outcome two)
+reads the word's next top bits, the first decision the most significant,
+so the round's at most :data:`DECISION_BITS` (12) decision bits are
+``word >> (64 - bits)`` (:class:`DecisionWord`). Reading bits off one word
+is exact, because every probability of a decision is a multiple of 1/4
+(Knuth and Yao 1976).
 
-A decision word is read only in its top bits, and the mix's last step
-``z ^ (z >> 31)`` leaves the top 31 bits of ``z`` as they are. So the first
-``top`` draws of :func:`round_draws` skip it and equal the scalar stream's
-draws in their top 31 bits only; every later draw is exact.
+The word's low ``2 * DETECTION_BITS`` (52) bits decide Alice's and Bob's
+detections: Alice's field is bits 26-51, ``word >> 26 & (2**26 - 1)``, and
+Bob's is bits 0-25. At efficiency ``p`` a party is detected when its
+53-bit integer uniform, its field above the top 27 bits of its own draw
+(1 for Alice, 2 for Bob; :func:`detection_uniform`), is below
+``T = below_threshold(p) >> 11 = ceil(p * 2**53)``. A field below
+``T >> 27`` is detected and one above it is not, whatever the draw, so the
+party's draw decides only when its field equals ``T >> 27``, with
+probability 2**-26. A detection is thus a lazy comparison of uniform bits,
+exact for any ``p`` (Knuth and Yao 1976), and its probability is exactly
+``below_threshold(p) / 2**64``.
+
+At efficiency 1 the decision word is read only in its top bits, and the
+mix's last step ``z ^ (z >> 31)`` leaves the top 31 bits of ``z`` as they
+are. So the first ``top`` draws of :func:`round_draws` skip it and equal
+the scalar stream's draws in their top 31 bits only; every later draw is
+exact.
 """
 
 from __future__ import annotations
@@ -49,6 +60,15 @@ _INV_2_53 = 2.0 ** -53
 
 #: Draws of the batch stream that each round owns (see the module docstring).
 DRAWS_PER_ROUND = 3
+#: Bits of a decision word that each party's detection field holds.
+DETECTION_BITS = 26
+#: Top bits of a decision word that the round's decisions may read; the
+#: rest are the two detection fields.
+DECISION_BITS = 64 - 2 * DETECTION_BITS
+# A detection's uniform has 53 bits: its field above the top _TIE_BITS bits
+# of the party's own draw.
+_TIE_BITS = 53 - DETECTION_BITS
+_FIELD_MASK = (1 << DETECTION_BITS) - 1
 
 
 def mix64(value: int) -> int:
@@ -101,22 +121,47 @@ class DecisionWord:
     """One 64-bit draw handed out a few bits at a time, most significant first.
 
     A round's decisions read its decision word through :meth:`bits`, as
-    they would read a :class:`RandomSource`'s draws, one draw each.
+    they would read a :class:`RandomSource`'s draws, one draw each. Only
+    the word's top :data:`DECISION_BITS` bits are handed out: the rest are
+    the detection fields (:meth:`detection_fields`), which no decision reads.
     """
 
     __slots__ = ("_word", "_left")
 
     def __init__(self, word: int) -> None:
         self._word = word & _MASK64
-        self._left = 64
+        self._left = DECISION_BITS
 
     def bits(self, width: int) -> int:
         """The word's next ``width`` bits, as an integer; ValueError once
-        fewer than ``width`` are left."""
+        fewer than ``width`` decision bits are left."""
         if not 0 < width <= self._left:
-            raise ValueError(f"{width} bits asked of a word with {self._left} left")
+            raise ValueError(f"{width} bits asked of a word with {self._left} decision bits left")
         self._left -= width
-        return self._word >> self._left & ((1 << width) - 1)
+        return self._word >> (self._left + 2 * DETECTION_BITS) & ((1 << width) - 1)
+
+    def detection_fields(self) -> tuple[int, int]:
+        """Alice's and Bob's detection fields: bits 26-51 and bits 0-25."""
+        return self._word >> DETECTION_BITS & _FIELD_MASK, self._word & _FIELD_MASK
+
+
+def detection_threshold(p: float) -> tuple[int, int]:
+    """Where a detection of probability ``p`` (in (0, 1]) is decided: the
+    bound ``below_threshold(p) >> 11`` that the party's
+    :func:`detection_uniform` must be below, and the field on which the
+    party's own draw decides. A field below that one is detected and a
+    field above it is not, whatever the draw; at ``p`` 1 every field is
+    below it."""
+    bound = below_threshold(p) >> 11
+    return bound, bound >> _TIE_BITS
+
+
+def detection_uniform(field, draw):
+    """A detection's 53-bit integer uniform: the party's field of the
+    decision word above the top bits of the party's own draw, integers or
+    uint64 arrays. The party is detected when it is below the bound of
+    :func:`detection_threshold`."""
+    return field << _TIE_BITS | draw >> (64 - _TIE_BITS)
 
 
 def below_threshold(p: float) -> int:

@@ -1,7 +1,9 @@
 """The batch engine's code histogram against its exact law, by a G-test.
 
 A round's code is its pattern, the top bits of its decision word, above
-its two detection bits. If the stream's bits are fair and independent,
+its two detection bits, which the word's low 52 bits decide (and, when a
+party's field ties with the threshold, the party's own draw). If the
+stream's bits are fair and independent,
 every pattern of an attack shape is equally likely, and each party is
 detected, independently of the pattern and of the other party, with
 probability exactly ``P = ceil(eta * 2**53) / 2**53`` (the threshold of

@@ -33,7 +33,8 @@ from hyperqkd import (
     sift,
     verify_sample,
 )
-from hyperqkd import adversary, montecarlo, protocol
+from hyperqkd import adversary, blocks, montecarlo, protocol
+from hyperqkd.rng import detection_threshold
 
 ATTACKS = [
     None,
@@ -268,6 +269,39 @@ def test_every_scenario_across_blocks(attack):
     assert_matches_reference(
         SimConfig(rounds=300, seed=5, efficiency=0.5, attack=attack), block=128
     )
+
+
+def tied_efficiency(seed, round_id, party, detected):
+    """An efficiency at which the detection field of ``party`` (1 for Alice,
+    2 for Bob) in round ``round_id`` ties with the threshold, so that the
+    party's own draw decides it: detected if ``detected``, else not."""
+    rand = RandomSource.for_round(seed, round_id)
+    word, *draws = (rand.next_u64() for _ in range(3))
+    field = (word >> 26 if party == 1 else word) & (2**26 - 1)
+    top = draws[party - 1] >> 37
+    bound = field << 27 | (top + 1 if detected else top)
+    assert field and top + 1 < 2**27
+    efficiency = bound * 2.0**-53
+    assert detection_threshold(efficiency) == (bound, field)
+    return efficiency
+
+
+@pytest.mark.parametrize("party", [1, 2], ids=["alice", "bob"])
+@pytest.mark.parametrize("detected", [True, False], ids=["detected", "missed"])
+@pytest.mark.parametrize("round_id", [37, 128, 299],
+                         ids=["first-block", "second-block-start", "last-block-end"])
+def test_a_tied_detection_is_decided_by_the_partys_draw(party, detected, round_id):
+    # 300 rounds are two whole blocks of 128 and part of a third; a random
+    # efficiency gives a tie once in about 2**26 rounds per party.
+    seed, rounds, attack = 5, 300, ATTACKS[4]
+    efficiency = tied_efficiency(seed, round_id, party, detected)
+    codes, _ = blocks.draw_codes(seed, rounds, efficiency,
+                                 sum(montecarlo._draw_widths(attack)), 128)
+    records = tuple(run_round(i, attack, efficiency, RandomSource.for_round(seed, i))
+                    for i in range(rounds))
+    assert montecarlo._Rounds(codes, attack).records() == records
+    rec = records[round_id]
+    assert (rec.alice_detected, rec.bob_detected)[party - 1] is detected
 
 
 def test_eve_information_se_hand_built_key():

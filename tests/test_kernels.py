@@ -109,9 +109,6 @@ class GivenDraws:
         self.used += 1
         return self.draws[self.used - 1]
 
-    def uniform(self):
-        return (self.next_u64() >> 11) * 2.0**-53
-
 
 # Every attack shape and the bits run_round reads of its decision word for
 # each decision, in order: Eve's bases (random strategy only), her
@@ -137,9 +134,10 @@ def shape_id(attack):
 
 def round_labels(attack, word):
     """The label codes of the scalar round whose decision word is ``word``
-    and whose two detections both succeed: Eve's, Alice's, Bob's."""
+    and whose two detections both succeed, at efficiency 1: Eve's, Alice's,
+    Bob's."""
     rand = GivenDraws([word, 0, 0])
-    rec = run_round(0, attack, 0.5, rand)
+    rec = run_round(0, attack, 1.0, rand)
     assert rand.used == 3 and rec.coincident
     eve = () if rec.eve_trace is None else rec.eve_trace.outcomes
     return [LABELS.index(lab) for lab in (*eve, rec.alice_outcome, rec.bob_outcome)]

@@ -2,13 +2,14 @@
 
 ``run_batch`` computes each round's raw 64-bit draws in blocks and decides
 bases, measurement outcomes and detections on the integers. The scalar
-``run_round`` reads its bases and outcomes off a ``DecisionWord`` and
-compares ``RandomSource.uniform()`` with the efficiency. These tests pin
-the scalar stream to SplitMix64's published outputs and each round to its
-three outputs of one batch stream, the block draws to the scalar stream
-(the decision word, which skips the mix's last step, in its top 31 bits),
-the bits a ``DecisionWord`` and ``RandomSource.bits`` hand out, and each
-integer rule to its float comparison, on the words where they could part.
+``run_round`` reads its bases and outcomes off a ``DecisionWord``'s top
+bits and each detection off the word's low bits and, on a tie, the
+party's own draw. These tests pin the scalar stream to SplitMix64's
+published outputs and each round to its three outputs of one batch
+stream, the block draws to the scalar stream (the decision word, which
+skips the mix's last step at efficiency 1, in its top 31 bits), the bits
+a ``DecisionWord`` and ``RandomSource.bits`` hand out, and each integer
+rule to its float comparison, on the words where they could part.
 """
 
 import math
@@ -20,11 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from hyperqkd.protocol import run_round
 from hyperqkd.rng import (
-    DRAWS_PER_ROUND, DecisionWord, RandomSource, below_threshold, mix64, round_draws,
-    stream_uniforms,
+    DECISION_BITS, DRAWS_PER_ROUND, DecisionWord, RandomSource, below_threshold,
+    detection_threshold, mix64, round_draws, stream_uniforms,
 )
 
-from test_kernels import SHAPES, shape_id
+from test_kernels import SHAPES, GivenDraws, shape_id
 
 U64 = st.integers(0, 2**64 - 1)
 # Probabilities in (0, 1], from the smallest subnormal up.
@@ -132,12 +133,12 @@ def test_draws_fill_the_callers_buffers():
 
 
 @settings(max_examples=100, deadline=None)
-@given(word=U64, widths=st.lists(st.integers(1, 4), max_size=24))
+@given(word=U64, widths=st.lists(st.integers(1, 4), max_size=8))
 def test_decision_word_hands_out_its_bits_most_significant_first(word, widths):
     decisions = DecisionWord(word)
     used = read = 0
     for width in widths:
-        if used + width > 64:
+        if used + width > DECISION_BITS:
             with pytest.raises(ValueError):
                 decisions.bits(width)
             break
@@ -153,9 +154,26 @@ def test_decision_word_rejects_widths_it_cannot_give():
     decisions = DecisionWord(2**64 - 1)
     with pytest.raises(ValueError):
         decisions.bits(0)
-    assert decisions.bits(64) == 2**64 - 1
+    assert decisions.bits(DECISION_BITS) == 2**DECISION_BITS - 1
     with pytest.raises(ValueError):
         decisions.bits(1)
+
+
+def test_decision_word_hands_out_no_detection_bit():
+    # The top 12 bits are the decisions'; the low 52 are the two detection
+    # fields, which no decision may read.
+    assert DECISION_BITS == 12
+    word = 0xABC << 52 | 0x2AAAAAA << 26 | 0x1555555
+    decisions = DecisionWord(word)
+    with pytest.raises(ValueError):
+        decisions.bits(13)
+    assert decisions.bits(4) == 0xA
+    with pytest.raises(ValueError):
+        decisions.bits(9)
+    assert decisions.bits(8) == 0xBC
+    with pytest.raises(ValueError):
+        decisions.bits(1)
+    assert decisions.detection_fields() == (0x2AAAAAA, 0x1555555)
 
 
 @pytest.mark.parametrize("width", [1, 2, 12, 64])
@@ -210,6 +228,41 @@ def test_detection_rule_on_any_word(p, word):
 def test_threshold_at_efficiency_one_passes_every_draw():
     assert below_threshold(1.0) == 2**64
     assert below_threshold(np.float32(0.5)) == below_threshold(0.5)
+    # Every field is below the tie field, so no draw decides a detection.
+    assert detection_threshold(1.0) == (2**53, 2**26)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=PROBABILITIES, word=U64, draws=st.tuples(U64, U64))
+def test_run_round_detects_on_a_53_bit_uniform(p, word, draws):
+    # Each party's uniform is its 26-bit field of the decision word (Alice's
+    # bits 26-51, Bob's 0-25) above the top 27 bits of its own draw, times
+    # 2**-53: the comparison with p is exact in floats.
+    fields = (word >> 26 & (2**26 - 1), word & (2**26 - 1))
+    want = [(f * 2**27 + (d >> 37)) * 2.0**-53 < p for f, d in zip(fields, draws)]
+    rand = GivenDraws([word, *draws])
+    rec = run_round(0, None, p, rand)
+    assert rand.used == 3
+    assert [rec.alice_detected, rec.bob_detected] == want
+
+
+@pytest.mark.parametrize("p", EDGE_PROBABILITIES, ids=repr)
+def test_detection_ties_go_to_the_draw(p):
+    # A field equal to the tie field is decided by the draw's top 27 bits;
+    # one below it is detected and one above it is not, whatever the draw.
+    bound, tie = detection_threshold(p)
+    assert bound == below_threshold(p) >> 11 and tie == bound >> 27
+    rest = bound & (2**27 - 1)
+    for field, draw, want in [
+        (tie, (rest - 1) << 37 | (2**37 - 1), True),
+        (tie, rest << 37, False),
+        (tie - 1, 2**64 - 1, True),
+        (tie + 1, 0, False),
+    ]:
+        if not 0 <= field < 2**26 or not 0 <= draw < 2**64:
+            continue
+        rec = run_round(0, None, p, GivenDraws([field << 26 | field, draw, draw]))
+        assert (rec.alice_detected, rec.bob_detected) == (want, want), (hex(field), hex(draw))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
