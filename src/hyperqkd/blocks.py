@@ -151,11 +151,11 @@ def extract_keys(
         ranked, done = rank_end, end
         local = np.flatnonzero(key)
         stop = at + len(local)
-        sb.take(local, out=same[at:stop])
+        # Given out, take buffers its result in its default mode "raise";
+        # local's indices are in range, so "clip" writes in place.
+        sb.take(local, out=same[at:stop], mode="clip")
         p = np.right_shift(c, 2, out=patterns[:hi - lo])
-        a, b = key_bits(key_rows.take(p.view(np.int64)).take(local).view(np.uint8))
-        alice[bit:bit + len(a)] = a
-        if both:
-            bob[bit:bit + len(b)] = b
+        a, _ = key_bits(key_rows.take(p.view(np.int64)).take(local).view(np.uint8),
+                        out=(alice[bit:], bob[bit:] if both else None))
         at, bit = stop, bit + len(a)
     return in_key, same, alice, bob, checked
