@@ -12,14 +12,15 @@ becomes one uint16 code (see
 :class:`hyperqkd.montecarlo._Rounds`), and each block's codes are counted
 into the batch's histogram of codes. :func:`extract_keys` then takes the
 verified rounds out of the key and gathers the key rounds' flags and packed
-key rows from one pattern table, block by block; :func:`key_bits` unpacks
-each block's rows.
+key rows from one pattern table, block by block, the rows by the key
+rounds' patterns only; :func:`key_bits` unpacks each block's rows straight
+into the keys.
 
 Every block reuses its call's buffers: the draws' states, draws and scratch
 (:func:`hyperqkd.rng.round_draws` fills buffers its caller owns), the
-block's codes or patterns and its flags. A block indexes with its codes or
-patterns widened to uint64 and viewed as int64, numpy's index type, so no
-gather or histogram converts its indices. Beyond what a call returns, its
+block's codes and its flags. :func:`draw_codes` counts a block's codes
+widened to uint64 and viewed as int64, numpy's index type, so its
+histogram converts no indices. Beyond what a call returns, its
 memory is these buffers and temporaries of one block, whatever the number
 of rounds.
 """
@@ -128,7 +129,6 @@ def extract_keys(
     bob = np.empty(width, dtype=np.uint8) if both else None
     checked = np.empty(len(picks), dtype=np.int64)
     block = min(block, len(codes))
-    patterns = np.empty(block, dtype=np.uint64)
     scratch = np.empty(block, dtype=np.uint16)
     same_flags = np.empty(block, dtype=bool)
     ranked = done = at = bit = 0
@@ -154,8 +154,7 @@ def extract_keys(
         # Given out, take buffers its result in its default mode "raise";
         # local's indices are in range, so "clip" writes in place.
         sb.take(local, out=same[at:stop], mode="clip")
-        p = np.right_shift(c, 2, out=patterns[:hi - lo])
-        a, _ = key_bits(key_rows.take(p.view(np.int64)).take(local).view(np.uint8),
+        a, _ = key_bits(key_rows.take(c.take(local) >> 2).view(np.uint8),
                         out=(alice[bit:], bob[bit:] if both else None))
         at, bit = stop, bit + len(a)
     return in_key, same, alice, bob, checked
