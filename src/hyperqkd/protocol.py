@@ -293,10 +293,11 @@ def run_round(
     ``rand`` must be the round's own stream (see ``RandomSource.for_round``);
     the round reads three draws of it, in the layout of the module
     docstring: its decision word, then Alice's and Bob's draws, which
-    decide a detection only when the party's field ties with the
-    threshold, but are read whatever the fields. ``alice_basis``/``bob_basis`` force a party's basis instead
-    of drawing it, and ``alice_measures_first`` flips the measurement order;
-    these are testing aids and do not change the joint statistics.
+    decide a detection only when the party's field ties with the threshold
+    but are read whatever the fields. ``alice_basis``/``bob_basis`` force
+    a party's basis instead of drawing it, and ``alice_measures_first``
+    flips the measurement order; these are testing aids and do not change
+    the joint statistics.
     """
     if not _is_real(efficiency) or not 0.0 < efficiency <= 1.0:
         raise ConfigurationError(f"efficiency must be in (0, 1], got {efficiency}")

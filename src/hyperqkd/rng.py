@@ -136,7 +136,8 @@ class DecisionWord:
         """The word's next ``width`` bits, as an integer; ValueError once
         fewer than ``width`` decision bits are left."""
         if not 0 < width <= self._left:
-            raise ValueError(f"{width} bits asked of a word with {self._left} decision bits left")
+            raise ValueError(
+                f"{width} bits asked of a word with {self._left} decision bits left")
         self._left -= width
         return self._word >> (self._left + 2 * DETECTION_BITS) & ((1 << width) - 1)
 
