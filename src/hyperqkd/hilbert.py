@@ -18,9 +18,8 @@ supported. In the component order above all eight Bell vectors are real:
     type-II:  chi+- = [H(a+b) +- V(a-b)]/2, omega+- = [V(a+b) +- H(a-b)]/2
 
 Measurement sampling walks the cumulative distribution over the four
-labels of a basis in their fixed declaration order. A closed-set state
-(below) reads two bits of its random source, any other state one uniform,
-which makes every run bit-reproducible per seed.
+labels of a basis in their fixed declaration order, from two bits of its
+random source, which makes every run bit-reproducible per seed.
 
 A protocol round only reaches a closed set of 65 states: the shared state
 and, up to a global phase, the 64 products of two Bell vectors. On them
@@ -30,10 +29,9 @@ the Bell-overlap matrix, give each measurement's outcome from two fair
 bits alone (exact sampling from dyadic laws, Knuth and Yao 1976): the top
 two of a raw 64-bit draw, or the next two of a round's decision word.
 :func:`measure_party` samples these states from the same tables as the
-batch engine, and :func:`measure_single` a lone Bell vector
-as photon 2 of a closed-set product. Any other state (only a caller
-outside the protocol makes one) is validated and measured from its
-computed probabilities on every call. The same exact overlaps, as
+batch engine, and :func:`measure_single` a lone Bell vector as photon 2
+of a closed-set product; both measure nothing else, and raise ValueError
+for any other state. The same exact overlaps, as
 :func:`overlap_quarters`, are Eve's posteriors in :mod:`hyperqkd.adversary`.
 This module is the one home of the basis and label codes (:data:`BASES`,
 :data:`LABELS`): the batch engine's columns hold one label code per
@@ -203,61 +201,6 @@ def _require_normalized(state: np.ndarray, dim: int, what: str) -> np.ndarray:
     return state
 
 
-def _sample_index(probs: list[float], u: float) -> int:
-    """Inverse-CDF sample over fixed label order from one uniform draw.
-
-    Labels with exactly zero probability are skipped, so they can never be
-    selected; the final fallback absorbs the sub-1 cumulative sum left by
-    floating-point rounding.
-    """
-    acc = 0.0
-    last = -1
-    for i in range(4):
-        p = probs[i]
-        if p <= 0.0:
-            continue
-        acc += p
-        last = i
-        if u < acc:
-            return i
-    return last
-
-
-# Measurement of a state outside the closed set, from its computed Born
-# probabilities; protocol rounds never reach one.
-def _joint_table(
-    state: np.ndarray, photon: Photon, basis: BasisType
-) -> tuple[list[float], tuple]:
-    state = _require_normalized(state, 16, "joint state")
-    m = state.reshape(4, 4)
-    # Row l of `cond` is the partner photon's unnormalized conditional state
-    # given outcome l on the measured photon.
-    cond = _BASIS_MATRIX[basis] @ (m if photon is Photon.ONE else m.T)
-    re, im = cond.real, cond.imag
-    probs = (re * re + im * im).sum(axis=1).tolist()
-    posts = []
-    for idx, label in enumerate(_BASIS_LABELS[basis]):
-        if probs[idx] <= 0.0:
-            posts.append(None)
-            continue
-        partner = cond[idx] / math.sqrt(probs[idx])
-        bell = _BELL_VECTORS[label]
-        if photon is Photon.ONE:
-            post = np.multiply.outer(bell, partner).reshape(16)
-        else:
-            post = np.multiply.outer(partner, bell).reshape(16)
-        post.flags.writeable = False
-        posts.append(post)
-    return probs, tuple(posts)
-
-
-def _single_table(state: np.ndarray, basis: BasisType) -> tuple[list[float], tuple]:
-    state = _require_normalized(state, 4, "state")
-    coeffs = _BASIS_MATRIX[basis] @ state
-    probs = (coeffs * coeffs.conj()).real.tolist()
-    return probs, tuple(_BELL_VECTORS[label] for label in _BASIS_LABELS[basis])
-
-
 # The closed set's measurement tables, over the codes of LABELS. State id
 # 8 * c1 + c2 is the product of the Bell vectors with codes c1 (photon 1)
 # and c2 (photon 2), and SHARED_ID the shared state. Measuring a product
@@ -357,31 +300,34 @@ def expand_in_basis(
     return [(labels[i], complex(coeffs[i])) for i in range(4)]
 
 
+def _closed_id(ids: dict, state, dim: int, what: str) -> int:
+    """The id in ``ids`` of ``state``, which must equal one of the states
+    they key in every entry, as this module returns it; raises ValueError
+    for any other state."""
+    state = np.asarray(state, dtype=np.complex128)
+    sid = ids.get(_lookup_key(state)) if state.shape == (dim,) else None
+    if sid is None:
+        raise ValueError(f"only {what} are measured; the state given is none of them")
+    return sid
+
+
 def measure_party(
     state: np.ndarray, photon: Photon, basis: BasisType, rand: RandomSource | DecisionWord
 ) -> MeasurementResult:
-    """Bell-basis measurement of one photon of a joint state, with collapse.
+    """Bell-basis measurement of one photon of a closed-set state, with collapse.
 
-    The outcome is sampled with Born probabilities; the post state is the
-    normalized projection of ``state`` onto the outcome's Bell vector on
-    the measured photon (the partner photon keeps its conditional state).
-    A state equal in every entry to one of the closed set, as this module
-    returns it, is sampled from the fixed tables with exact probabilities
-    from two bits of ``rand`` (``bits(2)``: the top two of a RandomSource's
-    next draw, or a DecisionWord's next two) and collapses to a closed-set
-    state. Any other state is sampled from its computed probabilities with
-    one uniform, so ``rand`` must then be a RandomSource; it consumes one
-    draw. Post states may be shared, read-only arrays.
+    ``state`` must equal one of the closed set's 65 states in every entry,
+    as this module returns it (a signed zero counts as zero); any other
+    state raises ValueError. The outcome is sampled from the fixed tables
+    with its exact Born probability from two bits of ``rand`` (``bits(2)``:
+    the top two of a RandomSource's next draw, or a DecisionWord's next
+    two), and the post state is the closed-set state the projection of
+    ``state`` onto the outcome's Bell vector on the measured photon leaves
+    (the partner photon keeps its conditional state). Post states are
+    shared, read-only arrays.
     """
-    state = np.asarray(state, dtype=np.complex128)
-    sid = _STATE_IDS.get(_lookup_key(state)) if state.shape == (16,) else None
-    if sid is None:
-        probs, posts = _joint_table(state, photon, basis)
-        idx = _sample_index(probs, rand.uniform())
-        return MeasurementResult(
-            label=_BASIS_LABELS[basis][idx], probability=probs[idx], post_state=posts[idx]
-        )
-    row = _row(sid, photon, BASES.index(basis))
+    row = _row(_closed_id(_STATE_IDS, state, 16, "the closed set's 65 states"),
+               photon, BASES.index(basis))
     slot = 4 * row + rand.bits(2)
     idx = OUTCOME_LABEL.item(slot)
     return MeasurementResult(
@@ -396,22 +342,15 @@ def measure_single(
 ) -> MeasurementResult:
     """Bell-basis measurement of a lone photon; the post state is the eigenstate.
 
-    A state equal in every entry to a Bell vector, as :func:`bell_vector`
-    returns it, is measured as photon 2 of the closed-set product of Phi+
-    with it, from the fixed tables with exact probabilities and two bits of
-    ``rand``, as in :func:`measure_party`; any other state is sampled from
-    its computed probabilities with one uniform of a RandomSource.
+    ``state`` must equal a Bell vector in every entry, as
+    :func:`bell_vector` returns it; any other state raises ValueError. It
+    is measured as photon 2 of the closed-set product of Phi+ with it, from
+    the fixed tables with exact probabilities and two bits of ``rand``, as
+    in :func:`measure_party`.
     """
-    state = np.asarray(state, dtype=np.complex128)
-    code = _BELL_CODES.get(_lookup_key(state)) if state.shape == (4,) else None
-    if code is not None:
-        res = measure_party(_STATES[code], Photon.TWO, basis, rand)
-        return MeasurementResult(res.label, res.probability, _BELL_VECTORS[res.label])
-    probs, posts = _single_table(state, basis)
-    idx = _sample_index(probs, rand.uniform())
-    return MeasurementResult(
-        label=_BASIS_LABELS[basis][idx], probability=probs[idx], post_state=posts[idx]
-    )
+    code = _closed_id(_BELL_CODES, state, 4, "the eight Bell vectors")
+    res = measure_party(_STATES[code], Photon.TWO, basis, rand)
+    return MeasurementResult(res.label, res.probability, _BELL_VECTORS[res.label])
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -252,9 +252,9 @@ def single_eve_guess_accuracy():
     return acc / total
 
 
-def single_key_bit_error():
+def single_key_bit_error(eve_bases=BASES):
     """Exact disagreement rate between the parties' full key strings."""
-    rows = enumerate_single_intercept()
+    rows = enumerate_single_intercept(eve_bases)
     err = total = 0.0
     for w, E, e, A, a, B, b in rows:
         if A == B:
