@@ -497,3 +497,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["stats"]["rounds"] == 200
+
+
+def test_importing_the_entry_point_runs_nothing():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hyperqkd.__main__; print('after import')"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("after import\n", "")
