@@ -87,12 +87,13 @@ from .protocol import (  # noqa: F401
     KeyBits,
     RoundRecord,
     VerificationReport,
-    _is_real,
     build_keys,
     key_rows,
     partial_shuffle,
     run_round,
     sift,
+    valid_efficiency,
+    valid_fraction,
     verify_sample,
 )
 from .rng import stream_uniforms
@@ -127,16 +128,18 @@ class SimConfig:
 
         This is the one place where the config's rules live; the command
         line parses plain numbers and maps the error's ``fields`` to flags.
-        The range tests are written so that NaN fails them.
+        The efficiency's and the verification fraction's ranges are
+        :func:`valid_efficiency` and :func:`valid_fraction`, which the
+        scalar ``run_round`` and ``verify_sample`` test too.
         """
         problems = {}
         if not _is_int(self.rounds) or self.rounds < 1:
             problems["rounds"] = f"must be an integer >= 1, got {self.rounds!r}"
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             problems["seed"] = f"must be a 64-bit unsigned integer, got {self.seed!r}"
-        if not _is_real(self.efficiency) or not 0.0 < self.efficiency <= 1.0:
+        if not valid_efficiency(self.efficiency):
             problems["efficiency"] = f"must be in (0, 1], got {self.efficiency!r}"
-        if not _is_real(self.verify_fraction) or not 0.0 <= self.verify_fraction < 1.0:
+        if not valid_fraction(self.verify_fraction):
             problems["verify_fraction"] = f"must be in [0, 1), got {self.verify_fraction!r}"
         if self.attack is not None and not isinstance(self.attack, AttackConfig):
             problems["attack"] = f"must be an AttackConfig or None, got {self.attack!r}"

@@ -99,6 +99,19 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
 
 
+# The one home of the efficiency's and the verification fraction's ranges,
+# which SimConfig.validate, run_round and verify_sample all test. The range
+# tests are written so that NaN fails them.
+def valid_efficiency(value) -> bool:
+    """Whether ``value`` is a real number in (0, 1]."""
+    return _is_real(value) and 0.0 < value <= 1.0
+
+
+def valid_fraction(value) -> bool:
+    """Whether ``value`` is a real number in [0, 1)."""
+    return _is_real(value) and 0.0 <= value < 1.0
+
+
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
     """Everything one protocol round produced."""
@@ -299,7 +312,7 @@ def run_round(
     flips the measurement order; these are testing aids and do not change
     the joint statistics.
     """
-    if not _is_real(efficiency) or not 0.0 < efficiency <= 1.0:
+    if not valid_efficiency(efficiency):
         raise ConfigurationError(f"efficiency must be in (0, 1], got {efficiency}")
 
     word = DecisionWord(rand.next_u64())
@@ -420,7 +433,7 @@ def verify_sample(
     ``fraction`` is in [0, 1), the range ``SimConfig`` accepts; at 0 no
     round is compared.
     """
-    if not _is_real(fraction) or not 0.0 <= fraction < 1.0:
+    if not valid_fraction(fraction):
         raise ConfigurationError(f"verification fraction must be in [0, 1), got {fraction}")
     same = groups.same_basis
     n = len(same)
