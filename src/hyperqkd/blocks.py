@@ -98,9 +98,9 @@ def same_basis(code: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.nda
     ``scratch`` has their dtype and length).
 
     Alice's and Bob's bases are the last one-bit fields of every
-    pattern (:func:`hyperqkd.montecarlo._draw_widths`), above the two
-    two-bit measurement fields and the two detection bits: their bits are
-    bits 7 and 6 of the code.
+    pattern, in ``run_round``'s order, above the two two-bit measurement
+    fields and the two detection bits: their bits are bits 7 and 6 of the
+    code.
     """
     np.right_shift(code, 1, out=scratch)
     scratch ^= code

@@ -26,12 +26,12 @@ and, up to a global phase, the 64 products of two Bell vectors. On them
 every Born probability is 0, 1/4, 1/2 or 1, so the fixed tables
 :data:`OUTCOME_LABEL` and :data:`OUTCOME_POST`, built once at import from
 the Bell-overlap matrix, give each measurement's outcome from two fair
-bits alone (exact sampling from dyadic laws, Knuth and Yao 1976): the top
-two of a raw 64-bit draw, or the next two of a round's decision word.
-:func:`measure_party` samples these states from the same tables as the
-batch engine, and :func:`measure_single` a lone Bell vector as photon 2
-of a closed-set product; both measure nothing else, and raise ValueError
-for any other state. The same exact overlaps, as
+bits alone (exact sampling from dyadic laws, Knuth and Yao 1976), the
+next two of a round's decision word. :func:`measure_party` samples these
+states from the same tables and slots (:func:`outcome_slots`) as the batch
+engine, and :func:`measure_single` a lone Bell vector as photon 2 of a
+closed-set product; both measure nothing else, and raise ValueError for
+any other state. The same exact overlaps, as
 :func:`overlap_quarters`, are Eve's posteriors in :mod:`hyperqkd.adversary`.
 This module is the one home of the basis and label codes (:data:`BASES`,
 :data:`LABELS`): the batch engine's columns hold one label code per
@@ -221,9 +221,9 @@ def _row(state_ids, photon: Photon, bases):
 
 def _closed_tables():
     """The closed set's tables, indexed by :func:`_row`: each label's
-    probability in quarters at ``4 * row + label``, and each draw's label and
-    post-state id at ``4 * row + q`` (see :func:`outcome_slots`); and the
-    states by id."""
+    probability in quarters at ``4 * row + label``, and the label and
+    post-state id that two decision bits ``q`` give at ``4 * row + q`` (see
+    :func:`outcome_slots`); and the states by id."""
     codes = np.arange(8).reshape(2, 4)  # [basis code, index in basis]
     c1, c2 = (c[:, None, None] for c in np.divmod(np.arange(SHARED_ID), 8))
     quarters = np.ones((SHARED_ID + 1, 2, 2, 4), dtype=np.int8)
@@ -233,7 +233,7 @@ def _closed_tables():
     posts[:SHARED_ID, 0] = 8 * codes + c2
     posts[:SHARED_ID, 1] = 8 * c1 + codes
     posts[SHARED_ID] = 9 * codes
-    # Inverse-CDF sampling with the draw's top two bits q: the label is the
+    # Inverse-CDF sampling with two decision bits q: the label is the
     # first whose running quarter count exceeds q, i.e. the number of counts
     # at or below q. A label of probability 0 repeats the previous count, so
     # no q picks it.
@@ -269,20 +269,18 @@ _STATE_IDS = {_lookup_key(state): sid for sid, state in enumerate(_STATES)}
 _BELL_CODES = {_lookup_key(vector): code for code, vector in enumerate(_BELL)}
 
 
-def outcome_slots(state_ids, photon: Photon, bases, draws: np.ndarray) -> np.ndarray:
+def outcome_slots(state_ids, photon: Photon, bases, bits):
     """Slots of :data:`OUTCOME_LABEL` and :data:`OUTCOME_POST` for measuring
-    ``photon`` of closed-set states in their bases with their raw draws.
+    ``photon`` of closed-set states in their bases with their decision bits.
 
-    ``state_ids`` and ``bases`` (basis codes) are arrays or single values;
-    ``draws`` is the uint64 draw of each measurement. Slot
-    ``4 * row + (draw >> 62)`` holds the label index in the basis and the
-    post-measurement state id, the same outcome :func:`measure_party` gives
-    for the same draw.
+    ``state_ids``, ``bases`` (basis codes) and ``bits`` (each measurement's
+    two decision bits, 0 to 3) are single values or arrays of a signed
+    integer dtype. Slot ``4 * row + bits`` holds the label index in the
+    basis and the post-measurement state id; :func:`measure_party` reads
+    its outcome off the same slot.
     """
-    slots = (draws >> 62).view(np.int64)
-    # An int64 id keeps the sum with int8 basis codes from overflowing.
-    slots += 4 * _row(np.asarray(state_ids, dtype=np.int64), photon, bases)
-    return slots
+    # An int64 id keeps the sum with int8 codes from overflowing.
+    return 4 * _row(np.asarray(state_ids, dtype=np.int64), photon, bases) + bits
 
 
 def expand_in_basis(
@@ -326,13 +324,13 @@ def measure_party(
     (the partner photon keeps its conditional state). Post states are
     shared, read-only arrays.
     """
-    row = _row(_closed_id(_STATE_IDS, state, 16, "the closed set's 65 states"),
-               photon, BASES.index(basis))
-    slot = 4 * row + rand.bits(2)
+    sid = _closed_id(_STATE_IDS, state, 16, "the closed set's 65 states")
+    bits = rand.bits(2)
+    slot = outcome_slots(sid, photon, BASES.index(basis), bits)
     idx = OUTCOME_LABEL.item(slot)
     return MeasurementResult(
         label=_BASIS_LABELS[basis][idx],
-        probability=_QUARTERS.item(4 * row + idx) / 4,
+        probability=_QUARTERS.item(slot - bits + idx) / 4,
         post_state=_STATES[OUTCOME_POST.item(slot)],
     )
 

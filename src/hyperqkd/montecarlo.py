@@ -96,7 +96,7 @@ from .protocol import (  # noqa: F401
     valid_fraction,
     verify_sample,
 )
-from .rng import stream_uniforms
+from .rng import DECISION_BITS, DecisionWord, stream_uniforms
 
 #: Key bits per detected pair in the three-bases entangled-qubit baseline.
 EKERT_BITS_PER_PAIR = 2.0 / 9.0
@@ -346,45 +346,30 @@ def detection_probability(records: Iterable[RoundRecord]) -> DetectionStats:
                       _strata(np.array(equal, dtype=bool), mismatch).sum(axis=1))
 
 
-def _draw_widths(attack: Optional[AttackConfig]) -> tuple[int, ...]:
-    """How many bits of a round's decision word each of its decisions
-    reads, in ``run_round``'s order: one for a basis, two for a measurement.
-    Their sum is the width of the round's pattern."""
-    if attack is None:
-        eve = ()
-    else:
-        photons = 1 if attack.kind is AttackKind.SINGLE_INTERCEPT else 2
-        random = attack.strategy is EveBasisStrategy.RANDOM_PER_ROUND
-        eve = (1,) * (photons if random else 0) + (2,) * photons
-    return eve + (1, 1, 2, 2)
-
-
 @cache
 def _round_table(attack: Optional[AttackConfig]) -> np.ndarray:
     """Every round of ``attack``'s shape as one table of label codes.
 
     Column ``p`` is the round whose decision word starts with the bits of
-    ``p``: each decision's bits (see :func:`_draw_widths`) in order, the
-    first decision's the most significant. Its rows are Eve's
-    codes in measurement order, then Alice's and Bob's. The table is built
-    once per attack, by running every pattern through the closed set's
+    ``p``, as many bits as the round's decisions read (one for a basis, two
+    for a measurement). Its rows are Eve's codes in measurement order, then
+    Alice's and Bob's. The table is built once per attack: a
+    :class:`DecisionWord` over every pattern of :data:`DECISION_BITS` bits
+    hands each decision its bits in ``run_round``'s order, the closed set's
     measurement chain (``outcome_slots``, ``OUTCOME_LABEL`` and
-    ``OUTCOME_POST``) in ``run_round``'s order.
+    ``OUTCOME_POST``) runs on them, and of the patterns that agree in the
+    bits read, the first is kept.
     """
-    widths = _draw_widths(attack)
-    patterns = np.arange(1 << sum(widths), dtype=np.uint64)
-    shift = sum(widths)
-    draws = []
-    for width in widths:
-        shift -= width
-        draws.append((patterns >> shift & (1 << width) - 1) << 64 - width)
-    x = iter(draws)
+    word = DecisionWord(np.arange(1 << DECISION_BITS, dtype=np.uint64) << 64 - DECISION_BITS)
     state, codes = SHARED_ID, []
+
+    def bits(width):
+        return word.bits(width).astype(np.int8)
 
     def measure(photons, bases):
         nonlocal state
         for photon, basis in zip(photons, bases):
-            slots = outcome_slots(state, photon, basis, next(x))
+            slots = outcome_slots(state, photon, basis, bits(2))
             codes.append(OUTCOME_LABEL.take(slots) + 4 * basis)
             state = OUTCOME_POST.take(slots)
 
@@ -392,13 +377,14 @@ def _round_table(attack: Optional[AttackConfig]) -> np.ndarray:
         single = attack.kind is AttackKind.SINGLE_INTERCEPT
         photons = (Photon.TWO,) if single else (Photon.ONE, Photon.TWO)
         if attack.strategy is EveBasisStrategy.RANDOM_PER_ROUND:
-            bases = [(next(x) >> 63).astype(np.int8) for _ in photons]
+            bases = [bits(1) for _ in photons]
         else:
             # Fixed strategies read no bits, so there is no stream to pass.
             bases = [BASES.index(b) for b in attack.bases_for_round(None)]
         measure(photons, bases)
-    measure((Photon.ONE, Photon.TWO), [(next(x) >> 63).astype(np.int8) for _ in range(2)])
-    table = np.array(codes, dtype=np.int8)
+    measure((Photon.ONE, Photon.TWO), [bits(1) for _ in range(2)])
+    step = 1 << DECISION_BITS - word.bits_read
+    table = np.array([row[::step] for row in codes], dtype=np.int8)
     table.flags.writeable = False
     return table
 
@@ -475,10 +461,11 @@ def run_batch(config: SimConfig) -> BatchResult:
     bits consumed by verification show up separately in ``key_length``.
     """
     config.validate()
-    codes, counts = draw_codes(config.seed, config.rounds, config.efficiency,
-                               sum(_draw_widths(config.attack)), _BLOCK_ROUNDS)
-    rounds = _Rounds(codes, config.attack)
     tables = _patterns(config.attack)
+    # A pattern of b bits is one of the tables' 2**b columns.
+    codes, counts = draw_codes(config.seed, config.rounds, config.efficiency,
+                               len(tables.key_rows).bit_length() - 1, _BLOCK_ROUNDS)
+    rounds = _Rounds(codes, config.attack)
     # Every counter is a histogram of patterns dotted with a row of
     # tables.counters.
     coincident = counts[3::4]

@@ -19,8 +19,7 @@ basis, Bob's basis, Alice's measurement, Bob's measurement. The word's
 low 52 bits hold Alice's and Bob's detection fields, and each party's
 detection compares its field, above the top bits of the round's next draw
 (Alice's) or the one after it (Bob's), with the efficiency's threshold
-(:func:`hyperqkd.rng.detection_uniform`). Forced bases and a forced
-measurement order (testing aids) skip or reorder the corresponding bits.
+(:func:`hyperqkd.rng.detection_uniform`).
 """
 
 from __future__ import annotations
@@ -296,10 +295,6 @@ def run_round(
     attack: Optional["AttackConfig"],
     efficiency: float,
     rand: RandomSource,
-    *,
-    alice_basis: Optional[BasisType] = None,
-    bob_basis: Optional[BasisType] = None,
-    alice_measures_first: bool = True,
 ) -> RoundRecord:
     """Execute one protocol round.
 
@@ -307,10 +302,7 @@ def run_round(
     the round reads three draws of it, in the layout of the module
     docstring: its decision word, then Alice's and Bob's draws, which
     decide a detection only when the party's field ties with the threshold
-    but are read whatever the fields. ``alice_basis``/``bob_basis`` force
-    a party's basis instead of drawing it, and ``alice_measures_first``
-    flips the measurement order; these are testing aids and do not change
-    the joint statistics.
+    but are read whatever the fields.
     """
     if not valid_efficiency(efficiency):
         raise ConfigurationError(f"efficiency must be in (0, 1], got {efficiency}")
@@ -321,15 +313,10 @@ def run_round(
     if attack is not None:
         state, trace = attack.apply(state, round_id, word)
 
-    a_basis = alice_basis if alice_basis is not None else choose_basis(word)
-    b_basis = bob_basis if bob_basis is not None else choose_basis(word)
-
-    if alice_measures_first:
-        res_a = measure_party(state, Photon.ONE, a_basis, word)
-        res_b = measure_party(res_a.post_state, Photon.TWO, b_basis, word)
-    else:
-        res_b = measure_party(state, Photon.TWO, b_basis, word)
-        res_a = measure_party(res_b.post_state, Photon.ONE, a_basis, word)
+    a_basis = choose_basis(word)
+    b_basis = choose_basis(word)
+    res_a = measure_party(state, Photon.ONE, a_basis, word)
+    res_b = measure_party(res_a.post_state, Photon.TWO, b_basis, word)
 
     bound, _ = detection_threshold(efficiency)
     a_field, b_field = word.detection_fields()

@@ -124,6 +124,8 @@ class DecisionWord:
     they would read a :class:`RandomSource`'s draws, one draw each. Only
     the word's top :data:`DECISION_BITS` bits are handed out: the rest are
     the detection fields (:meth:`detection_fields`), which no decision reads.
+    The word may be an integer or a uint64 array of words, read alike, each
+    element's bits handed out as a uint64 array.
     """
 
     __slots__ = ("_word", "_left")
@@ -140,6 +142,11 @@ class DecisionWord:
                 f"{width} bits asked of a word with {self._left} decision bits left")
         self._left -= width
         return self._word >> (self._left + 2 * DETECTION_BITS) & ((1 << width) - 1)
+
+    @property
+    def bits_read(self) -> int:
+        """How many decision bits :meth:`bits` has handed out."""
+        return DECISION_BITS - self._left
 
     def detection_fields(self) -> tuple[int, int]:
         """Alice's and Bob's detection fields: bits 26-51 and bits 0-25."""

@@ -29,7 +29,7 @@ import pytest
 from hyperqkd import blocks, montecarlo
 from hyperqkd.rng import below_threshold
 
-from test_kernels import SHAPES, shape_id
+from test_kernels import PATTERN_BITS, SHAPES, shape_id
 
 P_FLOOR = 1e-6
 # Rounds per pattern: the rarest bin expects 4096 * (1 - 0.9)**2 > 40
@@ -61,7 +61,7 @@ def exact_law(bits, efficiency):
 def g_test(seed, attack, efficiency):
     """The G statistic's p-value for one seeded histogram, and the number
     of rounds it came from; a code of probability 0 must not occur."""
-    bits = sum(montecarlo._draw_widths(attack))
+    bits = PATTERN_BITS[attack]
     rounds = ROUNDS_PER_PATTERN << bits
     law = exact_law(bits, efficiency)
     _, counts = blocks.draw_codes(seed, rounds, efficiency, bits, montecarlo._BLOCK_ROUNDS)
@@ -117,8 +117,7 @@ def test_code_histogram_follows_the_exact_law(index, case):
 def test_a_biased_detection_bit_fails():
     # The histogram of efficiency 0.9 read against the law of 0.89: a
     # detection probability one point off is caught at these counts.
-    attack = SHAPES[0][0]
-    bits = sum(montecarlo._draw_widths(attack))
+    bits = PATTERN_BITS[SHAPES[0][0]]
     rounds = ROUNDS_PER_PATTERN << bits
     _, counts = blocks.draw_codes(1000, rounds * 8, 0.9, bits, montecarlo._BLOCK_ROUNDS)
     expected = np.array([float(q) for q in exact_law(bits, 0.89)]) * counts.sum()

@@ -36,6 +36,8 @@ from hyperqkd import (
 from hyperqkd import adversary, blocks, montecarlo, protocol
 from hyperqkd.rng import detection_threshold
 
+from test_kernels import PATTERN_BITS
+
 ATTACKS = [
     None,
     AttackConfig(AttackKind.SINGLE_INTERCEPT),
@@ -295,8 +297,7 @@ def test_a_tied_detection_is_decided_by_the_partys_draw(party, detected, round_i
     # efficiency gives a tie once in about 2**26 rounds per party.
     seed, rounds, attack = 5, 300, ATTACKS[4]
     efficiency = tied_efficiency(seed, round_id, party, detected)
-    codes, _ = blocks.draw_codes(seed, rounds, efficiency,
-                                 sum(montecarlo._draw_widths(attack)), 128)
+    codes, _ = blocks.draw_codes(seed, rounds, efficiency, PATTERN_BITS[attack], 128)
     records = tuple(run_round(i, attack, efficiency, RandomSource.for_round(seed, i))
                     for i in range(rounds))
     assert montecarlo._Rounds(codes, attack).records() == records

@@ -96,7 +96,7 @@ def test_round_table_law_equals_oracle(attack, support):
 
 # Alice's type-I measurement of photon 1 of the shared state with draw bits
 # 00, which every round without an attack makes: Phi+, leaving Phi+ Phi+.
-REACHED_SLOT = int(outcome_slots(SHARED_ID, Photon.ONE, 0, np.zeros(1, np.uint64))[0])
+REACHED_SLOT = int(outcome_slots(SHARED_ID, Photon.ONE, 0, 0))
 
 
 @pytest.mark.parametrize("name", ["OUTCOME_LABEL", "OUTCOME_POST"])

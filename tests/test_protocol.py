@@ -1,6 +1,8 @@
 """Tests for the round engine, sifting, encodings, keys, and verification."""
 
+import collections
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -12,29 +14,31 @@ from hyperqkd import (
     ConfigurationError,
     EveRecord,
     KeyBits,
+    Photon,
     RandomSource,
     RoundRecord,
     SiftGroups,
     VerificationReport,
     basis_labels,
     build_keys,
+    build_shared_state,
     choose_basis,
     encode_diff_basis,
     encode_same_basis,
+    measure_party,
     run_round,
     sift,
     verify_sample,
 )
+from hyperqkd.rng import DecisionWord
 
 import oracle
-
-# two-sample homogeneity threshold: chi-square, 63 dof, alpha = 0.001
-CHI2_63_CRIT = 103.44
+from test_kernels import GivenDraws
 
 
-def simulate(n, seed, attack=None, efficiency=1.0, **kwargs):
+def simulate(n, seed, attack=None, efficiency=1.0):
     return [
-        run_round(i, attack, efficiency, RandomSource.for_round(seed, i), **kwargs)
+        run_round(i, attack, efficiency, RandomSource.for_round(seed, i))
         for i in range(n)
     ]
 
@@ -71,41 +75,41 @@ class TestChooseBasis:
         assert rng_a.uniform() == rng_b.uniform()
 
 
+def chosen_rounds(alice_basis, bob_basis):
+    """Every round without an attack in which Alice and Bob chose these
+    bases, one per pair of their two-bit measurement draws, both detected.
+    Its decision word reads, from the top, Alice's basis bit, Bob's, and
+    each party's two measurement bits (type-I on a basis bit of 0)."""
+    a, b = (list(BasisType).index(basis) for basis in (alice_basis, bob_basis))
+    words = ((a << 5 | b << 4 | bits) << 58 for bits in range(16))
+    return [run_round(0, None, 1.0, GivenDraws([word, 0, 0])) for word in words]
+
+
 class TestRunRound:
-    def test_forced_same_bases_always_agree(self):
+    def test_chosen_words_give_the_chosen_bases(self):
+        for a_basis, b_basis in itertools.product(BasisType, repeat=2):
+            for rec in chosen_rounds(a_basis, b_basis):
+                assert (rec.alice_basis, rec.bob_basis) == (a_basis, b_basis)
+                assert rec.coincident
+
+    def test_same_bases_always_agree(self):
         for basis in BasisType:
-            for i in range(2000):
-                rec = run_round(
-                    i, None, 1.0, RandomSource.for_round(21, i),
-                    alice_basis=basis, bob_basis=basis,
-                )
+            for rec in chosen_rounds(basis, basis):
                 assert rec.alice_outcome is rec.bob_outcome
 
-    def test_forced_cross_bases_land_in_allowed_pairs(self):
+    def test_cross_bases_land_in_allowed_pairs(self):
+        # Each of the eight allowed pairs takes exactly 2 of the 16 draws.
         allowed = oracle.allowed_cross_pairs()
-        counts = {}
-        n = 20_000
-        for i in range(n):
-            rec = run_round(
-                i, None, 1.0, RandomSource.for_round(22, i),
-                alice_basis=BasisType.TYPE_I, bob_basis=BasisType.TYPE_II,
-            )
-            key = (rec.alice_outcome.value, rec.bob_outcome.value)
-            assert key in allowed
-            counts[key] = counts.get(key, 0) + 1
-        se = math.sqrt(0.125 * 0.875 / n)
-        for pair in allowed:
-            assert abs(counts[pair] / n - 0.125) <= 3 * se
+        counts = collections.Counter(
+            (rec.alice_outcome.value, rec.bob_outcome.value)
+            for rec in chosen_rounds(BasisType.TYPE_I, BasisType.TYPE_II)
+        )
+        assert set(counts) == set(allowed)
+        assert set(counts.values()) == {2}
 
     def test_phi_plus_pairs_with_omega_plus_or_chi_minus(self):
-        partners = set()
-        for i in range(3000):
-            rec = run_round(
-                i, None, 1.0, RandomSource.for_round(23, i),
-                alice_basis=BasisType.TYPE_I, bob_basis=BasisType.TYPE_II,
-            )
-            if rec.alice_outcome is BellLabel.PHI_PLUS:
-                partners.add(rec.bob_outcome)
+        partners = {rec.bob_outcome for rec in chosen_rounds(BasisType.TYPE_I, BasisType.TYPE_II)
+                    if rec.alice_outcome is BellLabel.PHI_PLUS}
         assert partners == {BellLabel.OMEGA_PLUS, BellLabel.CHI_MINUS}
 
     def test_detection_efficiency(self):
@@ -153,35 +157,29 @@ class TestRunRound:
 
     def test_mirrored_cross_bases_also_agree_on_bits(self):
         allowed = oracle.allowed_cross_pairs()
-        for i in range(5000):
-            rec = run_round(
-                i, None, 1.0, RandomSource.for_round(44, i),
-                alice_basis=BasisType.TYPE_II, bob_basis=BasisType.TYPE_I,
-            )
+        for rec in chosen_rounds(BasisType.TYPE_II, BasisType.TYPE_I):
             assert (rec.bob_outcome.value, rec.alice_outcome.value) in allowed
             assert encode_diff_basis(rec.alice_outcome) == encode_diff_basis(rec.bob_outcome)
 
     def test_measurement_order_does_not_change_statistics(self):
-        n = 50_000
-        first = {}
-        second = {}
-        for i in range(n):
-            rec = run_round(i, None, 1.0, RandomSource.for_round(29, i))
-            key = (rec.alice_basis, rec.bob_basis, rec.alice_outcome, rec.bob_outcome)
-            first[key] = first.get(key, 0) + 1
-            rec = run_round(
-                i, None, 1.0, RandomSource.for_round(30, i), alice_measures_first=False
-            )
-            key = (rec.alice_basis, rec.bob_basis, rec.alice_outcome, rec.bob_outcome)
-            second[key] = second.get(key, 0) + 1
-        # two-sample chi-square over all observed joint cells
-        stat = 0.0
-        for key in set(first) | set(second):
-            x, y = first.get(key, 0), second.get(key, 0)
-            expected_x = (x + y) / 2.0
-            stat += (x - expected_x) ** 2 / expected_x
-            stat += (y - expected_x) ** 2 / expected_x
-        assert stat <= CHI2_63_CRIT
+        # The exact joint law of both outcomes over all 16 pairs of two-bit
+        # draws, with Alice measuring first and with Bob measuring first.
+        def joint(first, second, first_basis, second_basis):
+            law = collections.Counter()
+            for bits in range(16):
+                word = DecisionWord(bits << 60)
+                one = measure_party(build_shared_state(), first, first_basis, word)
+                two = measure_party(one.post_state, second, second_basis, word)
+                law[(one.label, two.label) if first is Photon.ONE
+                    else (two.label, one.label)] += 1
+            return law
+
+        for a_basis, b_basis in itertools.product(BasisType, repeat=2):
+            alice_first = joint(Photon.ONE, Photon.TWO, a_basis, b_basis)
+            assert alice_first == joint(Photon.TWO, Photon.ONE, b_basis, a_basis)
+            # run_round measures Alice first.
+            assert alice_first == collections.Counter(
+                (rec.alice_outcome, rec.bob_outcome) for rec in chosen_rounds(a_basis, b_basis))
 
 
 class TestRoundRecord:

@@ -150,6 +150,26 @@ def test_decision_word_hands_out_its_bits_most_significant_first(word, widths):
     assert read == word >> (64 - used)
 
 
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(U64, min_size=1, max_size=8),
+       cuts=st.sets(st.integers(1, DECISION_BITS)))
+def test_decision_word_reads_an_array_as_its_elements(words, cuts):
+    # Cut points in 1 to 12 give every sequence of widths summing to at
+    # most 12.
+    cuts = sorted(cuts)
+    widths = [hi - lo for lo, hi in zip([0, *cuts], cuts)]
+    array = DecisionWord(np.array(words, dtype=np.uint64))
+    scalars = [DecisionWord(word) for word in words]
+    for width in widths:
+        got = array.bits(width)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [scalar.bits(width) for scalar in scalars]
+    assert array.bits_read == sum(widths) == scalars[0].bits_read
+    with pytest.raises(ValueError):
+        array.bits(DECISION_BITS - sum(widths) + 1)
+    assert array.bits_read == sum(widths)
+
+
 def test_decision_word_rejects_widths_it_cannot_give():
     decisions = DecisionWord(2**64 - 1)
     with pytest.raises(ValueError):
