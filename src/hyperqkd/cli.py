@@ -17,7 +17,8 @@ null. Every config rule lives in ``SimConfig.validate``; a violated rule
 is a usage error naming the flag.
 
 Exit status: 0 success, 1 at least one --check verdict is false, 2 usage
-error, 3 output could not be written.
+error, 3 output could not be written, 4 the batch did not fit in memory
+(no report is written).
 """
 
 from __future__ import annotations
@@ -307,10 +308,10 @@ def build_report(
     config: SimConfig,
     options: ReportOptions,
     checks: Optional[list[dict]],
-    stats: Optional[dict] = None,
+    stats: dict,
 ) -> dict:
-    """Assemble the report document (a JSON-ready dict). ``stats`` is
-    ``result.stats.to_dict()`` when the caller has built it already."""
+    """Assemble the report document (a JSON-ready dict); ``stats`` is
+    ``result.stats.to_dict()``."""
     alice, bob = result.alice_key, result.bob_key
     alice_sha256 = alice.sha256()
     # A batch whose keys agree gives both parties one key object; keys
@@ -322,7 +323,7 @@ def build_report(
     if not options.deterministic_output:
         doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     doc["config"] = _config_echo(config)
-    doc["stats"] = result.stats.to_dict() if stats is None else stats
+    doc["stats"] = stats
     doc["keys"] = {
         "length": len(alice),
         "alice_sha256": alice_sha256,
@@ -361,7 +362,7 @@ def emit_report(
     config: SimConfig,
     options: ReportOptions,
     checks: Optional[list[dict]],
-    stats: Optional[dict] = None,
+    stats: dict,
 ) -> str:
     """Render the report and write it to --out or stdout; returns the text.
     ``stats`` is as for :func:`build_report`."""
@@ -421,7 +422,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    result = run_batch(config)
+    try:
+        result = run_batch(config)
+    except MemoryError:
+        print(f"error: {config.rounds} rounds do not fit in memory", file=sys.stderr)
+        return 4
     # One stats dict serves the checks and the report.
     stats = result.stats.to_dict()
     checks = evaluate_checks(stats, config) if options.check else None

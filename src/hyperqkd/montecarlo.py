@@ -96,7 +96,7 @@ from .protocol import (  # noqa: F401
     valid_fraction,
     verify_sample,
 )
-from .rng import DECISION_BITS, DecisionWord, stream_uniforms
+from .rng import DECISION_BITS, DRAWS_PER_ROUND, DecisionWord, stream_uniforms
 
 #: Key bits per detected pair in the three-bases entangled-qubit baseline.
 EKERT_BITS_PER_PAIR = 2.0 / 9.0
@@ -135,6 +135,9 @@ class SimConfig:
         problems = {}
         if not _is_int(self.rounds) or self.rounds < 1:
             problems["rounds"] = f"must be an integer >= 1, got {self.rounds!r}"
+        elif DRAWS_PER_ROUND * self.rounds >= 2**64:
+            # Beyond this, two draws of the batch stream share a state (rng).
+            problems["rounds"] = f"must be below 2**64 / {DRAWS_PER_ROUND}, got {self.rounds!r}"
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             problems["seed"] = f"must be a 64-bit unsigned integer, got {self.seed!r}"
         if not valid_efficiency(self.efficiency):

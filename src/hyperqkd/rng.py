@@ -12,7 +12,8 @@ stream, seeded with ``mix64(master_seed)``: round ``i`` owns its outputs
 :meth:`RandomSource.for_round` starts, is ``mix64(master_seed) + 3i * GAMMA``
 and its draw ``j`` is ``mix64(mix64(master_seed) + (3i + j + 1) * GAMMA)``.
 GAMMA is odd, so the ``n * GAMMA`` differ for every ``n`` below 2**64 and no
-two draws of a batch of fewer than 2**64 / 3 rounds share a state.
+two draws of a batch of fewer than 2**64 / 3 rounds share a state; a
+``SimConfig`` of more rounds does not validate.
 :func:`round_draws` and :func:`stream_uniforms` use the counter to compute
 many draws at once with numpy, bit-identical to the scalar
 :class:`RandomSource` they share constants with (Salmon et al., "Parallel

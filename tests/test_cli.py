@@ -90,6 +90,9 @@ class TestParseConfig:
             (["--verify-fraction", "-0.1"], "--verify-fraction"),
             (["--seed", "18446744073709551616"], "--seed"),
             (["--rounds", "-1"], "--rounds"),
+            # No two draws of a batch share a state only below 2**64 / 3 rounds.
+            (["--rounds", str(2**64 // 3 + 1)], "--rounds"),
+            (["--rounds", str(2**64 - 1)], "--rounds"),
         ],
     )
     def test_out_of_range_names_flag(self, argv, flag, capsys):
@@ -133,7 +136,7 @@ class TestReportDocuments:
         config = SimConfig(rounds=3000, seed=5)
         result = run_batch(config)
         options = ReportOptions(deterministic_output=True)
-        doc = build_report(result, config, options, None)
+        doc = build_report(result, config, options, None, result.stats.to_dict())
         parsed = json.loads(render_json(doc))
         stats = result.stats.to_dict()
         for field, value in stats.items():
@@ -149,7 +152,7 @@ class TestReportDocuments:
 
         def keys(bob_key):
             return build_report(dataclasses.replace(result, bob_key=bob_key),
-                                config, options, None)["keys"]
+                                config, options, None, result.stats.to_dict())["keys"]
 
         def digest(key):
             return hashlib.sha256(key.as_string().encode()).hexdigest()
@@ -169,14 +172,14 @@ class TestReportDocuments:
     def test_timestamp_present_by_default(self):
         config = SimConfig(rounds=50, seed=5)
         result = run_batch(config)
-        doc = build_report(result, config, ReportOptions(), None)
+        doc = build_report(result, config, ReportOptions(), None, result.stats.to_dict())
         assert "generated_at" in doc
 
     def test_csv_shape_and_round_trip(self):
         config = SimConfig(rounds=3000, seed=6)
         result = run_batch(config)
         options = ReportOptions(format="csv", deterministic_output=True)
-        doc = build_report(result, config, options, None)
+        doc = build_report(result, config, options, None, result.stats.to_dict())
         text = render_csv(doc)
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) == 2
@@ -225,7 +228,8 @@ class TestReportDocuments:
         )
         result = run_batch(config)
         doc = build_report(
-            result, config, ReportOptions(format="csv", deterministic_output=True), None
+            result, config, ReportOptions(format="csv", deterministic_output=True), None,
+            result.stats.to_dict(),
         )
         rows = list(csv.reader(io.StringIO(render_csv(doc))))
         row = dict(zip(rows[0], rows[1]))
@@ -359,9 +363,14 @@ class TestCheckMode:
         report_grid = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(report_grid)
         assert report_grid.main([]) == 0
-        digests = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        digests = json.loads(printed)
         assert len(digests) == 576
         assert {name for name, case in digests.items() if case["exit"] != 0} == set()
+        # Every one of the 576 reports, pinned: a change that alters any of
+        # them on purpose updates this digest with the golden ones.
+        assert hashlib.sha256(printed.encode()).hexdigest() == (
+            "b96c48eaa4701daafb1f2412c2fdd9bd183dd1e69aa4bc1e91abc8d63ae88f81")
 
     def test_one_percent_bias_caught_at_1e6_rounds(self, capsys, monkeypatch):
         argv = ["--rounds", "1000000", "--seed", "5", "--check"]
@@ -409,6 +418,17 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cannot write" in capsys.readouterr().err
+
+    def test_batch_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        def no_memory(config):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_batch", no_memory)
+        out = tmp_path / "report.json"
+        assert main(["--rounds", "100", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: 100 rounds do not fit in memory\n"
+        assert captured.out == "" and not out.exists()
 
     def test_failed_write_keeps_earlier_report(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "report.json"

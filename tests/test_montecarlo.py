@@ -69,6 +69,13 @@ class TestSimConfig:
             SimConfig(rounds=1, seed=2**64).validate()
         SimConfig(rounds=1, seed=2**64 - 1).validate()
 
+    def test_rounds_range(self):
+        # Round i owns draws 3i + 1 to 3i + 3 of one stream of 2**64 states.
+        SimConfig(rounds=2**64 // 3).validate()
+        with pytest.raises(ConfigurationError, match="rounds must be below") as excinfo:
+            SimConfig(rounds=2**64 // 3 + 1).validate()
+        assert excinfo.value.fields == ("rounds",)
+
 
 class TestEkertRatio:
     def test_ideal_rate(self):
