@@ -90,7 +90,7 @@ class TestParseConfig:
             (["--verify-fraction", "-0.1"], "--verify-fraction"),
             (["--seed", "18446744073709551616"], "--seed"),
             (["--rounds", "-1"], "--rounds"),
-            # No two draws of a batch share a state only below 2**64 / 3 rounds.
+            # From 2**64 / 3 rounds on, two draws of a batch share a state.
             (["--rounds", str(2**64 // 3 + 1)], "--rounds"),
             (["--rounds", str(2**64 - 1)], "--rounds"),
         ],
@@ -136,9 +136,9 @@ class TestReportDocuments:
         config = SimConfig(rounds=3000, seed=5)
         result = run_batch(config)
         options = ReportOptions(deterministic_output=True)
-        doc = build_report(result, config, options, None, result.stats.to_dict())
-        parsed = json.loads(render_json(doc))
         stats = result.stats.to_dict()
+        doc = build_report(result, config, options, None, stats)
+        parsed = json.loads(render_json(doc))
         for field, value in stats.items():
             assert parsed["stats"][field] == value
         assert parsed["config"]["rounds"] == 3000
