@@ -38,8 +38,8 @@ same-basis rounds. A second pass over the codes, block by block, reads
 each round's coincidence and same-basis flag off its code, takes the
 picked rounds out of the key, and gathers the key rounds' flags and packed
 key rows, unpacked by :func:`hyperqkd.protocol.key_bits` into the keys.
-Each pass allocates its block buffers once per call, so beyond its results
-a batch works in memory of one block; the key rounds' ids, the one result
+Each pass works on one block at a time, so beyond its results a batch
+works in memory of one block; the key rounds' ids, the one result
 of 8 bytes per round, are read off their flags after both passes. The
 scalar ``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
 :func:`detection_probability` gather label codes from round records (what
@@ -220,11 +220,11 @@ _FIELD_NAMES = {
 
 
 # Rounds per block of the columnar engine. A larger block pays numpy's
-# per-call overhead less often, but its buffers are the batch's working
+# per-call overhead less often, but its temporaries are the batch's working
 # memory. In a sweep of run_batch at 10**5 rounds on 2 vCPUs, 16 384 took 4 %
-# less time than 8 192 and 5 % more than 32 768, whose buffers (1.25 MiB)
-# would double a 10**5-round call's transient memory; at 16 384 it is about
-# 0.2 MB beyond the result, under tracemalloc.
+# less time than 8 192 and 5 % more than 32 768, which would double a
+# 10**5-round call's transient memory; at 16 384 it is about 0.2 MB beyond
+# the result, under tracemalloc.
 _BLOCK_ROUNDS = 16_384
 
 @dataclass(frozen=True, eq=False)
@@ -484,8 +484,8 @@ def run_batch(config: SimConfig) -> BatchResult:
     in_key, key_same, alice_bits, bob_bits, checked = extract_keys(
         codes, picks, tables.key_rows, coincidences - k, key_len,
         bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
-    # The key ids, 8 bytes per key round, are made after the blocks' buffers
-    # are freed, and the flags they are read off are freed at once.
+    # The key ids, 8 bytes per key round, are made after the block loops,
+    # and the flags they are read off are freed at once.
     key_ids = np.flatnonzero(in_key)
     del in_key
     removed = tables.counters @ np.bincount(checked, minlength=len(coincident))

@@ -362,27 +362,14 @@ def key_rows(alice_codes: np.ndarray, bob_codes: np.ndarray, same: np.ndarray) -
             | _BIT_ROWS.take(2 * bob_codes + diff, axis=0) << 2)
 
 
-def key_bits(
-    rows: np.ndarray, out: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = None
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def key_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both parties' key bits, in key order, from the key rounds' packed
-    rows (:func:`key_rows`), as uint8 bytes in round order.
-
-    ``out``, if given, holds Alice's uint8 array and Bob's, each at least
-    as long as the key bits, which are written from its start; the parts
-    written are returned. Bob's may be None, and his bits are then not
-    unpacked.
-    """
+    rows (:func:`key_rows`), as uint8 bytes in round order."""
     packed = rows.ravel()
     # compress is several times faster than a boolean index on this
     # irregular mask (numpy 2.4).
     packed = np.compress(packed != (_FILLER | _FILLER << 2), packed)
-    if out is None:
-        return packed & 3, packed >> 2
-    alice, bob = out
-    n = len(packed)
-    return (np.bitwise_and(packed, 3, out=alice[:n]),
-            None if bob is None else np.right_shift(packed, 2, out=bob[:n]))
+    return packed & 3, packed >> 2
 
 
 def build_keys(

@@ -14,8 +14,8 @@ and its draw ``j`` is ``mix64(mix64(master_seed) + (3i + j + 1) * GAMMA)``.
 GAMMA is odd, so the ``n * GAMMA`` differ for every ``n`` below 2**64 and no
 two draws of a batch of fewer than 2**64 / 3 rounds share a state; a
 ``SimConfig`` of more rounds does not validate.
-:func:`round_draws` and :func:`stream_uniforms` use the counter to compute
-many draws at once with numpy, bit-identical to the scalar
+:func:`round_draw` and :func:`stream_uniforms` use the counter to compute
+any draw directly, many at once with numpy, bit-identical to the scalar
 :class:`RandomSource` they share constants with (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011).
 
@@ -41,16 +41,13 @@ exact for any ``p`` (Knuth and Yao 1976), and its probability is exactly
 
 At efficiency 1 the decision word is read only in its top bits, and the
 mix's last step ``z ^ (z >> 31)`` leaves the top 31 bits of ``z`` as they
-are. So the first ``top`` draws of :func:`round_draws` skip it and equal
-the scalar stream's draws in their top 31 bits only; every later draw is
-exact.
+are. So :func:`round_draw` may skip it for that draw, which then equals
+the scalar stream's draw in its top 31 bits only.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -183,54 +180,36 @@ def below_threshold(p: float) -> int:
     return math.ceil(float(p) * 2.0**53) << 11
 
 
-def _mix64_top_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`mix64` over a uint64 array without its last step, in place:
-    each result's top 31 bits are :func:`mix64`'s. ``tmp`` is scratch of
-    the same shape. Array arithmetic wraps modulo 2**64."""
-    z ^= np.right_shift(z, 30, out=tmp)
+def _mix64_array(z: np.ndarray, exact: bool = True) -> np.ndarray:
+    """:func:`mix64` over a uint64 array, in place. Unless ``exact``, the
+    mix's last step is skipped, which leaves each result's top 31 bits as
+    :func:`mix64`'s. Array arithmetic wraps modulo 2**64."""
+    z ^= z >> 30
     z *= np.uint64(_MIX1)
-    z ^= np.right_shift(z, 27, out=tmp)
+    z ^= z >> 27
     z *= np.uint64(_MIX2)
+    if exact:
+        z ^= z >> 31
     return z
 
 
-def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`mix64` over a uint64 array, in place; ``tmp`` is scratch of the
-    same shape."""
-    _mix64_top_inplace(z, tmp)
-    z ^= np.right_shift(z, 31, out=tmp)
-    return z
-
-
-def round_draws(
-    master_seed: int, round_ids: np.ndarray, count: int, top: int = 0,
-    buffers: Sequence[np.ndarray] | None = None,
-) -> Iterator[np.ndarray]:
-    """The first ``count`` raw draws of each round's stream, one array per draw.
-
-    The ``j``-th array yielded holds, at position ``k``, the ``j``-th
-    ``RandomSource.for_round(master_seed, round_ids[k]).next_u64()`` as
-    uint64; the first ``top`` arrays hold it in their top 31 bits only (see
-    the module docstring). ``round_ids`` is uint64. ``buffers`` holds three
-    uint64 arrays of ``len(round_ids)`` that the caller owns, for the round
-    states, the draws and scratch; without it they are allocated. Every draw
-    is computed in place into the same buffer, so an array is valid only
-    until the next one is asked for. A round has :data:`DRAWS_PER_ROUND`
-    draws: with a larger ``count`` the first draw asked for raises
-    ValueError, since the next draw is the next round's.
+def round_draw(
+    master_seed: int, round_ids: np.ndarray, j: int, exact: bool = True
+) -> np.ndarray:
+    """Draw ``j`` of each round's stream: at position ``k``, the ``j + 1``-th
+    ``RandomSource.for_round(master_seed, round_ids[k]).next_u64()``, as
+    uint64, or only in its top 31 bits unless ``exact`` (see the module
+    docstring). ``round_ids`` is uint64. A round has :data:`DRAWS_PER_ROUND`
+    draws, so a ``j`` outside 0 to 2 raises ValueError: that draw would be
+    another round's.
     """
-    if count > DRAWS_PER_ROUND:
-        raise ValueError(f"a round has {DRAWS_PER_ROUND} draws, not {count}")
-    if buffers is None:
-        buffers = np.empty((3, len(round_ids)), dtype=np.uint64)
-    states, out, tmp = buffers
+    if not 0 <= j < DRAWS_PER_ROUND:
+        raise ValueError(f"a round has draws 0 to {DRAWS_PER_ROUND - 1}, not {j}")
     # Array arithmetic wraps modulo 2**64; the constants are reduced as
     # Python ints, as numpy scalar arithmetic would warn on the wrap-around.
-    np.multiply(round_ids, np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64), out=states)
-    states += np.uint64(mix64(master_seed))
-    for j in range(count):
-        np.add(states, np.uint64((j + 1) * _GAMMA & _MASK64), out=out)
-        yield (_mix64_top_inplace if j < top else _mix64_inplace)(out, tmp)
+    z = round_ids * np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64)
+    z += np.uint64(mix64(master_seed) + (j + 1) * _GAMMA & _MASK64)
+    return _mix64_array(z, exact)
 
 
 def stream_uniforms(master_seed: int, stream_label: int, count: int) -> np.ndarray:
@@ -238,5 +217,5 @@ def stream_uniforms(master_seed: int, stream_label: int, count: int) -> np.ndarr
     state = np.uint64(mix64((master_seed & _MASK64) ^ mix64(stream_label)))
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     # The top 53 bits convert to float64 exactly, as in RandomSource.uniform.
-    draws = _mix64_inplace(state + steps, np.empty(count, dtype=np.uint64))
+    draws = _mix64_array(state + steps)
     return (draws >> 11).astype(np.float64) * _INV_2_53

@@ -217,7 +217,6 @@ def test_pattern_tables_equal_reference(attack, widths):
 def test_same_basis_bits_equal_the_table(attack, widths, dtype):
     # Every code: each pattern with each of the four detection states.
     codes = np.arange(4 << sum(widths), dtype=dtype)
-    got = blocks.same_basis(codes, np.empty(len(codes), dtype=bool),
-                            np.empty_like(codes))
+    got = blocks.same_basis(codes)
     same = montecarlo._patterns(attack).counters[montecarlo._SAME]
     assert got.tolist() == same[codes >> 2].astype(bool).tolist()

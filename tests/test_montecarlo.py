@@ -241,8 +241,8 @@ class TestRunBatch:
         assert (stats.eve_guess_accuracy * n).is_integer()
         assert stats.eve_guess_accuracy == float(Fraction(quarters, n)) == 43 / 47
 
-    def test_transient_memory_is_bounded_by_the_block_buffers(self):
-        # Beyond what its result holds, a batch works in buffers of one
+    def test_transient_memory_is_bounded_by_one_block(self):
+        # Beyond what its result holds, a batch works in temporaries of one
         # block and one byte per round of key flags: no index copy of the
         # codes and no whole-batch gather.
         config = SimConfig(rounds=100_000, seed=1, efficiency=0.9,

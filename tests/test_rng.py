@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from hyperqkd.protocol import run_round
 from hyperqkd.rng import (
     DECISION_BITS, DRAWS_PER_ROUND, DecisionWord, RandomSource, below_threshold,
-    detection_threshold, mix64, round_draws, stream_uniforms,
+    detection_threshold, mix64, round_draw, stream_uniforms,
 )
 
 from test_kernels import SHAPES, GivenDraws, shape_id
@@ -54,7 +54,7 @@ def test_round_i_owns_outputs_3i_plus_1_to_3i_plus_3_of_one_batch_stream(seed, r
     batch = RandomSource(mix64(seed))
     stream = [batch.next_u64() for _ in range(DRAWS_PER_ROUND * rounds)]
     ids = np.arange(rounds, dtype=np.uint64)
-    blocks = [d.copy() for d in round_draws(seed, ids, DRAWS_PER_ROUND)]
+    blocks = [round_draw(seed, ids, j) for j in range(DRAWS_PER_ROUND)]
     for i in range(rounds):
         rand = RandomSource.for_round(seed, i)
         want = stream[DRAWS_PER_ROUND * i:DRAWS_PER_ROUND * (i + 1)]
@@ -74,62 +74,25 @@ def test_run_round_reads_exactly_its_rounds_draws(attack, efficiency):
         assert rand.next_u64() == RandomSource.for_round(seed, i + 1).next_u64()
 
 
-def test_round_draws_reject_a_fourth_draw():
-    ids = np.arange(4, dtype=np.uint64)
+@pytest.mark.parametrize("j", [-1, DRAWS_PER_ROUND])
+def test_round_draw_rejects_another_rounds_draws(j):
     with pytest.raises(ValueError):
-        next(round_draws(1, ids, DRAWS_PER_ROUND + 1))
-    assert len(list(round_draws(1, ids, DRAWS_PER_ROUND))) == DRAWS_PER_ROUND
+        round_draw(1, np.arange(4, dtype=np.uint64), j)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    seed=U64,
-    round_ids=st.lists(U64, min_size=1, max_size=20),
-    count=st.integers(1, DRAWS_PER_ROUND),
-)
-def test_block_draws_equal_scalar_stream(seed, round_ids, count):
-    blocks = [d.copy() for d in round_draws(seed, np.array(round_ids, dtype=np.uint64), count)]
-    assert len(blocks) == count
-    for k, rid in enumerate(round_ids):
-        rand = RandomSource.for_round(seed, rid)
-        want = [rand.next_u64() for _ in range(count)]
-        assert [int(block[k]) for block in blocks] == want
-    assert all(block.dtype == np.uint64 for block in blocks)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=U64,
-    round_ids=st.lists(U64, min_size=1, max_size=20),
-    top_full=st.integers(0, DRAWS_PER_ROUND).flatmap(
-        lambda top: st.tuples(st.just(top), st.integers(0, DRAWS_PER_ROUND - top))),
-)
-def test_top_draws_equal_scalar_stream_in_their_top_31_bits(seed, round_ids, top_full):
-    # The engine's decision word skips the mix's last step; its detection
-    # draws, after it, do not.
-    top, full = top_full
+@given(seed=U64, round_ids=st.lists(U64, min_size=1, max_size=20), exact=st.booleans())
+def test_block_draws_equal_scalar_stream(seed, round_ids, exact):
+    # The engine's decision word at efficiency 1 skips the mix's last step,
+    # so it equals the scalar stream's in its top 31 bits only.
     ids = np.array(round_ids, dtype=np.uint64)
-    blocks = [d.copy() for d in round_draws(seed, ids, top + full, top=top)]
-    assert len(blocks) == top + full
+    blocks = [round_draw(seed, ids, j, exact) for j in range(DRAWS_PER_ROUND)]
+    assert all(block.dtype == np.uint64 for block in blocks)
+    drop = 0 if exact else 33
     for k, rid in enumerate(round_ids):
         rand = RandomSource.for_round(seed, rid)
-        want = [rand.next_u64() for _ in range(top + full)]
-        got = [int(block[k]) for block in blocks]
-        assert [x >> 33 for x in got[:top]] == [x >> 33 for x in want[:top]]
-        assert got[top:] == want[top:]
-
-
-def test_draws_fill_the_callers_buffers():
-    seed, ids = 2**64 - 1, np.array([0, 7, 2**64 - 1, 12], dtype=np.uint64)
-    want = [d.copy() for d in round_draws(seed, ids, 3, top=1)]
-    buffers = np.full((3, len(ids)), 0xDEAD, dtype=np.uint64)
-    # Twice over the same buffers: nothing is left over from the first use.
-    for _ in range(2):
-        got = []
-        for draw in round_draws(seed, ids, 3, top=1, buffers=buffers):
-            assert np.shares_memory(draw, buffers[1])
-            got.append(draw.copy())
-        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        want = [rand.next_u64() >> drop for _ in range(DRAWS_PER_ROUND)]
+        assert [int(block[k]) >> drop for block in blocks] == want
 
 
 @settings(max_examples=100, deadline=None)
