@@ -45,11 +45,14 @@ def draw_codes(
     compares the party's field of the word with the field the threshold
     ties with, and only a tied round computes the party's own draw; at
     efficiency 1 every detection succeeds and only the word's top bits are
-    computed.
+    computed. MemoryError if the codes cannot be one array.
     """
     detect = efficiency < 1.0
     bound, tie = detection_threshold(efficiency)
     tie = np.uint64(tie)
+    if 2 * rounds > np.iinfo(np.intp).max:
+        # numpy refuses an array this large with ValueError.
+        raise MemoryError(f"{rounds} codes do not fit in one array")
     codes = np.empty(rounds, dtype=np.uint16)
     counts = np.zeros(4 << bits, dtype=np.int64)
     for lo in range(0, rounds, block):

@@ -430,6 +430,16 @@ class TestExitCodes:
         assert captured.err == "error: 100 rounds do not fit in memory\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("rounds", [2**62, 2**64 // 3 - 1])
+    def test_batch_larger_than_any_array(self, rounds, tmp_path, capsys):
+        # Codes of 2 bytes per round exceed numpy's largest array, so the
+        # batch stops before it allocates anything.
+        out = tmp_path / "report.json"
+        assert main(["--rounds", str(rounds), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {rounds} rounds do not fit in memory\n"
+        assert captured.out == "" and not out.exists()
+
     def test_failed_write_keeps_earlier_report(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "report.json"
         out.write_text("earlier report\n")
