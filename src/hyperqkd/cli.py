@@ -314,11 +314,9 @@ def build_report(
     ``result.stats.to_dict()``."""
     alice, bob = result.alice_key, result.bob_key
     alice_sha256 = alice.sha256()
-    # A batch whose keys agree gives both parties one key object; keys
-    # whose digests agree are compared in full.
-    bob_sha256 = alice_sha256 if bob is alice else bob.sha256()
-    equal = bob is alice or (bob_sha256 == alice_sha256
-                             and bob.as_string() == alice.as_string())
+    # A batch whose keys agree gives both parties one key object.
+    equal = bob is alice or bob == alice
+    bob_sha256 = alice_sha256 if equal else bob.sha256()
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if not options.deterministic_output:
         doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
