@@ -162,7 +162,7 @@ def clustered_se(records, key, information):
     efficiency=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.05, 1.0)),
     attack=st.sampled_from(ATTACKS),
     verify_fraction=st.sampled_from([0.0, 0.1, 0.6]),
-    block=st.sampled_from([3, 64, montecarlo._BLOCK_ROUNDS]),
+    block=st.sampled_from([1, 3, 64, montecarlo._BLOCK_ROUNDS]),
 )
 @example(seed=7, rounds=50, efficiency=0.9, attack=ATTACKS[4], verify_fraction=0.1,
          block=8)
