@@ -48,6 +48,7 @@ the scalar stream's draw in its top 31 bits only.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
