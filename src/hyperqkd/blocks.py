@@ -10,11 +10,13 @@ the party's own draw (1 for Alice, 2 for Bob) is computed only for a round
 whose field ties with the threshold, about once in 2**26. Each round
 becomes one uint16 code (see
 :class:`hyperqkd.montecarlo._Rounds`), and each block's codes are counted
-into the batch's histogram of codes. :func:`extract_keys` then takes the
-verified rounds out of the key and gathers the key rounds' flags and packed
-key rows from one pattern table, block by block, the rows by the key
-rounds' patterns only; :func:`key_bits` unpacks each block's rows, which
-are copied into the keys.
+into the batch's histogram of codes. :func:`extract_keys` then gathers the
+coincident rounds' packed key rows from one pattern table, block by block,
+reads which are same-basis rounds off the rows, turns the verified rounds'
+rows into fillers, and :func:`key_bits` unpacks each block's rows into the
+keys: the key bits are all it writes per round. Which rounds the key holds
+is :func:`key_rounds`, computed from the codes and the picks only when a
+key's rounds are asked for.
 
 :func:`draw_codes` counts a block's codes as uint64 viewed as int64,
 numpy's index type, so its histogram converts no indices. Beyond what a
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .protocol import key_bits
+from .protocol import _FILLERS, key_bits
 from .rng import (
     _FIELD_MASK, DETECTION_BITS, detection_threshold, detection_uniform, round_draw,
 )
@@ -97,45 +99,56 @@ def same_basis(code: np.ndarray) -> np.ndarray:
 
 def extract_keys(
     codes: np.ndarray, picks: np.ndarray, key_rows: np.ndarray,
-    rounds: int, width: int, both: bool, block: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    width: int, both: bool, block: int,
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """The key of a batch, from blocks of ``block`` of its ``codes``:
-    whether each round is a key round (bool, one per round), the key rounds'
-    same-basis flags, Alice's key bits, Bob's (None unless ``both``) and the
-    patterns of the rounds verification checked.
+    Alice's key bits, Bob's (None unless ``both``) and the patterns of the
+    rounds verification checked.
 
     ``picks`` ranks the checked rounds among the coincident same-basis
     rounds, ascending; every other coincident round is a key round.
     ``key_rows`` holds each pattern's packed key row (two bytes held as one
-    uint16). The key has ``rounds`` rounds and ``width`` bits, so every
-    result is allocated once and filled a block at a time.
+    uint16). The key has ``width`` bits, so every result is allocated once
+    and filled a block at a time. Which rounds the key holds is
+    :func:`key_rounds`.
     """
-    in_key = np.empty(len(codes), dtype=bool)
-    same = np.empty(rounds, dtype=bool)
     alice = np.empty(width, dtype=np.uint8)
     bob = np.empty(width, dtype=np.uint8) if both else None
     checked = np.empty(len(picks), dtype=np.int64)
-    ranked = done = at = bit = 0
+    ranked = done = bit = 0
     for lo in range(0, len(codes), block):
-        c, key = codes[lo:lo + block], in_key[lo:lo + block]
-        # Coincident: both detection bits set.
-        np.equal(c & 3, 3, out=key)
-        sb = same_basis(c)
-        sb &= key
+        c = codes[lo:lo + block]
+        # The coincident rounds' codes: both detection bits set.
+        c = np.compress(c & 3 == 3, c)
+        rows = key_rows.take(c >> 2)
+        # A same-basis round's second slot holds bits, any other's fillers.
+        same = rows.view(np.uint8)[1::2] != _FILLERS
         # The picks that rank among this block's coincident same-basis rounds.
-        rank_end = ranked + int(np.count_nonzero(sb))
+        rank_end = ranked + int(np.count_nonzero(same))
         end = done + int(np.searchsorted(picks[done:], rank_end))
         if end > done:
-            hit = np.flatnonzero(sb)[picks[done:end] - ranked]
-            key[hit] = False
+            hit = np.flatnonzero(same)[picks[done:end] - ranked]
             checked[done:end] = c[hit] >> 2
+            # A row of fillers gives no key bit.
+            rows[hit] = _FILLERS << 8 | _FILLERS
         ranked, done = rank_end, end
-        local = np.flatnonzero(key)
-        stop = at + len(local)
-        same[at:stop] = sb[local]
-        a, b = key_bits(key_rows.take(c.take(local) >> 2).view(np.uint8))
+        a, b = key_bits(rows.view(np.uint8), both)
         alice[bit:bit + len(a)] = a
         if both:
             bob[bit:bit + len(b)] = b
-        at, bit = stop, bit + len(a)
-    return in_key, same, alice, bob, checked
+        bit += len(a)
+    return alice, bob, checked
+
+
+def key_rounds(codes: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key round's id (int64) and same-basis flag, in round order, of
+    the batch of ``codes`` and ``picks`` that :func:`extract_keys` takes:
+    the coincident rounds but the picked ones. Both arrays are read-only,
+    as :class:`hyperqkd.protocol.KeyBits` holds them."""
+    ids = np.flatnonzero(codes & 3 == 3)
+    same = same_basis(codes.take(ids))
+    dropped = np.flatnonzero(same)[picks]
+    rounds = np.delete(ids, dropped), np.delete(same, dropped)
+    for arr in rounds:
+        arr.flags.writeable = False
+    return rounds

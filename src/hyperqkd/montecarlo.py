@@ -34,21 +34,22 @@ summed block by block, or times that of the rounds verification consumed;
 the key's counters are their difference.
 :func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample``
 also calls) picks the verified rounds by their rank among the coincident
-same-basis rounds. A second pass over the codes, block by block, reads
-each round's coincidence and same-basis flag off its code, takes the
-picked rounds out of the key, and gathers the key rounds' flags and packed
-key rows, unpacked by :func:`hyperqkd.protocol.key_bits` into the keys.
-Each pass works on one block at a time, so beyond its results a batch
-works in memory of one block; the key rounds' ids, the one result
-of 8 bytes per round, are read off their flags after both passes. The
-scalar ``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
+same-basis rounds. A second pass over the codes, block by block, gathers
+the coincident rounds' packed key rows, reads the same-basis rounds off
+them, takes the picked rounds out of the key, and unpacks the rows with
+:func:`hyperqkd.protocol.key_bits` into the keys' bits, Bob's only when a
+key bit can differ. Each pass works on one block at a time, so beyond its
+results (the codes, the keys' bits and the picks) a batch works in memory
+of one block. The scalar ``build_keys``, ``eve_information``,
+``eve_guess_accuracy`` and
 :func:`detection_probability` gather label codes from round records (what
 Eve saw from each record's ``eve_trace``) and call the same kernels,
 summing the tallies over the records. Eve's guess accuracy is an
-integer count of quarters divided once by 4 * key length. Alice's key is
-built, as every :class:`KeyBits` is, from its bits and its rounds' ids and
-same-basis flags; Bob's holds the same rounds (:meth:`KeyBits.with_bits`),
-and is Alice's key itself when no key bit differs.
+integer count of quarters divided once by 4 * key length. Alice's key
+holds its bits, and derives its rounds' ids and same-basis flags from the
+codes and the picks (:func:`hyperqkd.blocks.key_rounds`) on first access;
+Bob's holds the same rounds (:meth:`KeyBits.with_bits`), derived once for
+both keys, and is Alice's key itself when no key bit differs.
 At a ``verify_fraction`` of 0 no round is compared and every coincidence
 stays in the key.
 Estimators report binomial standard errors, except Eve's information,
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -80,7 +81,7 @@ from .adversary import (  # noqa: F401
     eve_information,
     eve_tallies,
 )
-from .blocks import draw_codes, extract_keys
+from .blocks import draw_codes, extract_keys, key_rounds
 from .errors import ConfigurationError
 from .hilbert import BASES, LABELS, OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, Photon, outcome_slots
 from .protocol import (  # noqa: F401
@@ -481,13 +482,8 @@ def run_batch(config: SimConfig) -> BatchResult:
     # Each checked round is a same-basis round, of two bits. Bob's bits can
     # differ from Alice's only if some coincident round's can.
     key_len = coincidences + same_n - 2 * k
-    in_key, key_same, alice_bits, bob_bits, checked = extract_keys(
-        codes, picks, tables.key_rows, coincidences - k, key_len,
-        bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
-    # The key ids, 8 bytes per key round, are made after the block loops,
-    # and the flags they are read off are freed at once.
-    key_ids = np.flatnonzero(in_key)
-    del in_key
+    alice_bits, bob_bits, checked = extract_keys(
+        codes, picks, tables.key_rows, key_len, bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
     removed = tables.counters @ np.bincount(checked, minlength=len(coincident))
     keyed = (totals - removed).tolist()
     mismatches = int(totals[_SAME_MISMATCH])
@@ -543,7 +539,8 @@ def run_batch(config: SimConfig) -> BatchResult:
         eve_guess_accuracy=accuracy,
         detection=detection,
     )
-    alice_key = KeyBits(alice_bits, key_ids, key_same)
+    # Both keys derive their rounds from the codes and the picks, once.
+    alice_key = KeyBits._of_batch(alice_bits, key_len, partial(key_rounds, codes, picks))
     # With no bit error, Bob holds Alice's key.
     bob_key = alice_key.with_bits(bob_bits) if key_errors else alice_key
     return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)

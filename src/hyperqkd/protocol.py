@@ -27,7 +27,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -84,8 +85,10 @@ def encode_diff_basis(label: BellLabel) -> int:
 # A key-bit row holds a round's bits padded to two with _FILLER, which is
 # no bit value and fits in two bits. Row 2 * label code + (0 for a
 # same-basis round, 1 otherwise) of _BIT_ROWS is the label's two-bit code,
-# or its one bit and the filler.
+# or its one bit and the filler. _FILLERS is a packed slot of key_rows that
+# holds the filler for both parties, as every other round's second slot does.
 _FILLER = 2
+_FILLERS = _FILLER | _FILLER << 2
 _BIT_ROWS = np.array(
     [row for lab in LABELS
      for row in (encode_same_basis(lab), (encode_diff_basis(lab), _FILLER))],
@@ -168,14 +171,16 @@ def _as_1d(name: str, values, dtype) -> np.ndarray:
 
 
 class KeyBits:
-    """A party's key material, held as its rounds.
+    """A party's key material, held as its bits and its rounds.
 
     Immutable. Built from the bits and, for each key round in key order,
     its round id and whether it was a same-basis round, which gave two
     consecutive bits (any other round gave one). The three are held as
     read-only uint8, int64 and bool arrays; an array that already has its
     dtype is not copied. The per-bit provenance ``(round_id, group tag)``
-    and the ``bits`` tuple are built from them on first access.
+    and the ``bits`` tuple are built from them on first access. A batch's
+    keys are built from their bits alone and derive their rounds from the
+    batch on first access (:meth:`_of_batch`).
 
     Raises ValueError unless each is one-dimensional with values its dtype
     holds exactly, there is one flag per round id, the round ids are
@@ -184,7 +189,7 @@ class KeyBits:
     other party's key of the same rounds.
     """
 
-    __slots__ = ("_bits", "_round_ids", "_same", "_bits_tuple", "_provenance")
+    __slots__ = ("_bits", "_rounds", "_bits_tuple", "_provenance")
 
     def __init__(
         self,
@@ -198,18 +203,30 @@ class KeyBits:
             raise ValueError("round_ids and same must have equal lengths")
         if np.any(round_ids[1:] <= round_ids[:-1]):
             raise ValueError("round_ids must be strictly increasing")
+        round_ids.flags.writeable = same.flags.writeable = False
+        rounds = round_ids, same
         # A same-basis round gave two bits, any other round one.
-        self._set(bits, round_ids, same, len(same) + int(np.count_nonzero(same)))
+        self._set(bits, lambda: rounds, len(same) + int(np.count_nonzero(same)))
 
-    def _set(self, bits, round_ids: np.ndarray, same: np.ndarray, width: int) -> None:
+    @classmethod
+    def _of_batch(cls, bits: np.ndarray, width: int, rounds: Callable) -> "KeyBits":
+        """The key of a batch that holds ``bits``, ``width`` of them, checked
+        as the constructor checks bits. ``rounds()`` gives the key rounds'
+        ids and same-basis flags as read-only arrays; it is called once, on
+        the first access of this key or of a key :meth:`with_bits` made
+        from it."""
+        key = cls.__new__(cls)
+        key._set(bits, cache(rounds), width)
+        return key
+
+    def _set(self, bits, rounds: Callable, width: int) -> None:
         bits = _as_1d("bits", bits, np.uint8)
         if bits.max(initial=0) > 1:
             raise ValueError("key bits must be 0 or 1")
         if len(bits) != width:
             raise ValueError(f"the key rounds give {width} bits, not {len(bits)}")
-        for arr in (bits, round_ids, same):
-            arr.flags.writeable = False
-        self._bits, self._round_ids, self._same = bits, round_ids, same
+        bits.flags.writeable = False
+        self._bits, self._rounds = bits, rounds
         self._bits_tuple = self._provenance = None
 
     def with_bits(self, bits: Sequence[int] | np.ndarray) -> "KeyBits":
@@ -217,13 +234,13 @@ class KeyBits:
         are checked, as the constructor checks them: the rounds were checked
         when this key was built, and the two keys share their arrays."""
         key = KeyBits.__new__(KeyBits)
-        key._set(bits, self._round_ids, self._same, len(self._bits))
+        key._set(bits, self._rounds, len(self._bits))
         return key
 
     @property
     def rounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Each key round's id and same-basis flag, in key order (read-only)."""
-        return self._round_ids, self._same
+        return self._rounds()
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -234,9 +251,10 @@ class KeyBits:
     @property
     def provenance(self) -> tuple[tuple[int, str], ...]:
         if self._provenance is None:
+            round_ids, flags = self.rounds
             self._provenance = tuple(
                 (rid, tag)
-                for rid, same in zip(self._round_ids.tolist(), self._same.tolist())
+                for rid, same in zip(round_ids.tolist(), flags.tolist())
                 for tag in ((SAME, SAME) if same else (DIFF,))
             )
         return self._provenance
@@ -247,10 +265,12 @@ class KeyBits:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KeyBits):
             return NotImplemented
-        return all(map(np.array_equal, (self._bits, *self.rounds), (other._bits, *other.rounds)))
+        # The bits first: a batch's key derives its rounds only if they agree.
+        return (np.array_equal(self._bits, other._bits)
+                and all(map(np.array_equal, self.rounds, other.rounds)))
 
     def __hash__(self) -> int:
-        return hash(tuple(a.tobytes() for a in (self._bits, *self.rounds)))
+        return hash((self._bits.tobytes(), *(a.tobytes() for a in self.rounds)))
 
     def __repr__(self) -> str:
         return f"KeyBits({self.as_string()!r})"
@@ -362,14 +382,15 @@ def key_rows(alice_codes: np.ndarray, bob_codes: np.ndarray, same: np.ndarray) -
             | _BIT_ROWS.take(2 * bob_codes + diff, axis=0) << 2)
 
 
-def key_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def key_bits(rows: np.ndarray, both: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Both parties' key bits, in key order, from the key rounds' packed
-    rows (:func:`key_rows`), as uint8 bytes in round order."""
+    rows (:func:`key_rows`), as uint8 bytes in round order; Bob's are None
+    unless ``both``. A slot that holds the fillers gives no bit."""
     packed = rows.ravel()
     # compress is several times faster than a boolean index on this
     # irregular mask (numpy 2.4).
-    packed = np.compress(packed != (_FILLER | _FILLER << 2), packed)
-    return packed & 3, packed >> 2
+    packed = np.compress(packed != _FILLERS, packed)
+    return packed & 3, packed >> 2 if both else None
 
 
 def build_keys(
@@ -391,7 +412,7 @@ def build_keys(
                       for rec in ordered], dtype=np.int8).reshape(-1, 2)
     round_ids = np.array([rec.round_id for rec in ordered], dtype=np.int64)
     same = np.array([rec.alice_basis is rec.bob_basis for rec in ordered], dtype=bool)
-    alice_bits, bob_bits = key_bits(key_rows(codes[:, 0], codes[:, 1], same))
+    alice_bits, bob_bits = key_bits(key_rows(codes[:, 0], codes[:, 1], same), True)
     alice = KeyBits(alice_bits, round_ids, same)
     return alice, alice.with_bits(bob_bits)
 

@@ -190,7 +190,7 @@ def test_pattern_tables_equal_reference(attack, widths):
         if not rec.coincident:
             assert groups.discarded == (rec,) and not len(alice)
             continue
-        got = key_bits(tables.key_rows[p:p + 1].view(np.uint8))
+        got = key_bits(tables.key_rows[p:p + 1].view(np.uint8), True)
         assert [b.tolist() for b in got] == [list(alice.bits), list(bob.bits)]
         # The counters the round adds to, each from the per-record reference.
         mismatch = rec.alice_outcome is not rec.bob_outcome

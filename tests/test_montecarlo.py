@@ -243,8 +243,8 @@ class TestRunBatch:
 
     def test_transient_memory_is_bounded_by_one_block(self):
         # Beyond what its result holds, a batch works in temporaries of one
-        # block and one byte per round of key flags: no index copy of the
-        # codes and no whole-batch gather.
+        # block and the verification picks': no per-round flags, no index
+        # copy of the codes and no whole-batch gather.
         config = SimConfig(rounds=100_000, seed=1, efficiency=0.9,
                            attack=AttackConfig(AttackKind.SINGLE_INTERCEPT))
         run_batch(config)  # builds the attack shape's cached tables
@@ -257,6 +257,26 @@ class TestRunBatch:
             tracemalloc.stop()
         assert result.stats.key_length > 100_000
         assert peak - held <= 750_000
+
+    def test_result_holds_at_most_six_bytes_per_round(self):
+        # A batch keeps its codes (2 bytes per round), at most 1.5 bytes per
+        # round for each key's bits, and the picks; a key's rounds are
+        # derived only when asked for.
+        rounds = 200_000
+        for config in (SimConfig(rounds=rounds, seed=1, efficiency=0.9,
+                                 attack=AttackConfig(AttackKind.DOUBLE_INTERCEPT)),
+                       SimConfig(rounds=rounds, seed=1)):
+            run_batch(config)  # builds the attack shape's cached tables
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = run_batch(config)
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert result.stats.key_length > rounds
+            assert held <= 6 * rounds, config
 
     def test_keys_without_errors_are_one_object(self):
         clean = run_batch(SimConfig(rounds=3000, seed=3, efficiency=0.9))
