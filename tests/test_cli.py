@@ -491,6 +491,20 @@ class TestExitCodes:
         os.umask(umask)
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
+    def test_out_through_a_symlink_replaces_its_target(self, tmp_path):
+        # The temporary file goes beside the target, and the link stays.
+        target = tmp_path / "reports" / "report.json"
+        target.parent.mkdir()
+        target.write_text("earlier report\n")
+        link = tmp_path / "latest.json"
+        link.symlink_to(target)
+        code = main(["--rounds", "100", "--out", str(link), "--deterministic-output"])
+        assert code == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert json.loads(target.read_text())["stats"]["rounds"] == 100
+        assert sorted(p.name for p in tmp_path.iterdir()) == [link.name, "reports"]
+        assert [p.name for p in target.parent.iterdir()] == [target.name]
+
     def test_fifo_written_in_place(self, tmp_path):
         import os
         import stat
