@@ -540,7 +540,7 @@ def run_batch(config: SimConfig) -> BatchResult:
         detection=detection,
     )
     # Both keys derive their rounds from the codes and the picks, once.
-    alice_key = KeyBits._of_batch(alice_bits, key_len, partial(key_rounds, codes, picks))
+    alice_key = KeyBits._of_batch(alice_bits, key_len, cache(partial(key_rounds, codes, picks)))
     # With no bit error, Bob holds Alice's key.
     bob_key = alice_key.with_bits(bob_bits) if key_errors else alice_key
     return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)

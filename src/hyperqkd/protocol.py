@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -209,14 +208,15 @@ class KeyBits:
         self._set(bits, lambda: rounds, len(same) + int(np.count_nonzero(same)))
 
     @classmethod
-    def _of_batch(cls, bits: np.ndarray, width: int, rounds: Callable) -> "KeyBits":
-        """The key of a batch that holds ``bits``, ``width`` of them, checked
-        as the constructor checks bits. ``rounds()`` gives the key rounds'
-        ids and same-basis flags as read-only arrays; it is called once, on
-        the first access of this key or of a key :meth:`with_bits` made
-        from it."""
+    def _of_batch(cls, bits: Sequence[int] | np.ndarray, width: int,
+                  rounds: Callable) -> "KeyBits":
+        """The key that holds ``bits``, ``width`` of them, checked as the
+        constructor checks bits, of the rounds that ``rounds()`` gives: the
+        key rounds' ids and same-basis flags as read-only arrays, the same
+        two at every call. It is called when the rounds are first read, so
+        a batch passes a cached derivation that its two keys share."""
         key = cls.__new__(cls)
-        key._set(bits, cache(rounds), width)
+        key._set(bits, rounds, width)
         return key
 
     def _set(self, bits, rounds: Callable, width: int) -> None:
@@ -233,9 +233,7 @@ class KeyBits:
         """The key of this key's rounds that holds ``bits``. Only the bits
         are checked, as the constructor checks them: the rounds were checked
         when this key was built, and the two keys share their arrays."""
-        key = KeyBits.__new__(KeyBits)
-        key._set(bits, self._rounds, len(self._bits))
-        return key
+        return self._of_batch(bits, len(self._bits), self._rounds)
 
     @property
     def rounds(self) -> tuple[np.ndarray, np.ndarray]:
