@@ -41,8 +41,8 @@ them, takes the picked rounds out of the key, and unpacks the rows with
 key bit can differ. Each pass works on one block at a time, so beyond its
 results (the codes, the keys' bits and the picks) a batch works in memory
 of one block. The scalar ``build_keys``, ``eve_information``,
-``eve_guess_accuracy`` and
-:func:`detection_probability` gather label codes from round records (what
+``eve_guess_accuracy`` and :func:`detection_probability` gather label
+codes from round records (what
 Eve saw from each record's ``eve_trace``) and call the same kernels,
 summing the tallies over the records. Eve's guess accuracy is an
 integer count of quarters divided once by 4 * key length. Alice's key
