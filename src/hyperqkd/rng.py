@@ -17,7 +17,13 @@ two draws of a batch of fewer than 2**64 / 3 rounds share a state; a
 :func:`round_draw` and :func:`stream_uniforms` use the counter to compute
 any draw directly, many at once with numpy, bit-identical to the scalar
 :class:`RandomSource` they share constants with (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011).
+random numbers: as easy as 1, 2, 3", SC 2011). A batch's blocks of
+consecutive rounds take their decision words from :func:`decision_words`:
+a table of the rounds' offsets ``arange(block) * 3 * GAMMA``, which
+:func:`round_offsets` makes once per batch, plus one scalar per block,
+``lo * 3 * GAMMA + mix64(master_seed) + GAMMA`` modulo 2**64, then the mix.
+So a block costs one addition before the mix, and a batch can draw its
+rounds again, in any block, as cheaply as the first time.
 
 A protocol round reads its three draws. Draw 0 is its decision word: every
 fair decision of the round (a basis is one bit, a measurement outcome two)
@@ -211,6 +217,26 @@ def round_draw(
     z = round_ids * np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64)
     z += np.uint64(mix64(master_seed) + (j + 1) * _GAMMA & _MASK64)
     return _mix64_array(z, exact)
+
+
+def round_offsets(count: int) -> np.ndarray:
+    """How far each of ``count`` consecutive rounds' states lie past the
+    first's in the batch stream: ``arange(count) * 3 * GAMMA`` as uint64,
+    modulo 2**64. A batch computes the table once, and
+    :func:`decision_words` adds one scalar to it per block."""
+    return np.arange(count, dtype=np.uint64) * np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64)
+
+
+def decision_words(
+    master_seed: int, offsets: np.ndarray, lo: int, exact: bool = True
+) -> np.ndarray:
+    """The decision words of rounds ``lo`` to ``lo + len(offsets) - 1``
+    from their :func:`round_offsets`: ``round_draw(master_seed,
+    np.arange(lo, lo + len(offsets), dtype=np.uint64), 0, exact)``,
+    bit for bit, as a new uint64 array. Round ``lo + i``'s state is
+    ``offsets[i]`` plus round ``lo``'s, one scalar for the whole block."""
+    first = mix64(master_seed) + _GAMMA + lo * DRAWS_PER_ROUND * _GAMMA
+    return _mix64_array(offsets + np.uint64(first & _MASK64), exact)
 
 
 def stream_uniforms(master_seed: int, stream_label: int, count: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from hyperqkd.protocol import run_round
 from hyperqkd.rng import (
     DECISION_BITS, DRAWS_PER_ROUND, DecisionWord, RandomSource, below_threshold,
-    detection_threshold, mix64, round_draw, stream_uniforms,
+    decision_words, detection_threshold, mix64, round_draw, round_offsets, stream_uniforms,
 )
 
 from test_kernels import SHAPES, GivenDraws, shape_id
@@ -93,6 +93,23 @@ def test_block_draws_equal_scalar_stream(seed, round_ids, exact):
         rand = RandomSource.for_round(seed, rid)
         want = [rand.next_u64() >> drop for _ in range(DRAWS_PER_ROUND)]
         assert [int(block[k]) >> drop for block in blocks] == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=U64, exact=st.booleans())
+def test_block_decision_words_equal_round_draw(seed, exact):
+    # A batch's blocks of 1, 3 and 128 rounds, 301 rounds in all, so that
+    # the last block of 3 and of 128 is partial; and two blocks just below
+    # the largest batch, where lo * 3 * GAMMA wraps modulo 2**64.
+    for first, rounds in ((0, 301), (2**64 // 3 - 200, 200)):
+        for block in (1, 3, 128):
+            offsets = round_offsets(min(block, rounds))
+            assert offsets.dtype == np.uint64
+            for lo in range(first, first + rounds, block):
+                got = decision_words(seed, offsets[:first + rounds - lo], lo, exact)
+                ids = np.arange(lo, min(lo + block, first + rounds), dtype=np.uint64)
+                assert got.dtype == np.uint64
+                assert got.tolist() == round_draw(seed, ids, 0, exact).tolist()
 
 
 @settings(max_examples=100, deadline=None)
