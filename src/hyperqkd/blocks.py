@@ -1,109 +1,174 @@
 """The batch engine's block loops, in plain numpy on one block at a time.
 
-:func:`draw_codes` computes a batch's rounds block by block, each round's
-raw 64-bit draws in the stream layout of :mod:`hyperqkd.rng`, and reads
-every decision off them as an integer: all of the round's bases and
-measurement outcomes, its pattern, off the top bits of its decision word
-(draw 0) with one shift, and each detection off a comparison of the
-party's field of the word's low 52 bits with the efficiency's threshold;
-the party's own draw (1 for Alice, 2 for Bob) is computed only for a round
-whose field ties with the threshold, about once in 2**26. Each round
-becomes one uint16 code (see
-:class:`hyperqkd.montecarlo._Rounds`), and each block's codes are counted
-into the batch's histogram of codes. :func:`extract_keys` then gathers the
-coincident rounds' packed key rows from one pattern table, block by block,
-reads which are same-basis rounds off the rows, turns the verified rounds'
-rows into fillers, and :func:`key_bits` unpacks each block's rows into the
-keys: the key bits are all it writes per round. Which rounds the key holds
-is :func:`key_rounds`, computed from the codes and the picks only when a
-key's rounds are asked for.
+:func:`draw_blocks` is the one loop that draws a batch's rounds. Block by
+block, it computes each round's decision word (draw 0 in the stream layout
+of :mod:`hyperqkd.rng`: a per-batch table of offsets plus one scalar per
+block, then the mix) and reads every decision off it as an integer: all of
+the round's bases and measurement outcomes, its pattern, off the word's top
+bits with one shift, and each detection off a comparison of the party's
+field of the word's low 52 bits with the field the efficiency's threshold
+ties with. The party's own draw (1 for Alice, 2 for Bob) is computed only
+for a round whose field ties, about once in 2**26. At efficiency 1 every
+detection succeeds and only the word's top bits are computed.
 
-:func:`draw_codes` counts a block's codes as uint64 viewed as int64,
-numpy's index type, so its histogram converts no indices. Beyond what a
-call returns, its memory is temporaries of one block, whatever the number
-of rounds.
+Everything else here reads those blocks, or what they gave:
+
+* :func:`coincident_patterns` keeps the coincident rounds' patterns, as
+  uint16, and their histogram: all that the batch's counters and keys need
+  of its rounds.
+* :func:`extract_keys` gathers those patterns' packed key rows from one
+  pattern table, block by block, reads which are same-basis rounds off the
+  rows, turns the verified rounds' rows into fillers, and :func:`key_bits`
+  unpacks each block's rows into the keys: the key bits are all it writes
+  per round.
+* :func:`key_rounds` derives which rounds the key holds, drawing the
+  rounds again, only when a key's rounds are asked for.
+* :func:`draw_codes` gives every round's code, from which the records are
+  built.
+
+Each histogram counts uint64 patterns viewed as int64, numpy's index type,
+so no index array is converted. Beyond what a call returns, its memory is
+temporaries of one block, whatever the number of rounds.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .protocol import _FILLERS, key_bits
 from .rng import (
-    _FIELD_MASK, DETECTION_BITS, detection_threshold, detection_uniform, round_draw,
+    _FIELD_MASK, DETECTION_BITS, decision_words, detection_threshold, detection_uniform,
+    round_draw, round_offsets,
 )
+
+
+# The mask of a packed key row's second slot, and that slot holding the
+# fillers, each as the uint16 whose second byte it is.
+_SLOT2 = np.array([0, 0xFF], dtype=np.uint8).view(np.uint16)[0]
+_SLOT2_FILLERS = np.array([0, _FILLERS], dtype=np.uint8).view(np.uint16)[0]
+
+
+def draw_blocks(
+    seed: int, rounds: int, efficiency: float, bits: int, block: int
+) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
+    """Each block of ``block`` rounds of a batch, in round order, as
+    ``(lo, pattern, alice, bob)``: the id of the block's first round, each
+    round's pattern, the top ``bits`` bits of its decision word (uint64),
+    and Alice's and Bob's detections (bool), or two Nones at efficiency 1,
+    where every detection succeeds.
+
+    Below efficiency 1 a party is detected when its field of the word is
+    below the field the threshold ties with, and only a tied round computes
+    the party's own draw, which decides it.
+    """
+    offsets = round_offsets(min(block, rounds))
+    for lo in range(0, rounds, block):
+        # A block's arrays are held by _draw_block and the caller only, so
+        # none is kept while the next block is drawn.
+        yield lo, *_draw_block(seed, offsets[:rounds - lo], lo, efficiency, bits)
+
+
+def _draw_block(
+    seed: int, offsets: np.ndarray, lo: int, efficiency: float, bits: int
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """One block of :func:`draw_blocks`: the rounds from ``lo`` on, one
+    per entry of their :func:`hyperqkd.rng.round_offsets`."""
+    detect = efficiency < 1.0
+    word = decision_words(seed, offsets, lo, exact=detect)
+    detections = [None, None]
+    if detect:
+        bound, tie = detection_threshold(efficiency)
+        field = np.empty_like(word)
+        for j, shift in ((1, DETECTION_BITS), (2, 0)):
+            # The field is compared where it lies in the word, with the bits
+            # below it masked off, which saves a shift.
+            np.bitwise_and(word, np.uint64(_FIELD_MASK << shift), out=field)
+            at = np.uint64(tie << shift)
+            detected = field < at
+            tied = field == at
+            if tied.any():
+                ids = np.flatnonzero(tied)
+                draw = round_draw(seed, ids.astype(np.uint64) + np.uint64(lo), j)
+                detected[ids] = detection_uniform(tie, draw) < bound
+            detections[j - 1] = detected
+    return np.right_shift(word, 64 - bits, out=word), *detections
+
+
+def coincident_patterns(
+    seed: int, rounds: int, efficiency: float, bits: int, block: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coincident rounds' patterns (uint16), in round order, and their
+    histogram (int64, one bin per pattern), from :func:`draw_blocks`' blocks
+    of the same arguments. Below efficiency 1 each block's patterns are
+    compressed once, on both detections; at efficiency 1 every round is
+    coincident. MemoryError if the patterns might not fit in one array.
+    """
+    if 2 * rounds > np.iinfo(np.intp).max:
+        # numpy refuses an array this large with ValueError.
+        raise MemoryError(f"{rounds} patterns do not fit in one array")
+    patterns = np.empty(rounds, dtype=np.uint16)
+    counts = np.zeros(1 << bits, dtype=np.int64)
+    kept = 0
+    for _, pattern, alice, bob in draw_blocks(seed, rounds, efficiency, bits, block):
+        if alice is not None:
+            pattern = np.compress(np.logical_and(alice, bob, out=alice), pattern)
+        patterns[kept:kept + len(pattern)] = pattern
+        counts += np.bincount(pattern.view(np.int64), minlength=1 << bits)
+        kept += len(pattern)
+    return patterns[:kept], counts
 
 
 def draw_codes(
     seed: int, rounds: int, efficiency: float, bits: int, block: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every round's code (uint16), in round order, and the histogram of the
-    codes (int64, one bin per code), from blocks of ``block`` rounds.
-
-    A round's pattern is the top ``bits`` bits of its decision word; it goes
-    above the round's two detection bits. Below efficiency 1 each detection
-    compares the party's field of the word with the field the threshold
-    ties with, and only a tied round computes the party's own draw; at
-    efficiency 1 every detection succeeds and only the word's top bits are
-    computed. MemoryError if the codes cannot be one array.
+    codes (int64, one bin per code), from :func:`draw_blocks`' blocks of the
+    same arguments. A code is the round's pattern above Alice's detection
+    bit and Bob's (see :class:`hyperqkd.montecarlo._Rounds`).
     """
-    detect = efficiency < 1.0
-    bound, tie = detection_threshold(efficiency)
-    tie = np.uint64(tie)
-    if 2 * rounds > np.iinfo(np.intp).max:
-        # numpy refuses an array this large with ValueError.
-        raise MemoryError(f"{rounds} codes do not fit in one array")
     codes = np.empty(rounds, dtype=np.uint16)
-    counts = np.zeros(4 << bits, dtype=np.int64)
-    for lo in range(0, rounds, block):
-        ids = np.arange(lo, min(lo + block, rounds), dtype=np.uint64)
-        word = round_draw(seed, ids, 0, exact=detect)
-        if detect:
-            c = word >> (64 - bits)
-            # In place, which took 5 % off draw_codes at efficiency 0.9: the
-            # word is not read after its pattern and Alice's field, nor a
-            # field after its ties.
-            alice = word >> DETECTION_BITS
-            alice &= _FIELD_MASK
-            bob = np.bitwise_and(word, _FIELD_MASK, out=word)
-            for j, field in enumerate((alice, bob), 1):
-                c <<= 1
-                tied = field == tie
-                if tied.any():
-                    # The party's own draw decides a tie.
-                    draw = round_draw(seed, ids[tied], j)
-                    c[tied] |= detection_uniform(field[tied], draw) < bound
-                c |= np.less(field, tie, out=field)
-        else:
-            # The pattern and two more bits, which both detections set.
-            c = word >> (62 - bits)
-            c |= 3
-        codes[lo:lo + block] = c
-        counts += np.bincount(c.view(np.int64), minlength=4 << bits)
-    return codes, counts
+    for lo, pattern, alice, bob in draw_blocks(seed, rounds, efficiency, bits, block):
+        c = pattern << 2
+        c |= 3 if alice is None else alice.view(np.uint8) << 1 | bob
+        codes[lo:lo + len(c)] = c
+    return codes, np.bincount(codes, minlength=4 << bits)
 
 
-def same_basis(code: np.ndarray) -> np.ndarray:
+def same_basis(pattern: np.ndarray) -> np.ndarray:
     """Whether the parties of each round chose equal bases (bool), read off
-    the rounds' codes (uint16 or uint64).
+    the rounds' patterns (uint16 or uint64).
 
-    Alice's and Bob's bases are the last one-bit fields of every
-    pattern, in ``run_round``'s order, above the two two-bit measurement
-    fields and the two detection bits: their bits are bits 7 and 6 of the
-    code.
+    Alice's and Bob's bases are the last one-bit fields of every pattern,
+    in ``run_round``'s order, above the two two-bit measurement fields:
+    their bits are bits 5 and 4 of the pattern.
     """
-    return ((code ^ code >> 1) & 1 << 6) == 0
+    return ((pattern ^ pattern >> 1) & 1 << 4) == 0
+
+
+def _picked(
+    same: np.ndarray, picks: np.ndarray, ranked: int, done: int
+) -> tuple[Optional[np.ndarray], int, int]:
+    """Which of a block's coincident rounds the picks take: their positions
+    among the block's coincident rounds (None if there are none), and the
+    next block's ``ranked`` and ``done``. ``same`` flags the block's
+    coincident same-basis rounds, ``ranked`` counts the batch's before the
+    block, and ``done`` the picks below ``ranked``."""
+    rank_end = ranked + int(np.count_nonzero(same))
+    end = done + int(np.searchsorted(picks[done:], rank_end))
+    hit = np.flatnonzero(same)[picks[done:end] - ranked] if end > done else None
+    return hit, rank_end, end
 
 
 def extract_keys(
-    codes: np.ndarray, picks: np.ndarray, key_rows: np.ndarray,
+    patterns: np.ndarray, picks: np.ndarray, key_rows: np.ndarray,
     width: int, both: bool, block: int,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """The key of a batch, from blocks of ``block`` of its ``codes``:
-    Alice's key bits, Bob's (None unless ``both``) and the patterns of the
-    rounds verification checked.
+    """The key of a batch, from blocks of ``block`` of the coincident
+    rounds' ``patterns`` (:func:`coincident_patterns`): Alice's key bits,
+    Bob's (None unless ``both``) and the patterns of the rounds verification
+    checked.
 
     ``picks`` ranks the checked rounds among the coincident same-basis
     rounds, ascending; every other coincident round is a key round.
@@ -116,39 +181,49 @@ def extract_keys(
     bob = np.empty(width, dtype=np.uint8) if both else None
     checked = np.empty(len(picks), dtype=np.int64)
     ranked = done = bit = 0
-    for lo in range(0, len(codes), block):
-        c = codes[lo:lo + block]
-        # The coincident rounds' codes: both detection bits set.
-        c = np.compress(c & 3 == 3, c)
-        rows = key_rows.take(c >> 2)
+    for lo in range(0, len(patterns), block):
+        pattern = patterns[lo:lo + block]
+        rows = key_rows.take(pattern)
         # A same-basis round's second slot holds bits, any other's fillers.
-        same = rows.view(np.uint8)[1::2] != _FILLERS
-        # The picks that rank among this block's coincident same-basis rounds.
-        rank_end = ranked + int(np.count_nonzero(same))
-        end = done + int(np.searchsorted(picks[done:], rank_end))
-        if end > done:
-            hit = np.flatnonzero(same)[picks[done:end] - ranked]
-            checked[done:end] = c[hit] >> 2
+        # Masking the whole rows is faster than comparing every second byte.
+        hit, ranked, end = _picked((rows & _SLOT2) != _SLOT2_FILLERS, picks, ranked, done)
+        if hit is not None:
+            checked[done:end] = pattern[hit]
             # A row of fillers gives no key bit.
             rows[hit] = _FILLERS << 8 | _FILLERS
-        ranked, done = rank_end, end
-        a, b = key_bits(rows.view(np.uint8), both)
-        alice[bit:bit + len(a)] = a
-        if both:
-            bob[bit:bit + len(b)] = b
+        done = end
+        a, _ = key_bits(rows.view(np.uint8), both,
+                        out=(alice[bit:], bob[bit:] if both else None))
         bit += len(a)
     return alice, bob, checked
 
 
-def key_rounds(codes: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def key_rounds(
+    draws: tuple[int, int, float, int, int], picks: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Each key round's id (int64) and same-basis flag, in round order, of
-    the batch of ``codes`` and ``picks`` that :func:`extract_keys` takes:
-    the coincident rounds but the picked ones. Both arrays are read-only,
+    the batch whose rounds are ``draw_blocks(*draws)``, whose verification
+    took ``picks`` (as :func:`extract_keys` takes them) and whose key has
+    ``count`` rounds: the coincident rounds but the picked ones, derived
+    block by block into arrays allocated once. Both arrays are read-only,
     as :class:`hyperqkd.protocol.KeyBits` holds them."""
-    ids = np.flatnonzero(codes & 3 == 3)
-    same = same_basis(codes.take(ids))
-    dropped = np.flatnonzero(same)[picks]
-    rounds = np.delete(ids, dropped), np.delete(same, dropped)
-    for arr in rounds:
+    ids = np.empty(count, dtype=np.int64)
+    same = np.empty(count, dtype=bool)
+    ranked = done = kept = 0
+    for lo, pattern, alice, bob in draw_blocks(*draws):
+        if alice is None:
+            rid = np.arange(lo, lo + len(pattern))
+        else:
+            rid = np.flatnonzero(np.logical_and(alice, bob, out=alice))
+            pattern = pattern.take(rid)
+            rid += lo
+        flags = same_basis(pattern)
+        hit, ranked, done = _picked(flags, picks, ranked, done)
+        if hit is not None:
+            rid, flags = np.delete(rid, hit), np.delete(flags, hit)
+        ids[kept:kept + len(rid)] = rid
+        same[kept:kept + len(rid)] = flags
+        kept += len(rid)
+    for arr in (ids, same):
         arr.flags.writeable = False
-    return rounds
+    return ids, same

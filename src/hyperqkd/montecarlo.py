@@ -18,9 +18,11 @@ each compared with the efficiency's threshold; draws 1 and 2 decide a
 detection only when the party's field ties with it, and only those rounds
 compute them. At efficiency 1 every detection succeeds, so the word is
 read only in its top bits and skips SplitMix64's last step, which leaves
-them as they are. Each round is held as one uint16
-code, its pattern and its two detection bits, and :meth:`_Rounds.records`
-rebuilds from the codes exactly the records the scalar reference
+them as they are. A batch keeps only its coincident rounds' patterns, as
+uint16, while it runs, and none after: the records and the keys' rounds
+draw the rounds again, in the same blocks, when they are first asked for.
+From every round's uint16 code, its pattern and its two detection bits,
+:meth:`_Rounds.records` rebuilds exactly the records the scalar reference
 :func:`hyperqkd.protocol.run_round` gives for the same rounds.
 
 Per attack shape, small per-pattern tables say what a coincident round of
@@ -29,25 +31,26 @@ each pattern gives: both parties' packed key bits
 to each counter: same bases, a same-basis mismatch, the differing key bits,
 Eve's tallies (:func:`hyperqkd.adversary.eve_tallies`) and the detection
 strata (:func:`_strata`). Every counter of a batch is one of two matrix
-products: the matrix times the histogram of the batch's coincident codes,
-summed block by block, or times that of the rounds verification consumed;
-the key's counters are their difference.
+products: the matrix times the histogram of the batch's coincident
+patterns, summed block by block, or times that of the rounds verification
+consumed; the key's counters are their difference.
 :func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample``
 also calls) picks the verified rounds by their rank among the coincident
-same-basis rounds. A second pass over the codes, block by block, gathers
-the coincident rounds' packed key rows, reads the same-basis rounds off
+same-basis rounds. A second pass over the coincident patterns, block by
+block, gathers their packed key rows, reads the same-basis rounds off
 them, takes the picked rounds out of the key, and unpacks the rows with
 :func:`hyperqkd.protocol.key_bits` into the keys' bits, Bob's only when a
-key bit can differ. Each pass works on one block at a time, so beyond its
-results (the codes, the keys' bits and the picks) a batch works in memory
-of one block. The scalar ``build_keys``, ``eve_information``,
-``eve_guess_accuracy`` and :func:`detection_probability` gather label
-codes from round records (what
+key bit can differ. Each pass works on one block at a time, so beyond the
+coincident patterns and its results (the keys' bits and the picks) a batch
+works in memory of one block, and it keeps only its results. The scalar
+``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
+:func:`detection_probability` gather label codes from round records (what
 Eve saw from each record's ``eve_trace``) and call the same kernels,
 summing the tallies over the records. Eve's guess accuracy is an
 integer count of quarters divided once by 4 * key length. Alice's key
-holds its bits, and derives its rounds' ids and same-basis flags from the
-codes and the picks (:func:`hyperqkd.blocks.key_rounds`) on first access;
+holds its bits, and derives its rounds' ids and same-basis flags, block by
+block, from the rounds drawn again and the picks
+(:func:`hyperqkd.blocks.key_rounds`) on first access;
 Bob's holds the same rounds (:meth:`KeyBits.with_bits`), derived once for
 both keys, and is Alice's key itself when no key bit differs.
 At a ``verify_fraction`` of 0 no round is compared and every coincidence
@@ -65,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, partial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +84,7 @@ from .adversary import (  # noqa: F401
     eve_information,
     eve_tallies,
 )
-from .blocks import draw_codes, extract_keys, key_rounds
+from .blocks import coincident_patterns, draw_codes, extract_keys, key_rounds
 from .errors import ConfigurationError
 from .hilbert import BASES, LABELS, OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, Photon, outcome_slots
 from .protocol import (  # noqa: F401
@@ -230,7 +233,8 @@ _BLOCK_ROUNDS = 16_384
 
 @dataclass(frozen=True, eq=False)
 class _Rounds:
-    """A batch's rounds as one uint16 code per round, indexed by round id.
+    """Rounds as one uint16 code per round, indexed by round id, from which
+    a batch's records are built (:func:`hyperqkd.blocks.draw_codes`).
 
     A round's code is its pattern, the column of ``attack``'s round table
     that its decision word selects (:func:`_round_table`; at most 12 bits),
@@ -270,6 +274,12 @@ class _Rounds:
         )
 
 
+def _batch_records(draws: tuple, attack: Optional[AttackConfig]) -> tuple[RoundRecord, ...]:
+    """The records of the batch whose rounds are ``draw_blocks(*draws)``
+    under ``attack``, from its codes drawn again."""
+    return _Rounds(draw_codes(*draws)[0], attack).records()
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """Everything a batch produced: estimators, raw rounds, and both keys."""
@@ -277,12 +287,13 @@ class BatchResult:
     stats: BatchStats
     alice_key: KeyBits
     bob_key: KeyBits
-    _rounds: _Rounds = field(repr=False, compare=False)
+    _records: Callable[[], tuple[RoundRecord, ...]] = field(repr=False, compare=False)
 
     @cached_property
     def records(self) -> tuple[RoundRecord, ...]:
-        """Every round's RoundRecord in round order, built on first access."""
-        return self._rounds.records()
+        """Every round's RoundRecord in round order, built on first access
+        from the rounds drawn again."""
+        return self._records()
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -466,13 +477,14 @@ def run_batch(config: SimConfig) -> BatchResult:
     """
     config.validate()
     tables = _patterns(config.attack)
-    # A pattern of b bits is one of the tables' 2**b columns.
-    codes, counts = draw_codes(config.seed, config.rounds, config.efficiency,
-                               len(tables.key_rows).bit_length() - 1, _BLOCK_ROUNDS)
-    rounds = _Rounds(codes, config.attack)
+    # A pattern of b bits is one of the tables' 2**b columns. The draws are
+    # blocks.draw_blocks' arguments, from which the records and the keys'
+    # rounds draw the batch again.
+    draws = (config.seed, config.rounds, config.efficiency,
+             len(tables.key_rows).bit_length() - 1, _BLOCK_ROUNDS)
+    patterns, coincident = coincident_patterns(*draws)
     # Every counter is a histogram of patterns dotted with a row of
     # tables.counters.
-    coincident = counts[3::4]
     totals = tables.counters @ coincident
     coincidences = int(coincident.sum())
     same_n = int(totals[_SAME])
@@ -483,7 +495,7 @@ def run_batch(config: SimConfig) -> BatchResult:
     # differ from Alice's only if some coincident round's can.
     key_len = coincidences + same_n - 2 * k
     alice_bits, bob_bits, checked = extract_keys(
-        codes, picks, tables.key_rows, key_len, bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
+        patterns, picks, tables.key_rows, key_len, bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
     removed = tables.counters @ np.bincount(checked, minlength=len(coincident))
     keyed = (totals - removed).tolist()
     mismatches = int(totals[_SAME_MISMATCH])
@@ -539,8 +551,10 @@ def run_batch(config: SimConfig) -> BatchResult:
         eve_guess_accuracy=accuracy,
         detection=detection,
     )
-    # Both keys derive their rounds from the codes and the picks, once.
-    alice_key = KeyBits._of_batch(alice_bits, key_len, cache(partial(key_rounds, codes, picks)))
+    # Both keys derive their rounds from the draws and the picks, once.
+    alice_key = KeyBits._of_batch(
+        alice_bits, key_len, cache(partial(key_rounds, draws, picks, coincidences - k)))
     # With no bit error, Bob holds Alice's key.
     bob_key = alice_key.with_bits(bob_bits) if key_errors else alice_key
-    return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key, _rounds=rounds)
+    return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key,
+                       _records=partial(_batch_records, draws, config.attack))

@@ -380,15 +380,22 @@ def key_rows(alice_codes: np.ndarray, bob_codes: np.ndarray, same: np.ndarray) -
             | _BIT_ROWS.take(2 * bob_codes + diff, axis=0) << 2)
 
 
-def key_bits(rows: np.ndarray, both: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def key_bits(
+    rows: np.ndarray, both: bool,
+    out: tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None),
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Both parties' key bits, in key order, from the key rounds' packed
     rows (:func:`key_rows`), as uint8 bytes in round order; Bob's are None
-    unless ``both``. A slot that holds the fillers gives no bit."""
+    unless ``both``. A slot that holds the fillers gives no bit. A party's
+    array in ``out`` (uint8, or None for a new array) takes its bits at its
+    start, and the bits returned are that part of it."""
     packed = rows.ravel()
     # compress is several times faster than a boolean index on this
     # irregular mask (numpy 2.4).
     packed = np.compress(packed != _FILLERS, packed)
-    return packed & 3, packed >> 2 if both else None
+    alice, bob = (None if arr is None else arr[:len(packed)] for arr in out)
+    return (np.bitwise_and(packed, 3, out=alice),
+            np.right_shift(packed, 2, out=bob) if both else None)
 
 
 def build_keys(

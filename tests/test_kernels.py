@@ -13,7 +13,7 @@ sifting, mismatch, key bit errors, Eve's tallies and the detection strata);
 each entry, and the detection stats ``_detection`` makes of the column, is
 checked against the per-record reference of ``reference.py`` on the column's round under all four
 detection states. The engine reads the same-basis flag off each round's
-code; that rule is checked against the table on every code.
+pattern; that rule is checked against the table on every pattern.
 """
 
 import math
@@ -215,8 +215,7 @@ def test_pattern_tables_equal_reference(attack, widths):
 @pytest.mark.parametrize("attack, widths", SHAPES, ids=[shape_id(a) for a, _ in SHAPES])
 @pytest.mark.parametrize("dtype", [np.uint64, np.uint16])
 def test_same_basis_bits_equal_the_table(attack, widths, dtype):
-    # Every code: each pattern with each of the four detection states.
-    codes = np.arange(4 << sum(widths), dtype=dtype)
-    got = blocks.same_basis(codes)
+    patterns = np.arange(1 << sum(widths), dtype=dtype)
+    got = blocks.same_basis(patterns)
     same = montecarlo._patterns(attack).counters[montecarlo._SAME]
-    assert got.tolist() == same[codes >> 2].astype(bool).tolist()
+    assert got.tolist() == same.astype(bool).tolist()

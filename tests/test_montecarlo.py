@@ -242,9 +242,10 @@ class TestRunBatch:
         assert stats.eve_guess_accuracy == float(Fraction(quarters, n)) == 43 / 47
 
     def test_transient_memory_is_bounded_by_one_block(self):
-        # Beyond what its result holds, a batch works in temporaries of one
-        # block and the verification picks': no per-round flags, no index
-        # copy of the codes and no whole-batch gather.
+        # Beyond what its result holds, a batch works in the coincident
+        # patterns (at most 2 bytes per round), temporaries of one block and
+        # the verification picks': no per-round flags, no index copy of the
+        # patterns and no whole-batch gather.
         config = SimConfig(rounds=100_000, seed=1, efficiency=0.9,
                            attack=AttackConfig(AttackKind.SINGLE_INTERCEPT))
         run_batch(config)  # builds the attack shape's cached tables
@@ -258,10 +259,10 @@ class TestRunBatch:
         assert result.stats.key_length > 100_000
         assert peak - held <= 750_000
 
-    def test_result_holds_at_most_six_bytes_per_round(self):
-        # A batch keeps its codes (2 bytes per round), at most 1.5 bytes per
-        # round for each key's bits, and the picks; a key's rounds are
-        # derived only when asked for.
+    def test_result_holds_at_most_three_bytes_per_round(self):
+        # A batch keeps at most 1.5 bytes per round for each key's bits and
+        # the picks; its rounds are drawn again for the records, and a key's
+        # rounds are derived only when asked for.
         rounds = 200_000
         for config in (SimConfig(rounds=rounds, seed=1, efficiency=0.9,
                                  attack=AttackConfig(AttackKind.DOUBLE_INTERCEPT)),
@@ -276,7 +277,25 @@ class TestRunBatch:
             finally:
                 tracemalloc.stop()
             assert result.stats.key_length > rounds
-            assert held <= 6 * rounds, config
+            assert held <= 3 * rounds, config
+
+    def test_key_rounds_are_derived_in_memory_of_one_block(self):
+        # The first read of a key's rounds draws the batch again block by
+        # block into the two result arrays, allocated once.
+        config = SimConfig(rounds=1_000_000, seed=1, efficiency=0.9,
+                           attack=AttackConfig(AttackKind.DOUBLE_INTERCEPT))
+        result = run_batch(config)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ids, same = result.alice_key.rounds
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ids) == result.stats.coincidences - result.stats.verification.compared_rounds
+        # A block's temporaries are a few arrays of 8 bytes per round.
+        assert peak <= ids.nbytes + same.nbytes + 64 * montecarlo._BLOCK_ROUNDS
 
     def test_keys_without_errors_are_one_object(self):
         clean = run_batch(SimConfig(rounds=3000, seed=3, efficiency=0.9))
