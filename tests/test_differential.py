@@ -305,6 +305,21 @@ def test_a_tied_detection_is_decided_by_the_partys_draw(party, detected, round_i
     assert (rec.alice_detected, rec.bob_detected)[party - 1] is detected
 
 
+@pytest.mark.parametrize("party", [1, 2], ids=["alice", "bob"])
+@pytest.mark.parametrize("detected", [True, False], ids=["detected", "missed"])
+@pytest.mark.parametrize("round_id", [37, 128, 299],
+                         ids=["first-block", "second-block-start", "last-block-end"])
+def test_a_tied_detection_reaches_the_keys_as_in_the_reference(party, detected, round_id):
+    # Whether the tied round is coincident, and so in the key or checked,
+    # is up to the party's own draw: the key pass and the keys' rounds must
+    # keep or drop it as run_round does.
+    seed = 5
+    efficiency = tied_efficiency(seed, round_id, party, detected)
+    config = SimConfig(rounds=300, seed=seed, efficiency=efficiency, attack=ATTACKS[4])
+    rec = assert_matches_reference(config, block=128).records[round_id]
+    assert (rec.alice_detected, rec.bob_detected)[party - 1] is detected
+
+
 def test_eve_information_se_hand_built_key():
     # Rounds: same-basis known, same-basis unknown, different-basis known,
     # different-basis unknown -> 3 of 6 key bits known.
