@@ -27,7 +27,8 @@ from hyperqkd.cli import (
     ReportOptions,
 )
 
-_REPORT_GRID = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_grid.py"
+_TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+_REPORT_GRID = _TOOLS / "report_grid.py"
 
 
 def _with_bias(result, factor):
@@ -541,6 +542,27 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["stats"]["rounds"] == 200
+
+
+def test_call_cost_tool_prints_its_figures():
+    # tools/call_cost.py gives the fault and CPU figures of CHANGES.md; it
+    # runs in a process of its own, as its faults are the process's.
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, str(_TOOLS / "call_cost.py"), "--calls", "2", "--warmup", "0",
+         "--", "--rounds", "1000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cost = json.loads(proc.stdout)
+    assert cost["argv"] == ["--rounds", "1000"]
+    assert set(cost["minflt"]) == {"median", "min", "max"}
+    assert 0 <= cost["minflt"]["min"] <= cost["minflt"]["median"] <= cost["minflt"]["max"]
+    assert cost["cpu_ms"] > 0 and cost["transient_mb"] > 0
 
 
 def test_importing_the_entry_point_runs_nothing():
