@@ -26,9 +26,9 @@ Everything else here reads those blocks, or what they gave:
 * :func:`draw_codes` gives every round's code, from which the records are
   built.
 
-Each histogram counts uint64 patterns viewed as int64, numpy's index type,
-so no index array is converted. Beyond what a call returns, its memory is
-temporaries of one block, whatever the number of rounds.
+The batch's histogram counts uint64 patterns viewed as int64, numpy's index
+type, so no index array is converted. Beyond what a call returns, its
+memory is temporaries of one block, whatever the number of rounds.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def draw_blocks(
     """
     offsets = round_offsets(min(block, rounds))
     for lo in range(0, rounds, block):
-        # A block's arrays are held by _draw_block and the caller only, so
-        # none is kept while the next block is drawn.
+        # A block's arrays live in _draw_block and the caller, so this frame
+        # keeps none of them while the next block is drawn.
         yield lo, *_draw_block(seed, offsets[:rounds - lo], lo, efficiency, bits)
 
 

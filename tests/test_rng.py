@@ -99,8 +99,8 @@ def test_block_draws_equal_scalar_stream(seed, round_ids, exact):
 @given(seed=U64, exact=st.booleans())
 def test_block_decision_words_equal_round_draw(seed, exact):
     # A batch's blocks of 1, 3 and 128 rounds, 301 rounds in all, so that
-    # the last block of 3 and of 128 is partial; and two blocks just below
-    # the largest batch, where lo * 3 * GAMMA wraps modulo 2**64.
+    # the last block of 3 and of 128 is partial; and the last 200 rounds of
+    # the largest batch, whose lo * 3 * GAMMA is far past 2**64 and wraps.
     for first, rounds in ((0, 301), (2**64 // 3 - 200, 200)):
         for block in (1, 3, 128):
             offsets = round_offsets(min(block, rounds))
