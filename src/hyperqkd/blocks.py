@@ -17,10 +17,11 @@ Everything else here reads those blocks, or what they gave:
   uint16, and their histogram: all that the batch's counters and keys need
   of its rounds.
 * :func:`extract_keys` gathers those patterns' packed key rows from one
-  pattern table, block by block, reads which are same-basis rounds off the
-  rows, turns the verified rounds' rows into fillers, and :func:`key_bits`
-  unpacks each block's rows into the keys: the key bits are all it writes
-  per round.
+  pattern table into one buffer, block by block, reads which are
+  same-basis rounds off the rows, sums the verified rounds' counter
+  columns, turns their rows into fillers, and :func:`key_bits` copies each
+  block's key slots into the keys: the key bits are all it writes per
+  round.
 * :func:`key_rounds` derives which rounds the key holds, drawing the
   rounds again, only when a key's rounds are asked for.
 * :func:`draw_codes` gives every round's code, from which the records are
@@ -28,7 +29,8 @@ Everything else here reads those blocks, or what they gave:
 
 The batch's histogram counts uint64 patterns viewed as int64, numpy's index
 type, so no index array is converted. Beyond what a call returns, its
-memory is temporaries of one block, whatever the number of rounds.
+memory is one block's buffers, allocated once per call, and temporaries of
+one block, whatever the number of rounds.
 """
 
 from __future__ import annotations
@@ -59,41 +61,42 @@ def draw_blocks(
     and Alice's and Bob's detections (bool), or two Nones at efficiency 1,
     where every detection succeeds.
 
+    The batch allocates its arrays once, and each block's arrays are views
+    of them that the next block overwrites: a caller copies what it keeps
+    of a block before it asks for the next one, and may write over the
+    block's arrays.
+
     Below efficiency 1 a party is detected when its field of the word is
     below the field the threshold ties with, and only a tied round computes
     the party's own draw, which decides it.
     """
-    offsets = round_offsets(min(block, rounds))
-    for lo in range(0, rounds, block):
-        # A block's arrays live in _draw_block and the caller, so this frame
-        # keeps none of them while the next block is drawn.
-        yield lo, *_draw_block(seed, offsets[:rounds - lo], lo, efficiency, bits)
-
-
-def _draw_block(
-    seed: int, offsets: np.ndarray, lo: int, efficiency: float, bits: int
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """One block of :func:`draw_blocks`: the rounds from ``lo`` on, one
-    per entry of their :func:`hyperqkd.rng.round_offsets`."""
+    size = min(block, rounds)
+    offsets = round_offsets(size)
+    # The decision words, then the patterns in place; the mix's shifts,
+    # then each party's field.
+    word, field = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     detect = efficiency < 1.0
-    word = decision_words(seed, offsets, lo, exact=detect)
-    detections = [None, None]
     if detect:
         bound, tie = detection_threshold(efficiency)
-        field = np.empty_like(word)
-        for j, shift in ((1, DETECTION_BITS), (2, 0)):
-            # The field is compared where it lies in the word, with the bits
-            # below it masked off, which saves a shift.
-            np.bitwise_and(word, np.uint64(_FIELD_MASK << shift), out=field)
-            at = np.uint64(tie << shift)
-            detected = field < at
-            tied = field == at
-            if tied.any():
-                ids = np.flatnonzero(tied)
-                draw = round_draw(seed, ids.astype(np.uint64) + np.uint64(lo), j)
-                detected[ids] = detection_uniform(tie, draw) < bound
-            detections[j - 1] = detected
-    return np.right_shift(word, 64 - bits, out=word), *detections
+        alice, bob, tied = (np.empty(size, dtype=bool) for _ in range(3))
+    for lo in range(0, rounds, block):
+        n = min(block, rounds - lo)
+        w, f = word[:n], field[:n]
+        decision_words(seed, offsets[:n], lo, exact=detect, out=w, tmp=f)
+        detections = [None, None]
+        if detect:
+            for j, shift, detected in ((1, DETECTION_BITS, alice[:n]), (2, 0, bob[:n])):
+                # The field is compared where it lies in the word, with the
+                # bits below it masked off, which saves a shift.
+                np.bitwise_and(w, np.uint64(_FIELD_MASK << shift), out=f)
+                at = np.uint64(tie << shift)
+                np.less(f, at, out=detected)
+                if np.equal(f, at, out=tied[:n]).any():
+                    ids = np.flatnonzero(tied[:n])
+                    draw = round_draw(seed, ids.astype(np.uint64) + np.uint64(lo), j)
+                    detected[ids] = detection_uniform(tie, draw) < bound
+                detections[j - 1] = detected
+        yield lo, np.right_shift(w, 64 - bits, out=w), *detections
 
 
 def coincident_patterns(
@@ -162,40 +165,44 @@ def _picked(
 
 
 def extract_keys(
-    patterns: np.ndarray, picks: np.ndarray, key_rows: np.ndarray,
+    patterns: np.ndarray, picks: np.ndarray, key_rows: np.ndarray, counters: np.ndarray,
     width: int, both: bool, block: int,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """The key of a batch, from blocks of ``block`` of the coincident
     rounds' ``patterns`` (:func:`coincident_patterns`): Alice's key bits,
-    Bob's (None unless ``both``) and the patterns of the rounds verification
-    checked.
+    Bob's (None unless ``both``) and what the rounds verification checked
+    add to each counter (int64, one per row of ``counters``).
 
     ``picks`` ranks the checked rounds among the coincident same-basis
     rounds, ascending; every other coincident round is a key round.
     ``key_rows`` holds each pattern's packed key row (two bytes held as one
-    uint16). The key has ``width`` bits, so every result is allocated once
-    and filled a block at a time. Which rounds the key holds is
-    :func:`key_rounds`.
+    uint16), and ``counters`` each pattern's column of what it adds to each
+    counter. The key has ``width`` bits, so every result is allocated once
+    and filled a block at a time, and the rows of a block are gathered into
+    one buffer. Which rounds the key holds is :func:`key_rounds`.
     """
     alice = np.empty(width, dtype=np.uint8)
     bob = np.empty(width, dtype=np.uint8) if both else None
-    checked = np.empty(len(picks), dtype=np.int64)
+    removed = np.zeros(len(counters), dtype=np.int64)
+    buffer = np.empty(min(block, len(patterns)), dtype=np.uint16)
     ranked = done = bit = 0
     for lo in range(0, len(patterns), block):
         pattern = patterns[lo:lo + block]
-        rows = key_rows.take(pattern)
+        # Every pattern indexes key_rows, so clipping changes no index, and
+        # unlike the default it writes the rows straight into the buffer.
+        rows = key_rows.take(pattern, out=buffer[:len(pattern)], mode="clip")
         # A same-basis round's second slot holds bits, any other's fillers.
         # Masking the whole rows is faster than comparing every second byte.
         hit, ranked, end = _picked((rows & _SLOT2) != _SLOT2_FILLERS, picks, ranked, done)
         if hit is not None:
-            checked[done:end] = pattern[hit]
+            removed += counters.take(pattern[hit], axis=1).sum(axis=1)
             # A row of fillers gives no key bit.
             rows[hit] = _FILLERS << 8 | _FILLERS
         done = end
         a, _ = key_bits(rows.view(np.uint8), both,
                         out=(alice[bit:], bob[bit:] if both else None))
         bit += len(a)
-    return alice, bob, checked
+    return alice, bob, removed
 
 
 def key_rounds(

@@ -30,19 +30,21 @@ each pattern gives: both parties' packed key bits
 (:func:`hyperqkd.protocol.key_rows`), and one int64 matrix of what it adds
 to each counter: same bases, a same-basis mismatch, the differing key bits,
 Eve's tallies (:func:`hyperqkd.adversary.eve_tallies`) and the detection
-strata (:func:`_strata`). Every counter of a batch is one of two matrix
-products: the matrix times the histogram of the batch's coincident
-patterns, summed block by block, or times that of the rounds verification
-consumed; the key's counters are their difference.
+strata (:func:`_strata`). Every counter of a batch is the matrix times
+the histogram of the batch's coincident patterns, summed block by block,
+less the sum of the matrix's columns of the rounds verification consumed;
+the key's counters are that difference.
 :func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample``
 also calls) picks the verified rounds by their rank among the coincident
 same-basis rounds. A second pass over the coincident patterns, block by
 block, gathers their packed key rows, reads the same-basis rounds off
-them, takes the picked rounds out of the key, and unpacks the rows with
+them, sums the picked rounds' counter columns and takes them out of the
+key, and copies the rows' key slots with
 :func:`hyperqkd.protocol.key_bits` into the keys' bits, Bob's only when a
-key bit can differ. Each pass works on one block at a time, so beyond the
-coincident patterns and its results (the keys' bits and the picks) a batch
-works in memory of one block, and it keeps only its results. The scalar
+key bit can differ. Each pass allocates its buffers of one block once and
+reuses them for every block, so beyond the coincident patterns and its
+results (the keys' bits and the picks) a batch works in memory of one
+block, and it keeps only its results. The scalar
 ``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
 :func:`detection_probability` gather label codes from round records (what
 Eve saw from each record's ``eve_trace``) and call the same kernels,
@@ -494,9 +496,9 @@ def run_batch(config: SimConfig) -> BatchResult:
     # Each checked round is a same-basis round, of two bits. Bob's bits can
     # differ from Alice's only if some coincident round's can.
     key_len = coincidences + same_n - 2 * k
-    alice_bits, bob_bits, checked = extract_keys(
-        patterns, picks, tables.key_rows, key_len, bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
-    removed = tables.counters @ np.bincount(checked, minlength=len(coincident))
+    alice_bits, bob_bits, removed = extract_keys(
+        patterns, picks, tables.key_rows, tables.counters, key_len,
+        bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
     keyed = (totals - removed).tolist()
     mismatches = int(totals[_SAME_MISMATCH])
     checked_mismatches = int(removed[_SAME_MISMATCH])

@@ -390,12 +390,14 @@ def key_bits(
     array in ``out`` (uint8, or None for a new array) takes its bits at its
     start, and the bits returned are that part of it."""
     packed = rows.ravel()
-    # compress is several times faster than a boolean index on this
-    # irregular mask (numpy 2.4).
-    packed = np.compress(packed != _FILLERS, packed)
-    alice, bob = (None if arr is None else arr[:len(packed)] for arr in out)
-    return (np.bitwise_and(packed, 3, out=alice),
-            np.right_shift(packed, 2, out=bob) if both else None)
+    keep = np.flatnonzero(packed != _FILLERS)
+    alice, bob = (None if arr is None else arr[:len(keep)] for arr in out)
+    # The slots go straight into Alice's array; clipping changes none of
+    # the kept indices and, unlike the default, needs no buffer for ``out``.
+    alice = packed.take(keep, out=alice, mode="clip")
+    # Bob's bits are shifted out of the slots before Alice's are masked.
+    bob = np.right_shift(alice, 2, out=bob) if both else None
+    return np.bitwise_and(alice, 3, out=alice), bob
 
 
 def build_keys(

@@ -20,9 +20,10 @@ any draw directly, many at once with numpy, bit-identical to the scalar
 random numbers: as easy as 1, 2, 3", SC 2011). A batch's blocks of
 consecutive rounds take their decision words from :func:`decision_words`:
 a table of the rounds' offsets ``arange(block) * 3 * GAMMA``, which
-:func:`round_offsets` makes once per batch, plus one scalar per block,
-``lo * 3 * GAMMA + mix64(master_seed) + GAMMA`` modulo 2**64, then the mix.
-So a block costs one addition before the mix, and a batch can draw its
+:func:`round_offsets` builds once per process and keeps read-only, plus one
+scalar per block, ``lo * 3 * GAMMA + mix64(master_seed) + GAMMA`` modulo
+2**64, then the mix, in arrays the batch allocates once. So a block costs
+one addition before the mix and allocates nothing, and a batch can draw its
 rounds again, in any block, as cheaply as the first time.
 
 A protocol round reads its three draws. Draw 0 is its decision word: every
@@ -54,6 +55,7 @@ the scalar stream's draw in its top 31 bits only.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -187,16 +189,22 @@ def below_threshold(p: float) -> int:
     return math.ceil(float(p) * 2.0**53) << 11
 
 
-def _mix64_array(z: np.ndarray, exact: bool = True) -> np.ndarray:
+def _mix64_array(
+    z: np.ndarray, exact: bool = True, tmp: Optional[np.ndarray] = None
+) -> np.ndarray:
     """:func:`mix64` over a uint64 array, in place. Unless ``exact``, the
     mix's last step is skipped, which leaves each result's top 31 bits as
-    :func:`mix64`'s. Array arithmetic wraps modulo 2**64."""
-    z ^= z >> 30
+    :func:`mix64`'s. ``tmp`` is a uint64 array of ``z``'s length that the
+    shifts are written to, or None for a new one. Array arithmetic wraps
+    modulo 2**64."""
+    if tmp is None:
+        tmp = np.empty_like(z)
+    z ^= np.right_shift(z, 30, out=tmp)
     z *= np.uint64(_MIX1)
-    z ^= z >> 27
+    z ^= np.right_shift(z, 27, out=tmp)
     z *= np.uint64(_MIX2)
     if exact:
-        z ^= z >> 31
+        z ^= np.right_shift(z, 31, out=tmp)
     return z
 
 
@@ -219,24 +227,40 @@ def round_draw(
     return _mix64_array(z, exact)
 
 
+# The largest offsets table built so far in this process (read-only), of
+# which round_offsets hands out the start.
+_offsets = np.empty(0, dtype=np.uint64)
+
+
 def round_offsets(count: int) -> np.ndarray:
     """How far each of ``count`` consecutive rounds' states lie past the
     first's in the batch stream: ``arange(count) * 3 * GAMMA`` as uint64,
-    modulo 2**64. A batch computes the table once, and
-    :func:`decision_words` adds one scalar to it per block."""
-    return np.arange(count, dtype=np.uint64) * np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64)
+    modulo 2**64, read-only. The table is built once per process and again
+    only when a larger one is asked for; a batch takes one for its block,
+    and :func:`decision_words` adds one scalar to it per block."""
+    global _offsets
+    if count > len(_offsets):
+        table = np.arange(count, dtype=np.uint64)
+        table *= np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64)
+        table.flags.writeable = False
+        _offsets = table
+    return _offsets[:count]
 
 
 def decision_words(
-    master_seed: int, offsets: np.ndarray, lo: int, exact: bool = True
+    master_seed: int, offsets: np.ndarray, lo: int, exact: bool = True,
+    out: Optional[np.ndarray] = None, tmp: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The decision words of rounds ``lo`` to ``lo + len(offsets) - 1``
     from their :func:`round_offsets`: ``round_draw(master_seed,
     np.arange(lo, lo + len(offsets), dtype=np.uint64), 0, exact)``,
-    bit for bit, as a new uint64 array. Round ``lo + i``'s state is
-    ``offsets[i]`` plus round ``lo``'s, one scalar for the whole block."""
+    bit for bit, as uint64. Round ``lo + i``'s state is ``offsets[i]`` plus
+    round ``lo``'s, one scalar for the whole block. The words are written
+    to ``out`` and the mix's shifts to ``tmp``, uint64 arrays of the
+    offsets' length, each None for a new array; ``out`` is returned."""
     first = mix64(master_seed) + _GAMMA + lo * DRAWS_PER_ROUND * _GAMMA
-    return _mix64_array(offsets + np.uint64(first & _MASK64), exact)
+    z = np.add(offsets, np.uint64(first & _MASK64), out=out)
+    return _mix64_array(z, exact, tmp)
 
 
 def stream_uniforms(master_seed: int, stream_label: int, count: int) -> np.ndarray:

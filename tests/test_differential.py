@@ -33,7 +33,7 @@ from hyperqkd import (
     sift,
     verify_sample,
 )
-from hyperqkd import adversary, blocks, montecarlo, protocol
+from hyperqkd import adversary, blocks, montecarlo, protocol, rng
 from hyperqkd.rng import detection_threshold
 
 from test_kernels import PATTERN_BITS
@@ -318,6 +318,42 @@ def test_a_tied_detection_reaches_the_keys_as_in_the_reference(party, detected, 
     config = SimConfig(rounds=300, seed=seed, efficiency=efficiency, attack=ATTACKS[4])
     rec = assert_matches_reference(config, block=128).records[round_id]
     assert (rec.alice_detected, rec.bob_detected)[party - 1] is detected
+
+
+@pytest.mark.parametrize("block", [1, 3, 128])
+@pytest.mark.parametrize("efficiency", [1.0, 0.9, "alice-tie", "bob-tie"])
+def test_each_block_is_drawn_into_the_batchs_buffers(efficiency, block):
+    # 301 rounds: the last block of 3 and of 128 is partial. A block's
+    # arrays are views of buffers the next block overwrites, so each is
+    # checked before the next is drawn, against its rounds' draws; at a tie
+    # efficiency, round 299's field ties for one party, which its own draw
+    # decides (Alice detected, Bob missed).
+    seed, rounds, bits = 5, 301, PATTERN_BITS[ATTACKS[4]]
+    if isinstance(efficiency, str):
+        alice_tie = efficiency == "alice-tie"
+        efficiency = tied_efficiency(seed, 299, 1 if alice_tie else 2, alice_tie)
+    bound, _ = detection_threshold(efficiency)
+    first = None
+    drawn = 0
+    for lo, pattern, alice, bob in blocks.draw_blocks(seed, rounds, efficiency, bits, block):
+        ids = np.arange(lo, min(lo + block, rounds), dtype=np.uint64)
+        assert lo == drawn and len(pattern) == len(ids)
+        word = rng.round_draw(seed, ids, 0)
+        assert pattern.dtype == np.uint64
+        assert pattern.tolist() == (word >> np.uint64(64 - bits)).tolist()
+        if efficiency == 1.0:
+            assert alice is None and bob is None
+        else:
+            for j, (detected, shift) in enumerate([(alice, 26), (bob, 0)], start=1):
+                field = word >> np.uint64(shift) & np.uint64(2**26 - 1)
+                want = rng.detection_uniform(field, rng.round_draw(seed, ids, j)) < bound
+                assert detected.dtype == bool and detected.tolist() == want.tolist()
+        if first is None:
+            first = pattern
+        # Every block is drawn into the first block's buffer.
+        assert np.shares_memory(pattern, first)
+        drawn += len(pattern)
+    assert drawn == rounds
 
 
 def test_eve_information_se_hand_built_key():

@@ -35,7 +35,7 @@ from hyperqkd import (
 )
 from hyperqkd import blocks, montecarlo
 from hyperqkd.hilbert import LABELS
-from hyperqkd.protocol import key_bits, partial_shuffle
+from hyperqkd.protocol import _FILLERS, key_bits, partial_shuffle
 
 
 def reference_picks(n, uniforms):
@@ -219,3 +219,64 @@ def test_same_basis_bits_equal_the_table(attack, widths, dtype):
     got = blocks.same_basis(patterns)
     same = montecarlo._patterns(attack).counters[montecarlo._SAME]
     assert got.tolist() == same.astype(bool).tolist()
+
+
+def compress_key_bits(rows, both):
+    """``key_bits`` as it was written before it took its slots by index:
+    the slots that are not fillers, compressed, then split."""
+    packed = rows.ravel()
+    packed = np.compress(packed != _FILLERS, packed)
+    return packed & 3, packed >> 2 if both else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.sampled_from([0, 1, 7, 300]),
+       fillers=st.sampled_from([0.0, 0.5, 1.0]), both=st.booleans(), use_out=st.booleans())
+def test_key_bits_equal_the_compress_of_the_key_slots(seed, count, fillers, both, use_out):
+    # Random packed rows, of which a share of the slots (all of them at 1.0:
+    # rows of fillers only) hold the fillers; every other slot is one of
+    # the 15 other bytes of two two-bit fields.
+    rand = np.random.default_rng(seed)
+    slots = rand.choice([v for v in range(16) if v != _FILLERS], size=2 * count)
+    slots[rand.random(2 * count) < fillers] = _FILLERS
+    rows = slots.astype(np.uint8).reshape(count, 2)
+    want = compress_key_bits(rows, both)
+    out = (None, None)
+    if use_out:
+        # Arrays longer than the key, whose tail the call must leave alone.
+        out = tuple(np.full(2 * count + 3, 0xFF, dtype=np.uint8) for _ in range(2))
+        out = out if both else (out[0], None)
+    got = key_bits(rows, both, out=out)
+    assert got[0].dtype == np.uint8 and got[0].tolist() == want[0].tolist()
+    if both:
+        assert got[1].dtype == np.uint8 and got[1].tolist() == want[1].tolist()
+    else:
+        assert got[1] is None
+    for arr, bits in zip(out, got):
+        if arr is not None:
+            # The bits are the start of the array given.
+            assert bits.base is arr
+            assert (arr[len(bits):] == 0xFF).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(range(len(SHAPES))), seed=st.integers(0, 2**64 - 1),
+       rounds=st.integers(1, 1500), efficiency=st.sampled_from([1.0, 0.9, 0.5]),
+       fraction=st.sampled_from([0.0, 0.1, 0.9]), block=st.sampled_from([1, 3, 128, 16_384]))
+def test_removed_counters_equal_the_checked_rounds_histogram(
+        shape, seed, rounds, efficiency, fraction, block):
+    # What the checked rounds add to each counter, summed block by block
+    # by extract_keys, against the counters dotted with the histogram of
+    # the checked rounds' patterns.
+    attack, widths = SHAPES[shape]
+    tables = montecarlo._patterns(attack)
+    patterns, counts = blocks.coincident_patterns(seed, rounds, efficiency, sum(widths), block)
+    same = patterns[blocks.same_basis(patterns)]
+    k = math.ceil(fraction * len(same))
+    picks = np.sort(np.random.default_rng(seed).choice(len(same), size=k, replace=False))
+    width = len(patterns) + len(same) - 2 * k
+    alice, bob, removed = blocks.extract_keys(
+        patterns, picks, tables.key_rows, tables.counters, width, True, block)
+    want = tables.counters @ np.bincount(same[picks], minlength=1 << sum(widths))
+    assert removed.dtype == np.int64 and removed.tolist() == want.tolist()
+    assert len(alice) == len(bob) == width
