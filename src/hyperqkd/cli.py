@@ -381,20 +381,34 @@ def _write_file(path: str, text: str) -> None:
     removes the temporary file. The temporary file is new, under a random
     name, and created only if nothing (not even a symlink) holds that
     name, so no other writer's file and no link's target is written; its
-    mode follows the umask, as the report's would. A path that exists and
-    is not a regular file (``/dev/stdout``, a FIFO) is written in place: a
+    mode follows the umask, as the report's would. Through a symlink, the
+    file it names is replaced, not the link; a dangling link's target is
+    created. A path that exists and is not a regular file
+    (``/dev/stdout``, a FIFO, or a link to one) is written in place: a
     device node must never be replaced.
+
+    A regular file takes six system calls: ``lstat`` of the path,
+    ``getrandom`` for the temporary's name, ``open``, ``write`` (again
+    after a short write), ``close`` and ``rename``. Only a symlink costs
+    more: a ``stat``, and an ``lstat`` per component of its path.
     """
+    link = False
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.lstat(path).st_mode
+        if stat.S_ISLNK(mode):
+            link = True
+            mode = os.stat(path).st_mode
     except FileNotFoundError:
-        regular = True
-    if not regular:
+        # A new file, or a dangling link's new target.
+        mode = stat.S_IFREG
+    if not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
-    # Through a symlink, replace the file it names, not the link.
-    path = os.path.realpath(path)
+    if link:
+        path = os.path.realpath(path)
+    # On POSIX these are the bytes a text-mode handle would write.
+    data = memoryview(text.encode("utf-8"))
     while True:
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
@@ -403,8 +417,11 @@ def _write_file(path: str, text: str) -> None:
         except FileExistsError:
             pass
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except OSError:
         try:

@@ -442,31 +442,42 @@ class TestExitCodes:
         assert captured.out == "" and not out.exists()
 
     def test_failed_write_keeps_earlier_report(self, tmp_path, capsys, monkeypatch):
+        import os
+
         out = tmp_path / "report.json"
         out.write_text("earlier report\n")
+        real_write = os.write
 
-        class FullDisk(io.StringIO):
+        def full_disk(fd, data):
             # Takes part of the text, then fails as a full disk would.
-            def __init__(self, path):
-                super().__init__()
-                self.handle = open(path, "w", encoding="utf-8")
+            real_write(fd, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
 
-            def write(self, text):
-                self.handle.write(text[: len(text) // 2])
-                self.handle.flush()
-                raise OSError(28, "No space left on device")
-
-            def close(self):
-                self.handle.close()
-                super().close()
-
-        monkeypatch.setattr(cli, "open", lambda path, *a, **k: FullDisk(path),
-                            raising=False)
+        monkeypatch.setattr(cli.os, "write", full_disk)
         code = main(["--rounds", "100", "--out", str(out)])
         assert code == 3
         assert "cannot write" in capsys.readouterr().err
         assert out.read_text() == "earlier report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_short_writes_still_give_the_whole_report(self, tmp_path, monkeypatch):
+        import os
+
+        argv = ["--rounds", "100", "--deterministic-output", "--out"]
+        whole = tmp_path / "whole.json"
+        assert main(argv + [str(whole)]) == 0
+        real_write = os.write
+        calls = []
+
+        def one_byte(fd, data):
+            calls.append(len(data))
+            return real_write(fd, data[:1])
+
+        monkeypatch.setattr(cli.os, "write", one_byte)
+        out = tmp_path / "report.json"
+        assert main(argv + [str(out)]) == 0
+        assert out.read_bytes() == whole.read_bytes()
+        assert len(calls) == len(whole.read_bytes())
 
     def test_symlink_at_a_temporary_name_is_not_followed(self, tmp_path):
         import os
@@ -504,6 +515,17 @@ class TestExitCodes:
         assert link.is_symlink() and link.resolve() == target
         assert json.loads(target.read_text())["stats"]["rounds"] == 100
         assert sorted(p.name for p in tmp_path.iterdir()) == [link.name, "reports"]
+        assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+    def test_out_through_a_dangling_symlink_creates_its_target(self, tmp_path):
+        target = tmp_path / "reports" / "report.json"
+        target.parent.mkdir()
+        link = tmp_path / "latest.json"
+        link.symlink_to(target)
+        code = main(["--rounds", "100", "--out", str(link), "--deterministic-output"])
+        assert code == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert json.loads(target.read_text())["stats"]["rounds"] == 100
         assert [p.name for p in target.parent.iterdir()] == [target.name]
 
     def test_fifo_written_in_place(self, tmp_path):
