@@ -574,7 +574,7 @@ def test_call_cost_tool_prints_its_figures():
 
     proc = subprocess.run(
         [sys.executable, str(_TOOLS / "call_cost.py"), "--calls", "2", "--warmup", "0",
-         "--", "--rounds", "1000"],
+         "--src", str(_TOOLS.parent / "src"), "--", "--rounds", "1000"],
         capture_output=True,
         text=True,
         timeout=120,

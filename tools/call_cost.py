@@ -17,9 +17,11 @@ For example, the two 10**5-round workloads of perfbench:
     python3 tools/call_cost.py -- --rounds 100000 --seed 1 --efficiency 0.9 \\
         --attack single --eve-bases random
 
-The package is imported from the ``src/`` beside this script. Fault counts
+The package is imported from ``--src`` (default: the ``src/`` beside this
+script), so one copy of the script can cost two checkouts. Fault counts
 depend on the C library's allocator and on what ran before, so compare
-two checkouts on one host, one after the other.
+two checkouts on one host, in fresh processes that alternate between them
+(tools/README.md).
 """
 
 from __future__ import annotations
@@ -76,13 +78,15 @@ def main(argv=None) -> int:
     parser.add_argument("--calls", type=int, default=20, help="measured calls (default: 20)")
     parser.add_argument("--warmup", type=int, default=3,
                         help="calls made first and not measured (default: 3)")
+    parser.add_argument("--src", default=SRC,
+                        help="directory hyperqkd is imported from (default: %(default)s)")
     parser.add_argument("args", nargs=argparse.REMAINDER,
                         help="hyperqkd arguments, after --")
     args = parser.parse_args(argv)
     if args.calls < 1 or args.warmup < 0:
         parser.error("--calls must be >= 1 and --warmup >= 0")
     cli_args = args.args[1:] if args.args[:1] == ["--"] else args.args
-    sys.path.insert(0, SRC)
+    sys.path.insert(0, os.path.abspath(args.src))
     from hyperqkd.cli import main as hyperqkd_main
 
     with tempfile.TemporaryDirectory() as tmpdir:
