@@ -31,9 +31,9 @@ each pattern gives: both parties' packed key bits
 to each counter: same bases, a same-basis mismatch, the differing key bits,
 Eve's tallies (:func:`hyperqkd.adversary.eve_tallies`) and the detection
 strata (:func:`_strata`). Every counter of a batch is the matrix times
-the histogram of the batch's coincident patterns, summed block by block,
-less the sum of the matrix's columns of the rounds verification consumed;
-the key's counters are that difference.
+the histogram of the batch's coincident patterns, summed block by block;
+the key's counters are those less the sum of the matrix's columns of the
+rounds verification consumed.
 :func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample``
 also calls) picks the verified rounds by their rank among the coincident
 same-basis rounds. A second pass over the coincident patterns, block by
