@@ -222,8 +222,8 @@ def test_same_basis_bits_equal_the_table(attack, widths, dtype):
 
 
 def compress_key_bits(rows, both):
-    """``key_bits`` as it was written before it took its slots by index:
-    the slots that are not fillers, compressed, then split."""
+    """The key bits as one compress of the slots that are not fillers,
+    split into Alice's and Bob's."""
     packed = rows.ravel()
     packed = np.compress(packed != _FILLERS, packed)
     return packed & 3, packed >> 2 if both else None
