@@ -62,7 +62,7 @@ from .protocol import (
 )
 from .rng import RandomSource
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "ATOL",

@@ -18,14 +18,13 @@ Everything else here reads those blocks, or what they gave:
   of its rounds.
 * :func:`extract_keys` gathers those patterns' packed key rows from one
   pattern table into one buffer, block by block, reads which are
-  same-basis rounds off the rows, sums the verified rounds' counter
-  columns, turns their rows into fillers, and :func:`key_bits` copies each
-  block's key slots into the keys: the key bits are all it writes per
-  round.
+  same-basis rounds off the rows (:func:`same_basis`), sums the verified
+  rounds' counter columns, turns their rows into fillers, and
+  :func:`key_bits` copies each block's key slots into the keys: the key
+  bits are all it writes per round.
 * :func:`key_rounds` derives which rounds the key holds, drawing the
-  rounds again, only when a key's rounds are asked for.
-* :func:`draw_codes` gives every round's code, from which the records are
-  built.
+  rounds again and reading the same rule off their rows, only when a key's
+  rounds are asked for.
 
 The batch's histogram counts uint64 patterns viewed as int64, numpy's index
 type, so no index array is converted. Beyond what a call returns, its
@@ -123,31 +122,12 @@ def coincident_patterns(
     return patterns[:kept], counts
 
 
-def draw_codes(
-    seed: int, rounds: int, efficiency: float, bits: int, block: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's code (uint16), in round order, and the histogram of the
-    codes (int64, one bin per code), from :func:`draw_blocks`' blocks of the
-    same arguments. A code is the round's pattern above Alice's detection
-    bit and Bob's (see :class:`hyperqkd.montecarlo._Rounds`).
-    """
-    codes = np.empty(rounds, dtype=np.uint16)
-    for lo, pattern, alice, bob in draw_blocks(seed, rounds, efficiency, bits, block):
-        c = pattern << 2
-        c |= 3 if alice is None else alice.view(np.uint8) << 1 | bob
-        codes[lo:lo + len(c)] = c
-    return codes, np.bincount(codes, minlength=4 << bits)
-
-
-def same_basis(pattern: np.ndarray) -> np.ndarray:
+def same_basis(rows: np.ndarray) -> np.ndarray:
     """Whether the parties of each round chose equal bases (bool), read off
-    the rounds' patterns (uint16 or uint64).
-
-    Alice's and Bob's bases are the last one-bit fields of every pattern,
-    in ``run_round``'s order, above the two two-bit measurement fields:
-    their bits are bits 5 and 4 of the pattern.
-    """
-    return ((pattern ^ pattern >> 1) & 1 << 4) == 0
+    the rounds' packed key rows (uint16): a same-basis round's second slot
+    holds bits, any other's fillers. Masking the whole rows is faster than
+    comparing every second byte."""
+    return (rows & _SLOT2) != _SLOT2_FILLERS
 
 
 def _picked(
@@ -191,9 +171,7 @@ def extract_keys(
         # Every pattern indexes key_rows, so clipping changes no index, and
         # unlike the default it writes the rows straight into the buffer.
         rows = key_rows.take(pattern, out=buffer[:len(pattern)], mode="clip")
-        # A same-basis round's second slot holds bits, any other's fillers.
-        # Masking the whole rows is faster than comparing every second byte.
-        hit, ranked, end = _picked((rows & _SLOT2) != _SLOT2_FILLERS, picks, ranked, done)
+        hit, ranked, end = _picked(same_basis(rows), picks, ranked, done)
         if hit is not None:
             removed += counters.take(pattern[hit], axis=1).sum(axis=1)
             # A row of fillers gives no key bit.
@@ -206,14 +184,16 @@ def extract_keys(
 
 
 def key_rounds(
-    draws: tuple[int, int, float, int, int], picks: np.ndarray, count: int
+    draws: tuple[int, int, float, int, int], picks: np.ndarray, count: int,
+    key_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each key round's id (int64) and same-basis flag, in round order, of
     the batch whose rounds are ``draw_blocks(*draws)``, whose verification
     took ``picks`` (as :func:`extract_keys` takes them) and whose key has
     ``count`` rounds: the coincident rounds but the picked ones, derived
-    block by block into arrays allocated once. Both arrays are read-only,
-    as :class:`hyperqkd.protocol.KeyBits` holds them."""
+    block by block into arrays allocated once. ``key_rows`` holds each
+    pattern's packed key row, as :func:`extract_keys` takes it. Both arrays
+    are read-only, as :class:`hyperqkd.protocol.KeyBits` holds them."""
     ids = np.empty(count, dtype=np.int64)
     same = np.empty(count, dtype=bool)
     ranked = done = kept = 0
@@ -224,7 +204,7 @@ def key_rounds(
             rid = np.flatnonzero(np.logical_and(alice, bob, out=alice))
             pattern = pattern.take(rid)
             rid += lo
-        flags = same_basis(pattern)
+        flags = same_basis(key_rows.take(pattern))
         hit, ranked, done = _picked(flags, picks, ranked, done)
         if hit is not None:
             rid, flags = np.delete(rid, hit), np.delete(flags, hit)

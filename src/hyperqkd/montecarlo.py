@@ -21,8 +21,8 @@ read only in its top bits and skips SplitMix64's last step, which leaves
 them as they are. A batch keeps only its coincident rounds' patterns, as
 uint16, while it runs, and none after: the records and the keys' rounds
 draw the rounds again, in the same blocks, when they are first asked for.
-From every round's uint16 code, its pattern and its two detection bits,
-:meth:`_Rounds.records` rebuilds exactly the records the scalar reference
+From each block's patterns and detections, :func:`_block_records` builds
+exactly the records the scalar reference
 :func:`hyperqkd.protocol.run_round` gives for the same rounds.
 
 Per attack shape, small per-pattern tables say what a coincident round of
@@ -70,6 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, partial
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ from .adversary import (  # noqa: F401
     eve_information,
     eve_tallies,
 )
-from .blocks import coincident_patterns, draw_codes, extract_keys, key_rounds
+from .blocks import coincident_patterns, draw_blocks, extract_keys, key_rounds
 from .errors import ConfigurationError
 from .hilbert import BASES, LABELS, OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, Photon, outcome_slots
 from .protocol import (  # noqa: F401
@@ -233,53 +234,51 @@ _FIELD_NAMES = {
 # the result, under tracemalloc.
 _BLOCK_ROUNDS = 16_384
 
-@dataclass(frozen=True, eq=False)
-class _Rounds:
-    """Rounds as one uint16 code per round, indexed by round id, from which
-    a batch's records are built (:func:`hyperqkd.blocks.draw_codes`).
 
-    A round's code is its pattern, the column of ``attack``'s round table
-    that its decision word selects (:func:`_round_table`; at most 12 bits),
-    shifted left by two, OR'd with Alice's detection in bit 1 and Bob's in
-    bit 0. The pattern fixes every label code of the round, Eve's included;
-    a party's outcome is measured whether or not it is detected.
-    """
-
-    codes: np.ndarray
-    attack: Optional[AttackConfig]
-
-    def records(self) -> tuple[RoundRecord, ...]:
-        """The rounds as the RoundRecords that ``run_round`` returns."""
-        labels = _round_table(self.attack).take(self.codes >> 2, axis=1)
-        alice, bob = labels[-2:].tolist()
-        detected = [(self.codes & bit).astype(bool).tolist() for bit in (2, 1)]
-        if self.attack is None:
-            traces = [None] * len(self.codes)
-        else:
-            traces = [
-                EveRecord(rid, tuple(BASES[c >> 2] for c in codes),
-                          tuple(LABELS[c] for c in codes))
-                for rid, codes in enumerate(labels[:-2].T.tolist())
-            ]
-        return tuple(
-            RoundRecord(
-                round_id=rid,
-                alice_basis=BASES[a >> 2],
-                bob_basis=BASES[b >> 2],
-                alice_outcome=LABELS[a] if ad else None,
-                bob_outcome=LABELS[b] if bd else None,
-                alice_detected=ad,
-                bob_detected=bd,
-                eve_trace=trace,
-            )
-            for rid, (a, b, ad, bd, trace) in enumerate(zip(alice, bob, *detected, traces))
+def _block_records(
+    attack: Optional[AttackConfig], lo: int, pattern: np.ndarray,
+    alice: Optional[np.ndarray], bob: Optional[np.ndarray],
+) -> list[RoundRecord]:
+    """One block's rounds as the RoundRecords that ``run_round`` returns,
+    from the id of its first round, each round's pattern (the column of
+    ``attack``'s round table, :func:`_round_table`, that fixes every label
+    code of the round, Eve's included) and Alice's and Bob's detections
+    (bool), None where every round of the block was detected. A party's
+    outcome is measured whether or not it is detected."""
+    labels = _round_table(attack).take(pattern, axis=1)
+    # One int per round id, which the round's record and trace share.
+    ids = list(range(lo, lo + len(pattern)))
+    alice_codes, bob_codes = labels[-2:].tolist()
+    detected = [[True] * len(ids) if d is None else d.tolist() for d in (alice, bob)]
+    if attack is None:
+        traces = [None] * len(ids)
+    else:
+        traces = [
+            EveRecord(rid, tuple(BASES[c >> 2] for c in codes),
+                      tuple(LABELS[c] for c in codes))
+            for rid, codes in zip(ids, labels[:-2].T.tolist())
+        ]
+    return [
+        RoundRecord(
+            round_id=rid,
+            alice_basis=BASES[a >> 2],
+            bob_basis=BASES[b >> 2],
+            alice_outcome=LABELS[a] if ad else None,
+            bob_outcome=LABELS[b] if bd else None,
+            alice_detected=ad,
+            bob_detected=bd,
+            eve_trace=trace,
         )
+        for rid, a, b, ad, bd, trace in zip(ids, alice_codes, bob_codes, *detected, traces)
+    ]
 
 
 def _batch_records(draws: tuple, attack: Optional[AttackConfig]) -> tuple[RoundRecord, ...]:
     """The records of the batch whose rounds are ``draw_blocks(*draws)``
-    under ``attack``, from its codes drawn again."""
-    return _Rounds(draw_codes(*draws)[0], attack).records()
+    under ``attack``, from its rounds drawn again. Each block becomes
+    records before the next block is drawn over it."""
+    return tuple(chain.from_iterable(
+        _block_records(attack, *block) for block in draw_blocks(*draws)))
 
 
 @dataclass(frozen=True)
@@ -555,7 +554,8 @@ def run_batch(config: SimConfig) -> BatchResult:
     )
     # Both keys derive their rounds from the draws and the picks, once.
     alice_key = KeyBits._of_batch(
-        alice_bits, key_len, cache(partial(key_rounds, draws, picks, coincidences - k)))
+        alice_bits, key_len,
+        cache(partial(key_rounds, draws, picks, coincidences - k, tables.key_rows)))
     # With no bit error, Bob holds Alice's key.
     bob_key = alice_key.with_bits(bob_bits) if key_errors else alice_key
     return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key,

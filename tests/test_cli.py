@@ -567,8 +567,9 @@ def test_module_entry_point(tmp_path):
 
 
 def test_call_cost_tool_prints_its_figures():
-    # tools/call_cost.py gives the fault and CPU figures of CHANGES.md; it
-    # runs in a process of its own, as its faults are the process's.
+    # tools/call_cost.py gives the set-up, fault and CPU figures of
+    # CHANGES.md; it runs in a process of its own, as its faults and its
+    # import are the process's.
     import subprocess
     import sys
 
@@ -585,6 +586,7 @@ def test_call_cost_tool_prints_its_figures():
     assert set(cost["minflt"]) == {"median", "min", "max"}
     assert 0 <= cost["minflt"]["min"] <= cost["minflt"]["median"] <= cost["minflt"]["max"]
     assert cost["cpu_ms"] > 0 and cost["transient_mb"] > 0
+    assert cost["setup_s"] > 0
 
 
 def test_importing_the_entry_point_runs_nothing():

@@ -11,7 +11,8 @@ probability exactly ``P = ceil(eta * 2**53) / 2**53`` (the threshold of
 ``2**-bits * P_a * P_b``, with ``P_a`` = P or 1 - P by Alice's detection
 bit and ``P_b`` by Bob's. What each pattern means is tested exactly,
 without sampling, against the scalar reference (``test_kernels.py``); this
-file tests only the random bits, on ``blocks.draw_codes``' own histogram.
+file tests only the random bits, on the histogram of the codes of
+``blocks.draw_blocks``' own blocks (:func:`code_histogram`).
 
 Each case draws enough rounds that every bin's expected count is at least
 40 and fails if the G statistic's p-value is below ``P_FLOOR``. The seeds
@@ -58,13 +59,26 @@ def exact_law(bits, efficiency):
     return [Fraction(1, 2**bits) * q for q in per_pattern] * 2**bits
 
 
+def code_histogram(seed, rounds, efficiency, bits):
+    """The histogram (int64, one bin per code) of the codes of ``rounds``
+    rounds, code = 4 * pattern + 2 * Alice's detection + Bob's, from
+    ``blocks.draw_blocks``' blocks of the engine's size."""
+    counts = np.zeros(4 << bits, dtype=np.int64)
+    for _, pattern, alice, bob in blocks.draw_blocks(
+            seed, rounds, efficiency, bits, montecarlo._BLOCK_ROUNDS):
+        code = pattern << 2
+        code |= 3 if alice is None else alice.view(np.uint8) << 1 | bob
+        counts += np.bincount(code.view(np.int64), minlength=4 << bits)
+    return counts
+
+
 def g_test(seed, attack, efficiency):
     """The G statistic's p-value for one seeded histogram, and the number
     of rounds it came from; a code of probability 0 must not occur."""
     bits = PATTERN_BITS[attack]
     rounds = ROUNDS_PER_PATTERN << bits
     law = exact_law(bits, efficiency)
-    _, counts = blocks.draw_codes(seed, rounds, efficiency, bits, montecarlo._BLOCK_ROUNDS)
+    counts = code_histogram(seed, rounds, efficiency, bits)
     assert counts.sum() == rounds and len(counts) == len(law)
     expected = np.array([float(q * rounds) for q in law])
     possible = expected > 0
@@ -119,6 +133,6 @@ def test_a_biased_detection_bit_fails():
     # detection probability one point off is caught at these counts.
     bits = PATTERN_BITS[SHAPES[0][0]]
     rounds = ROUNDS_PER_PATTERN << bits
-    _, counts = blocks.draw_codes(1000, rounds * 8, 0.9, bits, montecarlo._BLOCK_ROUNDS)
+    counts = code_histogram(1000, rounds * 8, 0.9, bits)
     expected = np.array([float(q) for q in exact_law(bits, 0.89)]) * counts.sum()
     assert chi2_sf(*g_statistic(counts, expected)) < P_FLOOR

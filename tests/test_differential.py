@@ -297,10 +297,10 @@ def test_a_tied_detection_is_decided_by_the_partys_draw(party, detected, round_i
     # efficiency gives a tie once in about 2**26 rounds per party.
     seed, rounds, attack = 5, 300, ATTACKS[4]
     efficiency = tied_efficiency(seed, round_id, party, detected)
-    codes, _ = blocks.draw_codes(seed, rounds, efficiency, PATTERN_BITS[attack], 128)
+    draws = (seed, rounds, efficiency, PATTERN_BITS[attack], 128)
     records = tuple(run_round(i, attack, efficiency, RandomSource.for_round(seed, i))
                     for i in range(rounds))
-    assert montecarlo._Rounds(codes, attack).records() == records
+    assert montecarlo._batch_records(draws, attack) == records
     rec = records[round_id]
     assert (rec.alice_detected, rec.bob_detected)[party - 1] is detected
 

@@ -13,7 +13,7 @@ sifting, mismatch, key bit errors, Eve's tallies and the detection strata);
 each entry, and the detection stats ``_detection`` makes of the column, is
 checked against the per-record reference of ``reference.py`` on the column's round under all four
 detection states. The engine reads the same-basis flag off each round's
-pattern; that rule is checked against the table on every pattern.
+packed key row; that rule is checked against the table on every pattern.
 """
 
 import math
@@ -179,7 +179,7 @@ def test_pattern_tables_equal_reference(attack, widths):
     # Every pattern with each of the four detection states: code 4 * pattern
     # + 2 * Alice's detection + Bob's.
     codes = np.arange(4 * size, dtype=np.uint16)
-    records = montecarlo._Rounds(codes, attack).records()
+    records = montecarlo._block_records(attack, 0, codes >> 2, codes & 2 > 0, codes & 1 > 0)
     for code, rec in enumerate(records):
         p = code >> 2
         assert (rec.alice_detected, rec.bob_detected) == (bool(code & 2), bool(code & 1))
@@ -216,9 +216,9 @@ def test_pattern_tables_equal_reference(attack, widths):
 @pytest.mark.parametrize("dtype", [np.uint64, np.uint16])
 def test_same_basis_bits_equal_the_table(attack, widths, dtype):
     patterns = np.arange(1 << sum(widths), dtype=dtype)
-    got = blocks.same_basis(patterns)
-    same = montecarlo._patterns(attack).counters[montecarlo._SAME]
-    assert got.tolist() == same.astype(bool).tolist()
+    tables = montecarlo._patterns(attack)
+    got = blocks.same_basis(tables.key_rows.take(patterns))
+    assert got.tolist() == tables.counters[montecarlo._SAME].astype(bool).tolist()
 
 
 def compress_key_bits(rows, both):
@@ -271,7 +271,7 @@ def test_removed_counters_equal_the_checked_rounds_histogram(
     attack, widths = SHAPES[shape]
     tables = montecarlo._patterns(attack)
     patterns, counts = blocks.coincident_patterns(seed, rounds, efficiency, sum(widths), block)
-    same = patterns[blocks.same_basis(patterns)]
+    same = patterns[tables.counters[montecarlo._SAME].take(patterns) > 0]
     k = math.ceil(fraction * len(same))
     picks = np.sort(np.random.default_rng(seed).choice(len(same), size=k, replace=False))
     width = len(patterns) + len(same) - 2 * k

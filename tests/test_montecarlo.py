@@ -297,6 +297,21 @@ class TestRunBatch:
         # A block's temporaries are a few arrays of 8 bytes per round.
         assert peak <= ids.nbytes + same.nbytes + 64 * montecarlo._BLOCK_ROUNDS
 
+    def test_records_are_built_in_memory_of_one_block(self):
+        # Each block's rounds become records before the next block is
+        # drawn, so beyond the records a first read holds a few lists of one
+        # block: no array or list over the whole batch but the result.
+        result = run_batch(SimConfig(rounds=100_000, seed=1, efficiency=0.9))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            records = result.records
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 100_000
+        assert peak - held <= 128 * montecarlo._BLOCK_ROUNDS
+
     def test_keys_without_errors_are_one_object(self):
         clean = run_batch(SimConfig(rounds=3000, seed=3, efficiency=0.9))
         assert clean.stats.key_bit_error_rate == 0.0

@@ -1,10 +1,14 @@
 """Steady-state cost of one in-process command-line call.
 
-Runs ``hyperqkd.cli.main`` on the given arguments (with
+Imports ``hyperqkd.cli`` and makes one 100-round call, then runs
+``hyperqkd.cli.main`` on the given arguments (with
 ``--deterministic-output --out <temporary file>`` added) a few times to
 warm up, then ``--calls`` times with ``gc.collect()`` before each call, as
 perfbench/run.py does, and prints one JSON object:
 
+* ``setup_s``: the wall time of the import and the 100-round
+  ``--deterministic-output`` call, perfbench's set-up time without the
+  interpreter's start;
 * ``minflt``: minor page faults of the process during each call
   (``resource.getrusage``), their median, minimum and maximum;
 * ``cpu_ms``: the median process CPU time of a call;
@@ -86,13 +90,18 @@ def main(argv=None) -> int:
     if args.calls < 1 or args.warmup < 0:
         parser.error("--calls must be >= 1 and --warmup >= 0")
     cli_args = args.args[1:] if args.args[:1] == ["--"] else args.args
-    sys.path.insert(0, os.path.abspath(args.src))
-    from hyperqkd.cli import main as hyperqkd_main
-
     with tempfile.TemporaryDirectory() as tmpdir:
-        argv = cli_args + ["--deterministic-output", "--out", os.path.join(tmpdir, "report")]
+        out = os.path.join(tmpdir, "report")
+        start = time.perf_counter()
+        sys.path.insert(0, os.path.abspath(args.src))
+        from hyperqkd.cli import main as hyperqkd_main
+
+        if hyperqkd_main(["--rounds", "100", "--deterministic-output", "--out", out]) != 0:
+            raise SystemExit("error: the 100-round set-up call failed")
+        setup_s = time.perf_counter() - start
+        argv = cli_args + ["--deterministic-output", "--out", out]
         cost = call_cost(hyperqkd_main, argv, args.calls, args.warmup)
-    json.dump({"argv": cli_args, **cost}, sys.stdout)
+    json.dump({"argv": cli_args, "setup_s": setup_s, **cost}, sys.stdout)
     sys.stdout.write("\n")
     return 0
 
