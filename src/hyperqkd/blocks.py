@@ -11,7 +11,8 @@ ties with. The party's own draw (1 for Alice, 2 for Bob) is computed only
 for a round whose field ties, about once in 2**26. At efficiency 1 every
 detection succeeds and only the word's top bits are computed.
 
-Everything else here reads those blocks, or what they gave:
+Everything else here reads those blocks, or what they gave, and so do a
+batch's records (:func:`hyperqkd.montecarlo._block_records`):
 
 * :func:`coincident_patterns` keeps the coincident rounds' patterns, as
   uint16, and their histogram: all that the batch's counters and keys need

@@ -22,8 +22,8 @@ them as they are. A batch keeps only its coincident rounds' patterns, as
 uint16, while it runs, and none after: the records and the keys' rounds
 draw the rounds again, in the same blocks, when they are first asked for.
 From each block's patterns and detections, :func:`_block_records` builds
-exactly the records the scalar reference
-:func:`hyperqkd.protocol.run_round` gives for the same rounds.
+exactly the records the scalar reference :func:`hyperqkd.protocol.run_round`
+gives for the same rounds.
 
 Per attack shape, small per-pattern tables say what a coincident round of
 each pattern gives: both parties' packed key bits
