@@ -1,4 +1,4 @@
-"""Steady-state cost of one in-process command-line call.
+"""Set-up time, and steady-state cost of one in-process command-line call.
 
 Imports ``hyperqkd.cli`` and makes one 100-round call, then runs
 ``hyperqkd.cli.main`` on the given arguments (with
