@@ -1,64 +1,55 @@
 """Batch simulation driver and the estimators for the protocol's headline numbers.
 
 A batch runs independent rounds, each a pure function of the master seed
-and its round id, so results are bit-identical for a given configuration:
-round ``i`` reads outputs ``3i + 1`` to ``3i + 3`` of one SplitMix64 stream
-seeded from the master seed (:mod:`hyperqkd.rng`), and no two draws of a
-batch share a state. Rounds are simulated in fixed blocks of 16 384
-(:mod:`hyperqkd.blocks`), computing each round's raw 64-bit draws in that
-layout and reading every decision off them as an integer.
-Draw 0 is the round's decision word: each basis reads one bit of it and
-each measurement outcome two, from the top down in ``run_round``'s order.
-The word's top bits, at most 12, are the round's pattern: the
-index of one column of a composed round table that holds every label code
-of the round, Eve's included. There is one table per attack shape, built
-once from the closed state set's fixed tables in :mod:`hyperqkd.hilbert`.
-The word's low 52 bits hold Alice's and Bob's 26-bit detection fields,
-each compared with the efficiency's threshold; draws 1 and 2 decide a
-detection only when the party's field ties with it, and only those rounds
-compute them. At efficiency 1 every detection succeeds, so the word is
-read only in its top bits and skips SplitMix64's last step, which leaves
-them as they are. A batch keeps only its coincident rounds' patterns, as
-uint16, while it runs, and none after: the records and the keys' rounds
-draw the rounds again, in the same blocks, when they are first asked for.
-From each block's patterns and detections, :func:`_block_records` builds
-exactly the records the scalar reference :func:`hyperqkd.protocol.run_round`
-gives for the same rounds.
+and its round id, so results are bit-identical for a given configuration.
+:func:`hyperqkd.rng.draw_blocks` draws them in blocks of 16 384 rounds, in
+the stream layout of :mod:`hyperqkd.rng`, and gives each round's pattern,
+the top bits (at most 12) of its decision word, and both detections. A
+pattern is the index of one column of the attack shape's round table
+(:func:`_round_table`), which holds every label code of the round, Eve's
+included, and is built once per shape from the closed state set's fixed
+tables in :mod:`hyperqkd.hilbert`. From it, per-pattern tables
+(:func:`_patterns`) say what a coincident round of each pattern gives:
+both parties' packed key row (:func:`hyperqkd.protocol.key_rows`), and one
+int64 matrix of what it adds to each counter: same bases, a same-basis
+mismatch, the differing key bits, Eve's tallies
+(:func:`hyperqkd.adversary.eve_tallies`) and the detection strata
+(:func:`_strata`).
 
-Per attack shape, small per-pattern tables say what a coincident round of
-each pattern gives: both parties' packed key bits
-(:func:`hyperqkd.protocol.key_rows`), and one int64 matrix of what it adds
-to each counter: same bases, a same-basis mismatch, the differing key bits,
-Eve's tallies (:func:`hyperqkd.adversary.eve_tallies`) and the detection
-strata (:func:`_strata`). Every counter of a batch is the matrix times
-the histogram of the batch's coincident patterns, summed block by block;
-the key's counters are those less the sum of the matrix's columns of the
-rounds verification consumed.
-:func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample``
-also calls) picks the verified rounds by their rank among the coincident
-same-basis rounds. A second pass over the coincident patterns, block by
-block, gathers their packed key rows, reads the same-basis rounds off
-them, sums the picked rounds' counter columns and takes them out of the
-key, and copies the rows' key slots with
-:func:`hyperqkd.protocol.key_bits` into the keys' bits, Bob's only when a
-key bit can differ. Each pass allocates its buffers of one block once and
-reuses them for every block, so beyond the coincident patterns and its
-results (the keys' bits and the picks) a batch works in memory of one
-block, and it keeps only its results. The scalar
-``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
+A batch's passes each work in buffers of one block, allocated once and
+reused for every block:
+
+* :func:`coincident_patterns` keeps the coincident rounds' patterns, as
+  uint16, and their histogram. Every counter of the batch is the matrix
+  times that histogram.
+* :func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample`` also
+  calls) picks the checked rounds by their rank among the coincident
+  same-basis rounds.
+* :func:`extract_keys` gathers the patterns' key rows, reads the
+  same-basis rounds off them (:func:`hyperqkd.protocol.same_basis`), sums
+  the checked rounds' counter columns, which the key's counters lack,
+  gives their rows the fillers, and copies the rows' key bits
+  (:func:`hyperqkd.protocol.key_bits`), Bob's only when a key bit can
+  differ.
+* Only when they are first asked for, :func:`key_rounds` derives which
+  rounds the key holds, and :func:`_block_records` builds the records,
+  exactly those the scalar reference :func:`hyperqkd.protocol.run_round`
+  gives, each from the rounds drawn again.
+
+So a batch holds its coincident patterns only while it runs, and keeps
+only its results: the keys' bits and the picks. Alice's key derives its
+rounds' ids and same-basis flags on first access; Bob's holds the same
+rounds (:meth:`KeyBits.with_bits`), derived once for both keys, and is
+Alice's key itself when no key bit differs. At a ``verify_fraction`` of 0
+no round is compared and every coincidence stays in the key.
+
+The scalar ``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
 :func:`detection_probability` gather label codes from round records (what
 Eve saw from each record's ``eve_trace``) and call the same kernels,
-summing the tallies over the records. Eve's guess accuracy is an
-integer count of quarters divided once by 4 * key length. Alice's key
-holds its bits, and derives its rounds' ids and same-basis flags, block by
-block, from the rounds drawn again and the picks
-(:func:`hyperqkd.blocks.key_rounds`) on first access;
-Bob's holds the same rounds (:meth:`KeyBits.with_bits`), derived once for
-both keys, and is Alice's key itself when no key bit differs.
-At a ``verify_fraction`` of 0 no round is compared and every coincidence
-stays in the key.
-Estimators report binomial standard errors, except Eve's information,
-whose standard error is clustered by round.
+summing the tallies over the records. Eve's guess accuracy is an integer
+count of quarters divided once by 4 * key length. Estimators report
+binomial standard errors, except Eve's information, whose standard error
+is clustered by round.
 
 The key-rate baseline for the efficiency comparison is the entangled-qubit
 protocol in which only 2/9 of detected pairs yield a key bit; at the ideal
@@ -87,23 +78,26 @@ from .adversary import (  # noqa: F401
     eve_information,
     eve_tallies,
 )
-from .blocks import coincident_patterns, draw_blocks, extract_keys, key_rounds
 from .errors import ConfigurationError
 from .hilbert import BASES, LABELS, OUTCOME_LABEL, OUTCOME_POST, SHARED_ID, Photon, outcome_slots
 from .protocol import (  # noqa: F401
+    FILLER_ROW,
     KeyBits,
     RoundRecord,
     VerificationReport,
     build_keys,
+    key_bits,
+    key_errors,
     key_rows,
     partial_shuffle,
     run_round,
+    same_basis,
     sift,
     valid_efficiency,
     valid_fraction,
     verify_sample,
 )
-from .rng import DECISION_BITS, DRAWS_PER_ROUND, DecisionWord, stream_uniforms
+from .rng import DECISION_BITS, DRAWS_PER_ROUND, DecisionWord, draw_blocks, stream_uniforms
 
 #: Key bits per detected pair in the three-bases entangled-qubit baseline.
 EKERT_BITS_PER_PAIR = 2.0 / 9.0
@@ -417,10 +411,9 @@ _STRATA = slice(6, 8)
 class _Patterns:
     """What each round pattern of one attack shape (a column of its round
     table) gives when the round is coincident: both parties' packed key-bit
-    row (:func:`key_rows`' two bytes, held as one uint16 so a gather moves
-    each row at once), and how much the round adds to each of the batch's
-    counters, one int64 row per counter (``_SAME`` to ``_STRATA``; Eve's
-    rows are 0 with no attack, the strata unless she intercepts both
+    row (:func:`key_rows`), and how much the round adds to each of the
+    batch's counters, one int64 row per counter (``_SAME`` to ``_STRATA``;
+    Eve's rows are 0 with no attack, the strata unless she intercepts both
     photons)."""
 
     key_rows: np.ndarray
@@ -430,7 +423,8 @@ class _Patterns:
 @cache
 def _patterns(attack: Optional[AttackConfig]) -> _Patterns:
     """The pattern tables of ``attack``'s shape, built once from its round
-    table, :func:`key_rows`, :func:`eve_tallies` and :func:`_strata`."""
+    table, :func:`key_rows`, :func:`key_errors`, :func:`eve_tallies` and
+    :func:`_strata`."""
     table = _round_table(attack)
     alice, bob = table[-2:]
     same = (alice >> 2) == (bob >> 2)
@@ -439,17 +433,125 @@ def _patterns(attack: Optional[AttackConfig]) -> _Patterns:
     counters = np.zeros((_STRATA.stop, table.shape[1]), dtype=np.int64)
     counters[_SAME] = same
     counters[_SAME_MISMATCH] = same & mismatch
-    # A filler slot holds the filler for both parties, so it never differs.
-    counters[_KEY_ERRORS] = np.count_nonzero(rows & 3 != rows >> 2, axis=1)
+    counters[_KEY_ERRORS] = key_errors(rows)
     if attack is not None:
         # Eve's photon-2 outcome decides what she knows of Bob's key.
         counters[_EVE] = eve_tallies(table[-3], bob >> 2, same)
         if attack.kind is AttackKind.DOUBLE_INTERCEPT:
             counters[_STRATA] = _strata((table[0] >> 2) == (table[1] >> 2), mismatch) & same
-    tables = _Patterns(key_rows=rows.view(np.uint16).ravel(), counters=counters)
+    tables = _Patterns(key_rows=rows, counters=counters)
     for arr in (tables.key_rows, tables.counters):
         arr.flags.writeable = False
     return tables
+
+
+def coincident_patterns(
+    seed: int, rounds: int, efficiency: float, bits: int, block: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coincident rounds' patterns (uint16), in round order, and their
+    histogram (int64, one bin per pattern), from :func:`draw_blocks`' blocks
+    of the same arguments. Below efficiency 1 each block's patterns are
+    compressed once, on both detections; at efficiency 1 every round is
+    coincident. MemoryError if the patterns might not fit in one array.
+    """
+    if 2 * rounds > np.iinfo(np.intp).max:
+        # numpy refuses an array this large with ValueError.
+        raise MemoryError(f"{rounds} patterns do not fit in one array")
+    patterns = np.empty(rounds, dtype=np.uint16)
+    counts = np.zeros(1 << bits, dtype=np.int64)
+    kept = 0
+    for _, pattern, alice, bob in draw_blocks(seed, rounds, efficiency, bits, block):
+        if alice is not None:
+            pattern = np.compress(np.logical_and(alice, bob, out=alice), pattern)
+        patterns[kept:kept + len(pattern)] = pattern
+        # Viewed as int64, numpy's index type, no index array is converted.
+        counts += np.bincount(pattern.view(np.int64), minlength=1 << bits)
+        kept += len(pattern)
+    return patterns[:kept], counts
+
+
+def _picked(
+    same: np.ndarray, picks: np.ndarray, ranked: int, done: int
+) -> tuple[Optional[np.ndarray], int, int]:
+    """Which of a block's coincident rounds the picks take: their positions
+    among the block's coincident rounds (None if there are none), and the
+    next block's ``ranked`` and ``done``. ``same`` flags the block's
+    coincident same-basis rounds, ``ranked`` counts the batch's before the
+    block, and ``done`` the picks below ``ranked``."""
+    rank_end = ranked + int(np.count_nonzero(same))
+    end = done + int(np.searchsorted(picks[done:], rank_end))
+    hit = np.flatnonzero(same)[picks[done:end] - ranked] if end > done else None
+    return hit, rank_end, end
+
+
+def extract_keys(
+    patterns: np.ndarray, picks: np.ndarray, key_rows: np.ndarray, counters: np.ndarray,
+    width: int, both: bool, block: int,
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """The key of a batch, from blocks of ``block`` of the coincident
+    rounds' ``patterns`` (:func:`coincident_patterns`): Alice's key bits,
+    Bob's (None unless ``both``) and what the rounds verification checked
+    add to each counter (int64, one per row of ``counters``).
+
+    ``picks`` ranks the checked rounds among the coincident same-basis
+    rounds, ascending; every other coincident round is a key round.
+    ``key_rows`` holds each pattern's packed key row and ``counters`` each
+    pattern's column of what it adds to each counter (:class:`_Patterns`).
+    The key has ``width`` bits, so every result is allocated once and
+    filled a block at a time, and the rows of a block are gathered into one
+    buffer. Which rounds the key holds is :func:`key_rounds`.
+    """
+    alice = np.empty(width, dtype=np.uint8)
+    bob = np.empty(width, dtype=np.uint8) if both else None
+    removed = np.zeros(len(counters), dtype=np.int64)
+    buffer = np.empty(min(block, len(patterns)), dtype=np.uint16)
+    ranked = done = bit = 0
+    for lo in range(0, len(patterns), block):
+        pattern = patterns[lo:lo + block]
+        # Every pattern indexes key_rows, so clipping changes no index, and
+        # unlike the default it writes the rows straight into the buffer.
+        rows = key_rows.take(pattern, out=buffer[:len(pattern)], mode="clip")
+        hit, ranked, end = _picked(same_basis(rows), picks, ranked, done)
+        if hit is not None:
+            removed += counters.take(pattern[hit], axis=1).sum(axis=1)
+            rows[hit] = FILLER_ROW
+        done = end
+        a, _ = key_bits(rows, both, out=(alice[bit:], bob[bit:] if both else None))
+        bit += len(a)
+    return alice, bob, removed
+
+
+def key_rounds(
+    draws: tuple[int, int, float, int, int], picks: np.ndarray, count: int,
+    key_rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each key round's id (int64) and same-basis flag, in round order, of
+    the batch whose rounds are ``draw_blocks(*draws)``, whose verification
+    took ``picks`` (as :func:`extract_keys` takes them) and whose key has
+    ``count`` rounds: the coincident rounds but the picked ones, derived
+    block by block into arrays allocated once. ``key_rows`` holds each
+    pattern's packed key row, as :func:`extract_keys` takes it. Both arrays
+    are read-only, as :class:`hyperqkd.protocol.KeyBits` holds them."""
+    ids = np.empty(count, dtype=np.int64)
+    same = np.empty(count, dtype=bool)
+    ranked = done = kept = 0
+    for lo, pattern, alice, bob in draw_blocks(*draws):
+        if alice is None:
+            rid = np.arange(lo, lo + len(pattern))
+        else:
+            rid = np.flatnonzero(np.logical_and(alice, bob, out=alice))
+            pattern = pattern.take(rid)
+            rid += lo
+        flags = same_basis(key_rows.take(pattern))
+        hit, ranked, done = _picked(flags, picks, ranked, done)
+        if hit is not None:
+            rid, flags = np.delete(rid, hit), np.delete(flags, hit)
+        ids[kept:kept + len(rid)] = rid
+        same[kept:kept + len(rid)] = flags
+        kept += len(rid)
+    for arr in (ids, same):
+        arr.flags.writeable = False
+    return ids, same
 
 
 def eve_information_se(known_bits: int, known_sq: int, width_sq: int, key_len: int) -> float:
@@ -479,8 +581,8 @@ def run_batch(config: SimConfig) -> BatchResult:
     config.validate()
     tables = _patterns(config.attack)
     # A pattern of b bits is one of the tables' 2**b columns. The draws are
-    # blocks.draw_blocks' arguments, from which the records and the keys'
-    # rounds draw the batch again.
+    # draw_blocks' arguments, from which the records and the keys' rounds
+    # draw the batch again.
     draws = (config.seed, config.rounds, config.efficiency,
              len(tables.key_rows).bit_length() - 1, _BLOCK_ROUNDS)
     patterns, coincident = coincident_patterns(*draws)

@@ -20,6 +20,14 @@ low 52 bits hold Alice's and Bob's detection fields, and each party's
 detection compares its field, above the top bits of the round's next draw
 (Alice's) or the one after it (Bob's), with the efficiency's threshold
 (:func:`hyperqkd.rng.detection_uniform`).
+
+A coincident round's key bits are held as one packed key row
+(:func:`key_rows`): two one-byte slots held as one uint16, one slot per
+key bit of the round, each holding Alice's bit in its bits 0-1 and Bob's
+in bits 2-3. A different-basis round's second slot holds the fillers, and
+so do both slots of a checked round (:data:`FILLER_ROW`). This module
+alone reads the layout: :func:`same_basis`, :func:`key_errors` and
+:func:`key_bits` read the rows.
 """
 
 from __future__ import annotations
@@ -93,6 +101,13 @@ _BIT_ROWS = np.array(
      for row in (encode_same_basis(lab), (encode_diff_basis(lab), _FILLER))],
     dtype=np.uint8,
 )
+# The mask of a packed row's second slot, and that slot holding the
+# fillers, each as the uint16 whose second byte it is.
+_SLOT2 = np.array([0, 0xFF], dtype=np.uint8).view(np.uint16)[0]
+_SLOT2_FILLERS = np.array([0, _FILLERS], dtype=np.uint8).view(np.uint16)[0]
+#: A packed key row with the fillers in both slots, which gives no key bit:
+#: a checked round's row is set to it, which takes the round out of the key.
+FILLER_ROW = _FILLERS << 8 | _FILLERS
 
 
 def _is_real(value) -> bool:
@@ -368,16 +383,34 @@ def sift(records: Iterable[RoundRecord]) -> SiftGroups:
 
 
 def key_rows(alice_codes: np.ndarray, bob_codes: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """Both parties' key-bit rows, one packed pair of bytes per round, from
-    each round's label codes (hilbert's LABELS) and same-basis flag.
+    """Both parties' key-bit rows, one packed pair of bytes per round held
+    as one uint16, so that a gather moves each row at once, from each
+    round's label codes (hilbert's LABELS) and same-basis flag.
 
     Each round picks, per party, its row of _BIT_ROWS. Alice's rows go in
     bits 0-1 and Bob's in bits 2-3 of each byte; both parties' fillers fall
     on the same slots, so :func:`key_bits` drops them with one mask.
     """
     diff = ~same
-    return (_BIT_ROWS.take(2 * alice_codes + diff, axis=0)
+    rows = (_BIT_ROWS.take(2 * alice_codes + diff, axis=0)
             | _BIT_ROWS.take(2 * bob_codes + diff, axis=0) << 2)
+    return rows.view(np.uint16).ravel()
+
+
+def same_basis(rows: np.ndarray) -> np.ndarray:
+    """Whether the parties of each round chose equal bases (bool), read off
+    the rounds' packed key rows (:func:`key_rows`): a same-basis round's
+    second slot holds bits, any other's fillers. Masking the whole rows is
+    faster than comparing every second byte."""
+    return (rows & _SLOT2) != _SLOT2_FILLERS
+
+
+def key_errors(rows: np.ndarray) -> np.ndarray:
+    """How many of each packed key row's (:func:`key_rows`) bits differ
+    between Alice and Bob (int64). A filler slot holds the filler for both
+    parties, so it never differs."""
+    slots = rows.view(np.uint8).reshape(-1, 2)
+    return np.count_nonzero(slots & 3 != slots >> 2, axis=1)
 
 
 def key_bits(
@@ -385,11 +418,11 @@ def key_bits(
     out: tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None),
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Both parties' key bits, in key order, from the key rounds' packed
-    rows (:func:`key_rows`), as uint8 bytes in round order; Bob's are None
-    unless ``both``. A slot that holds the fillers gives no bit. A party's
-    array in ``out`` (uint8, or None for a new array) takes its bits at its
+    rows (:func:`key_rows`), in round order; Bob's are None unless
+    ``both``. A slot that holds the fillers gives no bit. A party's array
+    in ``out`` (uint8, or None for a new array) takes its bits at its
     start, and the bits returned are that part of it."""
-    packed = rows.ravel()
+    packed = rows.view(np.uint8)
     keep = np.flatnonzero(packed != _FILLERS)
     alice, bob = (None if arr is None else arr[:len(keep)] for arr in out)
     # The slots go straight into Alice's array; clipping changes none of

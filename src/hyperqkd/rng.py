@@ -17,14 +17,15 @@ two draws of a batch of fewer than 2**64 / 3 rounds share a state; a
 :func:`round_draw` and :func:`stream_uniforms` use the counter to compute
 any draw directly, many at once with numpy, bit-identical to the scalar
 :class:`RandomSource` they share constants with (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011). A batch's blocks of
-consecutive rounds take their decision words from :func:`decision_words`:
-a table of the rounds' offsets ``arange(block) * 3 * GAMMA``, which
-:func:`round_offsets` builds once per process and keeps read-only, plus one
-scalar per block, ``lo * 3 * GAMMA + mix64(master_seed) + GAMMA`` modulo
-2**64, then the mix, in arrays the batch allocates once. So a block costs
-one addition before the mix and allocates nothing, and a batch can draw its
-rounds again, in any block, as cheaply as the first time.
+random numbers: as easy as 1, 2, 3", SC 2011). :func:`draw_blocks` is the
+one loop that draws a batch's rounds, in blocks of consecutive rounds. A
+block takes its decision words from :func:`decision_words`: a table of the
+rounds' offsets ``arange(block) * 3 * GAMMA``, which :func:`round_offsets`
+builds once per process and keeps read-only, plus one scalar per block,
+``lo * 3 * GAMMA + mix64(master_seed) + GAMMA`` modulo 2**64, then the mix,
+in arrays the batch allocates once. So a block costs one addition before
+the mix and allocates nothing, and a batch can draw its rounds again, in
+any block, as cheaply as the first time.
 
 A protocol round reads its three draws. Draw 0 is its decision word: every
 fair decision of the round (a basis is one bit, a measurement outcome two)
@@ -48,14 +49,16 @@ exact for any ``p`` (Knuth and Yao 1976), and its probability is exactly
 
 At efficiency 1 the decision word is read only in its top bits, and the
 mix's last step ``z ^ (z >> 31)`` leaves the top 31 bits of ``z`` as they
-are. So :func:`round_draw` may skip it for that draw, which then equals
-the scalar stream's draw in its top 31 bits only.
+are. So :func:`draw_blocks` skips it there (:func:`decision_words`'
+``exact``), and its words then equal the scalar stream's draw 0 in their
+top 31 bits only. Below efficiency 1 it computes a party's own draw only
+for a round whose field ties.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -208,13 +211,10 @@ def _mix64_array(
     return z
 
 
-def round_draw(
-    master_seed: int, round_ids: np.ndarray, j: int, exact: bool = True
-) -> np.ndarray:
+def round_draw(master_seed: int, round_ids: np.ndarray, j: int) -> np.ndarray:
     """Draw ``j`` of each round's stream: at position ``k``, the ``j + 1``-th
     ``RandomSource.for_round(master_seed, round_ids[k]).next_u64()``, as
-    uint64, or only in its top 31 bits unless ``exact`` (see the module
-    docstring). ``round_ids`` is uint64. A round has :data:`DRAWS_PER_ROUND`
+    uint64. ``round_ids`` is uint64. A round has :data:`DRAWS_PER_ROUND`
     draws, so a ``j`` outside 0 to 2 raises ValueError: that draw would be
     another round's.
     """
@@ -224,7 +224,7 @@ def round_draw(
     # Python ints, as numpy scalar arithmetic would warn on the wrap-around.
     z = round_ids * np.uint64(DRAWS_PER_ROUND * _GAMMA & _MASK64)
     z += np.uint64(mix64(master_seed) + (j + 1) * _GAMMA & _MASK64)
-    return _mix64_array(z, exact)
+    return _mix64_array(z)
 
 
 # The largest offsets table built so far in this process (read-only), of
@@ -253,14 +253,62 @@ def decision_words(
 ) -> np.ndarray:
     """The decision words of rounds ``lo`` to ``lo + len(offsets) - 1``
     from their :func:`round_offsets`: ``round_draw(master_seed,
-    np.arange(lo, lo + len(offsets), dtype=np.uint64), 0, exact)``,
-    bit for bit, as uint64. Round ``lo + i``'s state is ``offsets[i]`` plus
-    round ``lo``'s, one scalar for the whole block. The words are written
-    to ``out`` and the mix's shifts to ``tmp``, uint64 arrays of the
-    offsets' length, each None for a new array; ``out`` is returned."""
+    np.arange(lo, lo + len(offsets), dtype=np.uint64), 0)``, as uint64, bit
+    for bit, or unless ``exact`` in the top 31 bits only (see the module
+    docstring). Round ``lo + i``'s state is ``offsets[i]`` plus round
+    ``lo``'s, one scalar for the whole block. The words are written to
+    ``out`` and the mix's shifts to ``tmp``, uint64 arrays of the offsets'
+    length, each None for a new array; ``out`` is returned."""
     first = mix64(master_seed) + _GAMMA + lo * DRAWS_PER_ROUND * _GAMMA
     z = np.add(offsets, np.uint64(first & _MASK64), out=out)
     return _mix64_array(z, exact, tmp)
+
+
+def draw_blocks(
+    seed: int, rounds: int, efficiency: float, bits: int, block: int
+) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
+    """Each block of ``block`` rounds of a batch, in round order, as
+    ``(lo, pattern, alice, bob)``: the id of the block's first round, each
+    round's pattern, the top ``bits`` bits of its decision word (uint64),
+    and Alice's and Bob's detections (bool), or two Nones at efficiency 1,
+    where every detection succeeds.
+
+    The batch allocates its arrays once, and each block's arrays are views
+    of them that the next block overwrites: a caller copies what it keeps
+    of a block before it asks for the next one, and may write over the
+    block's arrays.
+
+    Below efficiency 1 a party is detected when its field of the word is
+    below the field the threshold ties with, and only a tied round computes
+    the party's own draw, which decides it.
+    """
+    size = min(block, rounds)
+    offsets = round_offsets(size)
+    # The decision words, then the patterns in place; the mix's shifts,
+    # then each party's field.
+    word, field = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    detect = efficiency < 1.0
+    if detect:
+        bound, tie = detection_threshold(efficiency)
+        alice, bob, tied = (np.empty(size, dtype=bool) for _ in range(3))
+    for lo in range(0, rounds, block):
+        n = min(block, rounds - lo)
+        w, f = word[:n], field[:n]
+        decision_words(seed, offsets[:n], lo, exact=detect, out=w, tmp=f)
+        detections = [None, None]
+        if detect:
+            for j, shift, detected in ((1, DETECTION_BITS, alice[:n]), (2, 0, bob[:n])):
+                # The field is compared where it lies in the word, with the
+                # bits below it masked off, which saves a shift.
+                np.bitwise_and(w, np.uint64(_FIELD_MASK << shift), out=f)
+                at = np.uint64(tie << shift)
+                np.less(f, at, out=detected)
+                if np.equal(f, at, out=tied[:n]).any():
+                    ids = np.flatnonzero(tied[:n])
+                    draw = round_draw(seed, ids.astype(np.uint64) + np.uint64(lo), j)
+                    detected[ids] = detection_uniform(tie, draw) < bound
+                detections[j - 1] = detected
+        yield lo, np.right_shift(w, 64 - bits, out=w), *detections
 
 
 def stream_uniforms(master_seed: int, stream_label: int, count: int) -> np.ndarray:

@@ -586,7 +586,7 @@ def test_call_cost_tool_prints_its_figures():
     assert set(cost["minflt"]) == {"median", "min", "max"}
     assert 0 <= cost["minflt"]["min"] <= cost["minflt"]["median"] <= cost["minflt"]["max"]
     assert cost["cpu_ms"] > 0 and cost["transient_mb"] > 0
-    assert cost["setup_s"] > 0
+    assert cost["setup_s"] > 0 and cost["setup_cpu_s"] > 0
 
 
 def test_importing_the_entry_point_runs_nothing():

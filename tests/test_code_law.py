@@ -12,7 +12,7 @@ probability exactly ``P = ceil(eta * 2**53) / 2**53`` (the threshold of
 bit and ``P_b`` by Bob's. What each pattern means is tested exactly,
 without sampling, against the scalar reference (``test_kernels.py``); this
 file tests only the random bits, on the histogram of the codes of
-``blocks.draw_blocks``' own blocks (:func:`code_histogram`).
+``rng.draw_blocks``' own blocks (:func:`code_histogram`).
 
 Each case draws enough rounds that every bin's expected count is at least
 40 and fails if the G statistic's p-value is below ``P_FLOOR``. The seeds
@@ -27,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperqkd import blocks, montecarlo
-from hyperqkd.rng import below_threshold
+from hyperqkd import montecarlo
+from hyperqkd.rng import below_threshold, draw_blocks
 
 from test_kernels import PATTERN_BITS, SHAPES, shape_id
 
@@ -62,9 +62,9 @@ def exact_law(bits, efficiency):
 def code_histogram(seed, rounds, efficiency, bits):
     """The histogram (int64, one bin per code) of the codes of ``rounds``
     rounds, code = 4 * pattern + 2 * Alice's detection + Bob's, from
-    ``blocks.draw_blocks``' blocks of the engine's size."""
+    ``rng.draw_blocks``' blocks of the engine's size."""
     counts = np.zeros(4 << bits, dtype=np.int64)
-    for _, pattern, alice, bob in blocks.draw_blocks(
+    for _, pattern, alice, bob in draw_blocks(
             seed, rounds, efficiency, bits, montecarlo._BLOCK_ROUNDS):
         code = pattern << 2
         code |= 3 if alice is None else alice.view(np.uint8) << 1 | bob

@@ -33,7 +33,7 @@ from hyperqkd import (
     sift,
     verify_sample,
 )
-from hyperqkd import adversary, blocks, montecarlo, protocol, rng
+from hyperqkd import adversary, montecarlo, protocol, rng
 from hyperqkd.rng import detection_threshold
 
 from test_kernels import PATTERN_BITS
@@ -335,7 +335,7 @@ def test_each_block_is_drawn_into_the_batchs_buffers(efficiency, block):
     bound, _ = detection_threshold(efficiency)
     first = None
     drawn = 0
-    for lo, pattern, alice, bob in blocks.draw_blocks(seed, rounds, efficiency, bits, block):
+    for lo, pattern, alice, bob in rng.draw_blocks(seed, rounds, efficiency, bits, block):
         ids = np.arange(lo, min(lo + block, rounds), dtype=np.uint64)
         assert lo == drawn and len(pattern) == len(ids)
         word = rng.round_draw(seed, ids, 0)

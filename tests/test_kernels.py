@@ -33,9 +33,9 @@ from hyperqkd import (
     sift,
     verify_sample,
 )
-from hyperqkd import blocks, montecarlo
+from hyperqkd import montecarlo
 from hyperqkd.hilbert import LABELS
-from hyperqkd.protocol import _FILLERS, key_bits, partial_shuffle
+from hyperqkd.protocol import _FILLERS, key_bits, partial_shuffle, same_basis
 
 
 def reference_picks(n, uniforms):
@@ -190,7 +190,7 @@ def test_pattern_tables_equal_reference(attack, widths):
         if not rec.coincident:
             assert groups.discarded == (rec,) and not len(alice)
             continue
-        got = key_bits(tables.key_rows[p:p + 1].view(np.uint8), True)
+        got = key_bits(tables.key_rows[p:p + 1], True)
         assert [b.tolist() for b in got] == [list(alice.bits), list(bob.bits)]
         # The counters the round adds to, each from the per-record reference.
         mismatch = rec.alice_outcome is not rec.bob_outcome
@@ -217,7 +217,7 @@ def test_pattern_tables_equal_reference(attack, widths):
 def test_same_basis_bits_equal_the_table(attack, widths, dtype):
     patterns = np.arange(1 << sum(widths), dtype=dtype)
     tables = montecarlo._patterns(attack)
-    got = blocks.same_basis(tables.key_rows.take(patterns))
+    got = same_basis(tables.key_rows.take(patterns))
     assert got.tolist() == tables.counters[montecarlo._SAME].astype(bool).tolist()
 
 
@@ -246,7 +246,7 @@ def test_key_bits_equal_the_compress_of_the_key_slots(seed, count, fillers, both
         # Arrays longer than the key, whose tail the call must leave alone.
         out = tuple(np.full(2 * count + 3, 0xFF, dtype=np.uint8) for _ in range(2))
         out = out if both else (out[0], None)
-    got = key_bits(rows, both, out=out)
+    got = key_bits(rows.view(np.uint16).ravel(), both, out=out)
     assert got[0].dtype == np.uint8 and got[0].tolist() == want[0].tolist()
     if both:
         assert got[1].dtype == np.uint8 and got[1].tolist() == want[1].tolist()
@@ -270,12 +270,13 @@ def test_removed_counters_equal_the_checked_rounds_histogram(
     # the checked rounds' patterns.
     attack, widths = SHAPES[shape]
     tables = montecarlo._patterns(attack)
-    patterns, counts = blocks.coincident_patterns(seed, rounds, efficiency, sum(widths), block)
+    patterns, counts = montecarlo.coincident_patterns(
+        seed, rounds, efficiency, sum(widths), block)
     same = patterns[tables.counters[montecarlo._SAME].take(patterns) > 0]
     k = math.ceil(fraction * len(same))
     picks = np.sort(np.random.default_rng(seed).choice(len(same), size=k, replace=False))
     width = len(patterns) + len(same) - 2 * k
-    alice, bob, removed = blocks.extract_keys(
+    alice, bob, removed = montecarlo.extract_keys(
         patterns, picks, tables.key_rows, tables.counters, width, True, block)
     want = tables.counters @ np.bincount(same[picks], minlength=1 << sum(widths))
     assert removed.dtype == np.int64 and removed.tolist() == want.tolist()

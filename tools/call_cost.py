@@ -9,6 +9,9 @@ perfbench/run.py does, and prints one JSON object:
 * ``setup_s``: the wall time of the import and the 100-round
   ``--deterministic-output`` call, perfbench's set-up time without the
   interpreter's start;
+* ``setup_cpu_s``: the process CPU time (``time.process_time()``) over
+  the same window, which counts the CPU time of every thread of the
+  process, such as those numpy's BLAS starts at import;
 * ``minflt``: minor page faults of the process during each call
   (``resource.getrusage``), their median, minimum and maximum;
 * ``cpu_ms``: the median process CPU time of a call;
@@ -92,16 +95,18 @@ def main(argv=None) -> int:
     cli_args = args.args[1:] if args.args[:1] == ["--"] else args.args
     with tempfile.TemporaryDirectory() as tmpdir:
         out = os.path.join(tmpdir, "report")
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         sys.path.insert(0, os.path.abspath(args.src))
         from hyperqkd.cli import main as hyperqkd_main
 
         if hyperqkd_main(["--rounds", "100", "--deterministic-output", "--out", out]) != 0:
             raise SystemExit("error: the 100-round set-up call failed")
         setup_s = time.perf_counter() - start
+        setup_cpu_s = time.process_time() - cpu_start
         argv = cli_args + ["--deterministic-output", "--out", out]
         cost = call_cost(hyperqkd_main, argv, args.calls, args.warmup)
-    json.dump({"argv": cli_args, "setup_s": setup_s, **cost}, sys.stdout)
+    json.dump({"argv": cli_args, "setup_s": setup_s, "setup_cpu_s": setup_cpu_s, **cost},
+              sys.stdout)
     sys.stdout.write("\n")
     return 0
 
