@@ -62,7 +62,7 @@ from .protocol import (
 )
 from .rng import RandomSource
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "ATOL",

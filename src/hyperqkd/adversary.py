@@ -102,6 +102,16 @@ class AttackConfig:
     fixed_basis: BasisType = BasisType.TYPE_I
 
     def __post_init__(self) -> None:
+        # Every rule of the attack tests its fields by identity, so a plain
+        # value such as "single" would quietly run some other attack.
+        enums = {"kind": AttackKind, "strategy": EveBasisStrategy, "fixed_basis": BasisType}
+        wrong = [name for name, enum in enums.items() if not isinstance(getattr(self, name), enum)]
+        if wrong:
+            raise ConfigurationError(
+                "; ".join(f"{name} must be a member of {enums[name].__name__}, "
+                          f"got {getattr(self, name)!r}" for name in wrong),
+                fields=tuple(wrong),
+            )
         if (
             self.kind is AttackKind.SINGLE_INTERCEPT
             and self.strategy is EveBasisStrategy.FIXED_DIFFERENT

@@ -21,27 +21,36 @@ reused for every block:
 
 * :func:`coincident_patterns` keeps the coincident rounds' patterns, as
   uint16, and their histogram. Every counter of the batch is the matrix
-  times that histogram.
+  times a histogram of patterns. It also gives the block table: before
+  each draw block and after the last, how many coincident rounds and
+  coincident same-basis rounds the batch has kept.
 * :func:`hyperqkd.protocol.partial_shuffle` (which ``verify_sample`` also
   calls) picks the checked rounds by their rank among the coincident
-  same-basis rounds.
-* :func:`extract_keys` gathers the patterns' key rows, reads the
-  same-basis rounds off them (:func:`hyperqkd.protocol.same_basis`), sums
-  the checked rounds' counter columns, which the key's counters lack,
-  gives their rows the fillers, and copies the rows' key bits
+  same-basis rounds. With the sorted picks, the table alone says where
+  each block's patterns, picks, key rounds and key bits lie
+  (:func:`_block_slices`), so no pass carries anything from one block to
+  the next.
+* :func:`_block_keys` keys one block: it gathers its patterns' packed key
+  rows, finds its checked rounds among the same-basis ones
+  (:func:`hyperqkd.protocol.same_basis`) and gives their rows the
+  fillers. :func:`extract_keys` calls it on each block's slice of the
+  held patterns and copies the rows' key bits
   (:func:`hyperqkd.protocol.key_bits`), Bob's only when a key bit can
-  differ.
+  differ, and the checked rounds' patterns, whose histogram times the
+  matrix is what they took from the counters.
 * Only when they are first asked for, :func:`key_rounds` derives which
-  rounds the key holds, and :func:`_block_records` builds the records,
-  exactly those the scalar reference :func:`hyperqkd.protocol.run_round`
-  gives, each from the rounds drawn again.
+  rounds the key holds, calling :func:`_block_keys` on each block drawn
+  again, and :func:`_block_records` builds the records, exactly those the
+  scalar reference :func:`hyperqkd.protocol.run_round` gives, each from
+  the rounds drawn again.
 
 So a batch holds its coincident patterns only while it runs, and keeps
-only its results: the keys' bits and the picks. Alice's key derives its
-rounds' ids and same-basis flags on first access; Bob's holds the same
-rounds (:meth:`KeyBits.with_bits`), derived once for both keys, and is
-Alice's key itself when no key bit differs. At a ``verify_fraction`` of 0
-no round is compared and every coincidence stays in the key.
+only its results: the keys' bits, the picks and the block table. Alice's
+key derives its rounds' ids and same-basis flags on first access; Bob's
+holds the same rounds (:meth:`KeyBits.with_bits`), derived once for both
+keys, and is Alice's key itself when no key bit differs. At a
+``verify_fraction`` of 0 no round is compared and every coincidence stays
+in the key.
 
 The scalar ``build_keys``, ``eve_information``, ``eve_guess_accuracy`` and
 :func:`detection_probability` gather label codes from round records (what
@@ -439,118 +448,127 @@ def _patterns(attack: Optional[AttackConfig]) -> _Patterns:
         counters[_EVE] = eve_tallies(table[-3], bob >> 2, same)
         if attack.kind is AttackKind.DOUBLE_INTERCEPT:
             counters[_STRATA] = _strata((table[0] >> 2) == (table[1] >> 2), mismatch) & same
-    tables = _Patterns(key_rows=rows, counters=counters)
-    for arr in (tables.key_rows, tables.counters):
-        arr.flags.writeable = False
-    return tables
+    rows.flags.writeable = counters.flags.writeable = False
+    return _Patterns(key_rows=rows, counters=counters)
 
 
 def coincident_patterns(
-    seed: int, rounds: int, efficiency: float, bits: int, block: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The coincident rounds' patterns (uint16), in round order, and their
-    histogram (int64, one bin per pattern), from :func:`draw_blocks`' blocks
-    of the same arguments. Below efficiency 1 each block's patterns are
-    compressed once, on both detections; at efficiency 1 every round is
-    coincident. MemoryError if the patterns might not fit in one array.
+    seed: int, rounds: int, efficiency: float, bits: int, block: int, same: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coincident rounds' patterns (uint16), in round order, their
+    histogram (int64, one bin per pattern) and the batch's block table,
+    from :func:`draw_blocks`' blocks of the same arguments but ``same``,
+    which flags each pattern's same-basis rounds (int64). Column ``b`` of
+    the table (int64) counts the coincident rounds and the coincident
+    same-basis rounds before block ``b``; its last column counts the
+    batch's. Below efficiency 1 each block's patterns are compressed once,
+    on both detections; at efficiency 1 every round is coincident.
+    MemoryError if the patterns might not fit in one array.
     """
     if 2 * rounds > np.iinfo(np.intp).max:
         # numpy refuses an array this large with ValueError.
         raise MemoryError(f"{rounds} patterns do not fit in one array")
     patterns = np.empty(rounds, dtype=np.uint16)
     counts = np.zeros(1 << bits, dtype=np.int64)
-    kept = 0
-    for _, pattern, alice, bob in draw_blocks(seed, rounds, efficiency, bits, block):
+    table = np.zeros((2, (rounds + block - 1) // block + 1), dtype=np.int64)
+    for b, (_, pattern, alice, bob) in enumerate(
+            draw_blocks(seed, rounds, efficiency, bits, block)):
         if alice is not None:
             pattern = np.compress(np.logical_and(alice, bob, out=alice), pattern)
+        kept = table[0, b]
         patterns[kept:kept + len(pattern)] = pattern
         # Viewed as int64, numpy's index type, no index array is converted.
         counts += np.bincount(pattern.view(np.int64), minlength=1 << bits)
-        kept += len(pattern)
-    return patterns[:kept], counts
+        table[:, b + 1] = kept + len(pattern), same @ counts
+    return patterns[:table[0, -1]], counts, table
 
 
-def _picked(
-    same: np.ndarray, picks: np.ndarray, ranked: int, done: int
-) -> tuple[Optional[np.ndarray], int, int]:
-    """Which of a block's coincident rounds the picks take: their positions
-    among the block's coincident rounds (None if there are none), and the
-    next block's ``ranked`` and ``done``. ``same`` flags the block's
-    coincident same-basis rounds, ``ranked`` counts the batch's before the
-    block, and ``done`` the picks below ``ranked``."""
-    rank_end = ranked + int(np.count_nonzero(same))
-    end = done + int(np.searchsorted(picks[done:], rank_end))
-    hit = np.flatnonzero(same)[picks[done:end] - ranked] if end > done else None
-    return hit, rank_end, end
+def _block_slices(table: np.ndarray, picks: np.ndarray) -> list[tuple]:
+    """Where each draw block's share of the batch lies, found from the
+    block table (:func:`coincident_patterns`) and the sorted picks alone:
+    slices of the coincident rounds, of the picks, of the key rounds and
+    of the key bits, and the rank of the block's first same-basis round,
+    which its picks count from. A checked round is a same-basis round, of
+    two bits, and gives no key round."""
+    coincident, ranked = table.tolist()
+    done = np.searchsorted(picks, table[1]).tolist()
+    starts = [(c, d, c - d, c + r - 2 * d) for c, r, d in zip(coincident, ranked, done)]
+    return [(*map(slice, lo, hi), r) for lo, hi, r in zip(starts, starts[1:], ranked)]
+
+
+def _block_keys(pattern: np.ndarray, picks: np.ndarray, key_rows: np.ndarray,
+                out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """One block's packed key rows, gathered from ``key_rows`` by the
+    block's coincident rounds' ``pattern`` (into ``out``, if given), with
+    the checked rounds' rows set to ``FILLER_ROW``, and the checked rounds'
+    positions in the block. ``picks`` ranks them among the block's
+    same-basis rounds."""
+    # Every pattern indexes key_rows, so clipping changes no index, and
+    # unlike the default it writes the rows straight into ``out``.
+    rows = key_rows.take(pattern, out=out, mode="clip")
+    hit = np.flatnonzero(same_basis(rows))[picks]
+    rows[hit] = FILLER_ROW
+    return rows, hit
 
 
 def extract_keys(
-    patterns: np.ndarray, picks: np.ndarray, key_rows: np.ndarray, counters: np.ndarray,
-    width: int, both: bool, block: int,
+    patterns: np.ndarray, picks: np.ndarray, table: np.ndarray, key_rows: np.ndarray,
+    both: bool,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """The key of a batch, from blocks of ``block`` of the coincident
-    rounds' ``patterns`` (:func:`coincident_patterns`): Alice's key bits,
-    Bob's (None unless ``both``) and what the rounds verification checked
-    add to each counter (int64, one per row of ``counters``).
+    """The key of a batch, from its coincident rounds' ``patterns`` and its
+    block table (:func:`coincident_patterns`): Alice's key bits, Bob's
+    (None unless ``both``) and the checked rounds' patterns (intp), in
+    round order.
 
     ``picks`` ranks the checked rounds among the coincident same-basis
     rounds, ascending; every other coincident round is a key round.
-    ``key_rows`` holds each pattern's packed key row and ``counters`` each
-    pattern's column of what it adds to each counter (:class:`_Patterns`).
-    The key has ``width`` bits, so every result is allocated once and
-    filled a block at a time, and the rows of a block are gathered into one
-    buffer. Which rounds the key holds is :func:`key_rounds`.
+    ``key_rows`` holds each pattern's packed key row. Each draw block's
+    slice of the patterns is keyed by :func:`_block_keys` into one buffer
+    and copied to where the table puts it (:func:`_block_slices`) in
+    arrays allocated once. Which rounds the key holds is
+    :func:`key_rounds`.
     """
+    # Each checked round is a same-basis round, of two bits.
+    width = int(table[:, -1].sum()) - 2 * len(picks)
     alice = np.empty(width, dtype=np.uint8)
     bob = np.empty(width, dtype=np.uint8) if both else None
-    removed = np.zeros(len(counters), dtype=np.int64)
-    buffer = np.empty(min(block, len(patterns)), dtype=np.uint16)
-    ranked = done = bit = 0
-    for lo in range(0, len(patterns), block):
-        pattern = patterns[lo:lo + block]
-        # Every pattern indexes key_rows, so clipping changes no index, and
-        # unlike the default it writes the rows straight into the buffer.
-        rows = key_rows.take(pattern, out=buffer[:len(pattern)], mode="clip")
-        hit, ranked, end = _picked(same_basis(rows), picks, ranked, done)
-        if hit is not None:
-            removed += counters.take(pattern[hit], axis=1).sum(axis=1)
-            rows[hit] = FILLER_ROW
-        done = end
-        a, _ = key_bits(rows, both, out=(alice[bit:], bob[bit:] if both else None))
-        bit += len(a)
-    return alice, bob, removed
+    checked = np.empty(len(picks), dtype=np.intp)
+    buffer = np.empty(np.diff(table[0]).max(), dtype=np.uint16)
+    for rounds, picked, _, bits, ranked in _block_slices(table, picks):
+        pattern = patterns[rounds]
+        rows, hit = _block_keys(
+            pattern, picks[picked] - ranked, key_rows, buffer[:len(pattern)])
+        checked[picked] = pattern[hit]
+        key_bits(rows, both, out=(alice[bits], bob[bits] if both else None))
+    return alice, bob, checked
 
 
 def key_rounds(
-    draws: tuple[int, int, float, int, int], picks: np.ndarray, count: int,
+    draws: tuple[int, int, float, int, int], picks: np.ndarray, table: np.ndarray,
     key_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each key round's id (int64) and same-basis flag, in round order, of
-    the batch whose rounds are ``draw_blocks(*draws)``, whose verification
-    took ``picks`` (as :func:`extract_keys` takes them) and whose key has
-    ``count`` rounds: the coincident rounds but the picked ones, derived
-    block by block into arrays allocated once. ``key_rows`` holds each
-    pattern's packed key row, as :func:`extract_keys` takes it. Both arrays
-    are read-only, as :class:`hyperqkd.protocol.KeyBits` holds them."""
+    the batch whose rounds are ``draw_blocks(*draws)``, whose block table
+    is ``table`` and whose verification took ``picks`` (all three as
+    :func:`extract_keys` takes them): the coincident rounds but the checked
+    ones. Each block is drawn again and keyed by :func:`_block_keys` into
+    arrays allocated once. Both arrays are read-only, as
+    :class:`hyperqkd.protocol.KeyBits` holds them."""
+    count = int(table[0, -1]) - len(picks)
     ids = np.empty(count, dtype=np.int64)
     same = np.empty(count, dtype=bool)
-    ranked = done = kept = 0
-    for lo, pattern, alice, bob in draw_blocks(*draws):
+    for (lo, pattern, alice, bob), (_, picked, kept, _, ranked) in zip(
+            draw_blocks(*draws), _block_slices(table, picks)):
         if alice is None:
             rid = np.arange(lo, lo + len(pattern))
         else:
             rid = np.flatnonzero(np.logical_and(alice, bob, out=alice))
             pattern = pattern.take(rid)
             rid += lo
-        flags = same_basis(key_rows.take(pattern))
-        hit, ranked, done = _picked(flags, picks, ranked, done)
-        if hit is not None:
-            rid, flags = np.delete(rid, hit), np.delete(flags, hit)
-        ids[kept:kept + len(rid)] = rid
-        same[kept:kept + len(rid)] = flags
-        kept += len(rid)
-    for arr in (ids, same):
-        arr.flags.writeable = False
+        rows, hit = _block_keys(pattern, picks[picked] - ranked, key_rows)
+        ids[kept] = np.delete(rid, hit)
+        same[kept] = np.delete(same_basis(rows), hit)
+    ids.flags.writeable = same.flags.writeable = False
     return ids, same
 
 
@@ -585,27 +603,22 @@ def run_batch(config: SimConfig) -> BatchResult:
     # draw the batch again.
     draws = (config.seed, config.rounds, config.efficiency,
              len(tables.key_rows).bit_length() - 1, _BLOCK_ROUNDS)
-    patterns, coincident = coincident_patterns(*draws)
+    patterns, coincident, table = coincident_patterns(*draws, tables.counters[_SAME])
     # Every counter is a histogram of patterns dotted with a row of
     # tables.counters.
     totals = tables.counters @ coincident
-    coincidences = int(coincident.sum())
-    same_n = int(totals[_SAME])
-    diff_n = coincidences - same_n
+    coincidences, same_n = table[:, -1].tolist()
     k = math.ceil(config.verify_fraction * same_n)
     picks = np.sort(partial_shuffle(same_n, stream_uniforms(config.seed, _VERIFY_STREAM, k)))
-    # Each checked round is a same-basis round, of two bits. Bob's bits can
-    # differ from Alice's only if some coincident round's can.
-    key_len = coincidences + same_n - 2 * k
-    alice_bits, bob_bits, removed = extract_keys(
-        patterns, picks, tables.key_rows, tables.counters, key_len,
-        bool(totals[_KEY_ERRORS]), _BLOCK_ROUNDS)
+    # Bob's bits can differ from Alice's only if some coincident round's can.
+    alice_bits, bob_bits, checked = extract_keys(
+        patterns, picks, table, tables.key_rows, bool(totals[_KEY_ERRORS]))
+    key_len = len(alice_bits)
+    removed = tables.counters @ np.bincount(checked, minlength=len(tables.key_rows))
     keyed = (totals - removed).tolist()
     mismatches = int(totals[_SAME_MISMATCH])
     checked_mismatches = int(removed[_SAME_MISMATCH])
-    verification = (VerificationReport(k, checked_mismatches, checked_mismatches / k) if k
-                    else VerificationReport(0, 0, None))
-    key_errors = keyed[_KEY_ERRORS]
+    verification = VerificationReport(k, checked_mismatches, _rate(checked_mismatches, k)[0])
 
     info = info_se = accuracy = detection = None
     if config.attack is not None:
@@ -621,7 +634,8 @@ def run_batch(config: SimConfig) -> BatchResult:
 
     bpc = bpc_se = ratio = ratio_se = None
     if coincidences:
-        bpc = (2 * same_n + diff_n) / coincidences
+        # A same-basis round gives two bits, any other coincidence one.
+        bpc = (coincidences + same_n) / coincidences
         # bits/coincidence = 1 + (same-basis fraction), so its SE is that
         # fraction's binomial SE.
         bpc_se = _binomial_se(same_n / coincidences, coincidences)
@@ -629,14 +643,14 @@ def run_batch(config: SimConfig) -> BatchResult:
         ratio_se = bpc_se / EKERT_BITS_PER_PAIR
     coincidence_rate, coincidence_se = _rate(coincidences, config.rounds)
     mism_rate, mism_se = _rate(mismatches, same_n)
-    key_err, key_err_se = _rate(key_errors, key_len)
+    key_err, key_err_se = _rate(keyed[_KEY_ERRORS], key_len)
     stats = BatchStats(
         rounds=config.rounds,
         coincidences=coincidences,
         coincidence_rate=coincidence_rate,
         coincidence_rate_se=coincidence_se,
         same_basis_count=same_n,
-        diff_basis_count=diff_n,
+        diff_basis_count=coincidences - same_n,
         discarded_count=config.rounds - coincidences,
         bits_per_coincidence=bpc,
         bits_per_coincidence_se=bpc_se,
@@ -654,11 +668,12 @@ def run_batch(config: SimConfig) -> BatchResult:
         eve_guess_accuracy=accuracy,
         detection=detection,
     )
-    # Both keys derive their rounds from the draws and the picks, once.
+    # Both keys derive their rounds from the draws, the table and the
+    # picks, once.
     alice_key = KeyBits._of_batch(
         alice_bits, key_len,
-        cache(partial(key_rounds, draws, picks, coincidences - k, tables.key_rows)))
+        cache(partial(key_rounds, draws, picks, table, tables.key_rows)))
     # With no bit error, Bob holds Alice's key.
-    bob_key = alice_key.with_bits(bob_bits) if key_errors else alice_key
+    bob_key = alice_key.with_bits(bob_bits) if keyed[_KEY_ERRORS] else alice_key
     return BatchResult(stats=stats, alice_key=alice_key, bob_key=bob_key,
                        _records=partial(_batch_records, draws, config.attack))

@@ -206,6 +206,24 @@ class TestAttackConfig:
         with pytest.raises(ConfigurationError):
             AttackConfig(AttackKind.SINGLE_INTERCEPT, EveBasisStrategy.FIXED_DIFFERENT)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "single"),
+        ("strategy", "random"),
+        ("fixed_basis", "I"),
+    ])
+    def test_rejects_a_field_outside_its_enum(self, field, value):
+        # Before the check AttackConfig("single") ran as a double intercept
+        # and a strategy "random" as the fixed-basis attack.
+        fields = {"kind": AttackKind.SINGLE_INTERCEPT, field: value}
+        with pytest.raises(ConfigurationError, match=field) as caught:
+            AttackConfig(**fields)
+        assert caught.value.fields == (field,)
+
+    def test_rejects_every_field_outside_its_enum_at_once(self):
+        with pytest.raises(ConfigurationError) as caught:
+            AttackConfig("double", 1, None)
+        assert caught.value.fields == ("kind", "strategy", "fixed_basis")
+
     def test_single_basis_count(self):
         attack = AttackConfig(AttackKind.SINGLE_INTERCEPT)
         assert len(attack.bases_for_round(RandomSource(1))) == 1

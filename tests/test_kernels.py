@@ -14,6 +14,9 @@ each entry, and the detection stats ``_detection`` makes of the column, is
 checked against the per-record reference of ``reference.py`` on the column's round under all four
 detection states. The engine reads the same-basis flag off each round's
 packed key row; that rule is checked against the table on every pattern.
+The key pass keys each draw block from the block table alone
+(``montecarlo._block_slices`` and ``_block_keys``); every block, built
+last first, is checked against its slices of one whole pass.
 """
 
 import math
@@ -35,7 +38,8 @@ from hyperqkd import (
 )
 from hyperqkd import montecarlo
 from hyperqkd.hilbert import LABELS
-from hyperqkd.protocol import _FILLERS, key_bits, partial_shuffle, same_basis
+from hyperqkd.protocol import _FILLERS, FILLER_ROW, key_bits, partial_shuffle, same_basis
+from hyperqkd.rng import draw_blocks
 
 
 def reference_picks(n, uniforms):
@@ -265,19 +269,64 @@ def test_key_bits_equal_the_compress_of_the_key_slots(seed, count, fillers, both
        fraction=st.sampled_from([0.0, 0.1, 0.9]), block=st.sampled_from([1, 3, 128, 16_384]))
 def test_removed_counters_equal_the_checked_rounds_histogram(
         shape, seed, rounds, efficiency, fraction, block):
-    # What the checked rounds add to each counter, summed block by block
-    # by extract_keys, against the counters dotted with the histogram of
-    # the checked rounds' patterns.
+    # extract_keys gives the checked rounds' patterns, gathered block by
+    # block along the block table; what they add to each counter, the
+    # counters dotted with their histogram as run_batch takes it, against
+    # the sum of their counter columns.
     attack, widths = SHAPES[shape]
     tables = montecarlo._patterns(attack)
-    patterns, counts = montecarlo.coincident_patterns(
-        seed, rounds, efficiency, sum(widths), block)
+    patterns, counts, table = montecarlo.coincident_patterns(
+        seed, rounds, efficiency, sum(widths), block, tables.counters[montecarlo._SAME])
     same = patterns[tables.counters[montecarlo._SAME].take(patterns) > 0]
+    assert table[:, -1].tolist() == [len(patterns), len(same)]
     k = math.ceil(fraction * len(same))
     picks = np.sort(np.random.default_rng(seed).choice(len(same), size=k, replace=False))
-    width = len(patterns) + len(same) - 2 * k
-    alice, bob, removed = montecarlo.extract_keys(
-        patterns, picks, tables.key_rows, tables.counters, width, True, block)
-    want = tables.counters @ np.bincount(same[picks], minlength=1 << sum(widths))
+    alice, bob, checked = montecarlo.extract_keys(
+        patterns, picks, table, tables.key_rows, True)
+    assert checked.tolist() == same[picks].tolist()
+    removed = tables.counters @ np.bincount(checked, minlength=1 << sum(widths))
+    want = tables.counters.take(same[picks], axis=1).sum(axis=1)
     assert removed.dtype == np.int64 and removed.tolist() == want.tolist()
-    assert len(alice) == len(bob) == width
+    assert len(alice) == len(bob) == len(patterns) + len(same) - 2 * k
+
+
+@pytest.mark.parametrize("block", [1, 3, 128, 16_384])
+@pytest.mark.parametrize("efficiency", [1.0, 0.9, 0.5])
+@pytest.mark.parametrize("attack, widths", SHAPES, ids=[shape_id(a) for a, _ in SHAPES])
+def test_each_block_is_keyed_from_the_table_alone(attack, widths, efficiency, block):
+    # The blocks are visited last first, each built from the block table,
+    # the picks and its own rounds, with nothing carried from another
+    # block; each must equal its slices of one whole pass. Every batch of
+    # blocks longer than one round ends in a partial block.
+    tables = montecarlo._patterns(attack)
+    draws = (block, 5 * block + 301, efficiency, sum(widths), block)
+    patterns, _, table = montecarlo.coincident_patterns(*draws, tables.counters[montecarlo._SAME])
+    same_n = int(table[1, -1])
+    picks = np.sort(np.random.default_rng(block).choice(same_n, size=same_n // 3, replace=False))
+    alice, bob, checked = montecarlo.extract_keys(patterns, picks, table, tables.key_rows, True)
+    ids, flags = montecarlo.key_rounds(draws, picks, table, tables.key_rows)
+    # Each draw block's coincident rounds' ids, copied before the next
+    # block is drawn over them.
+    drawn = [lo + (np.arange(len(pattern)) if a is None else np.flatnonzero(a & b))
+             for lo, pattern, a, b in draw_blocks(*draws)]
+    slices = montecarlo._block_slices(table, picks)
+    assert len(slices) == len(drawn) == table.shape[1] - 1
+    for (rounds, picked, kept, bits, ranked), rid in reversed(list(zip(slices, drawn))):
+        pattern = patterns[rounds]
+        rows, hit = montecarlo._block_keys(pattern, picks[picked] - ranked, tables.key_rows)
+        assert len(pattern) == len(rid) and len(hit) == len(picks[picked])
+        block_alice, block_bob = key_bits(rows, True)
+        assert block_alice.tolist() == alice[bits].tolist()
+        assert block_bob.tolist() == bob[bits].tolist()
+        assert pattern[hit].tolist() == checked[picked].tolist()
+        # A checked round's row is the only filler row; every other
+        # coincident round is a key round.
+        keep = rows != FILLER_ROW
+        assert np.flatnonzero(~keep).tolist() == hit.tolist()
+        assert ids[kept].tolist() == rid[keep].tolist()
+        assert flags[kept].tolist() == same_basis(rows[keep]).tolist()
+    # The slices tile the whole pass's arrays.
+    assert [s.start for s in slices[0][:4]] == [0, 0, 0, 0]
+    for this, after in zip(slices, slices[1:]):
+        assert [s.stop for s in this[:4]] == [s.start for s in after[:4]]
+    assert [s.stop for s in slices[-1][:4]] == [len(patterns), len(picks), len(ids), len(alice)]
